@@ -13,9 +13,15 @@ import sys
 
 from . import __version__
 from .bounds import fpbk_lower_bound
-from .codes import parse_code, parse_matching, surface_stats
-from .errors import FlatBasketError
-from .invariants import alexander, arf, knot_determinant, parse_polynomial, signature
+from .codes import canonicalize, parse_code, parse_matching, surface_stats
+from .errors import FlatBasketError, NotAKnot
+from .invariants import (
+    alexander,
+    arf_from_determinant,
+    determinant_from_alexander,
+    parse_polynomial,
+    signature,
+)
 from .passclass import orbit_invariant_check, pass_class
 from .pushdown import flatten_trace, load_diagram
 from .search import (
@@ -25,7 +31,7 @@ from .search import (
     search,
     write_store,
 )
-from .seifert import seifert_matrix, symmetrized
+from .seifert import format_rows, seifert_matrix, symmetrized
 from .tables import CHECK_NAMES, load_references, load_table, verify_table
 
 __all__ = ["build_parser", "cli_dispatch", "main"]
@@ -53,8 +59,6 @@ def _poly_json(poly) -> dict:
 
 def _cmd_validate(args) -> int:
     code = parse_code(args.code)
-    from .codes import canonicalize
-
     canonical = canonicalize(code)
     _emit(
         {
@@ -94,9 +98,7 @@ def _cmd_matrix(args) -> int:
     if args.json:
         print(json.dumps({"matrix": [list(r) for r in rows]}))
     else:
-        width = max((len(str(x)) for row in rows for x in row), default=1)
-        for row in rows:
-            print(" ".join(str(x).rjust(width) for x in row))
+        print(format_rows(rows))
     return 0
 
 
@@ -129,8 +131,8 @@ def _cmd_invariants(args) -> int:
         "arf": None,
     }
     if stats.boundary == 1:
-        payload["determinant"] = knot_determinant(code)
-        payload["arf"] = arf(code)
+        payload["determinant"] = determinant_from_alexander(delta)
+        payload["arf"] = arf_from_determinant(payload["determinant"])
     plain = (
         f"bands={payload['bands']} boundary={payload['boundary']} "
         f"genus={payload['genus']} delta={delta.normalized} "
@@ -142,11 +144,10 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    delta = alexander(parse_code(args.code), checked=True)
-    if surface_stats(parse_code(args.code)).boundary != 1:
-        from .errors import NotAKnot
-
+    code = parse_code(args.code)
+    if surface_stats(code).boundary != 1:
         raise NotAKnot("the bound applies to knots only")
+    delta = alexander(code, checked=True)
     bound = fpbk_lower_bound(delta, genus=args.genus)
     _emit(
         {
@@ -270,7 +271,7 @@ def _cmd_census(args) -> int:
 def _cmd_verify_table(args) -> int:
     records = load_table(args.table)
     references = load_references(args.references)
-    report = verify_table(records, references, jobs=args.jobs)
+    report = verify_table(records, references)
     if args.json:
         print(
             json.dumps(
@@ -352,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify-table", _cmd_verify_table, "verify the bundled knot table")
     p.add_argument("--table", default=None, help="alternative table file")
     p.add_argument("--references", default=None, help="alternative references")
-    p.add_argument("--jobs", type=_positive_int, default=1)
 
     return parser
 

@@ -23,6 +23,7 @@ from functools import cached_property
 from .errors import (
     EmptyInput,
     InvalidPermutation,
+    InvariantViolation,
     MalformedCode,
     NonContiguousLabels,
 )
@@ -36,7 +37,9 @@ __all__ = [
     "underlying",
     "boundary_components",
     "surface_stats",
+    "surface_genus",
     "canonicalize",
+    "canonical_word",
     "rotated",
     "is_canonical_word",
     "relabel",
@@ -120,6 +123,18 @@ class UnderlyingDiagram:
                 seen.append((i + 1, j + 1))
         return tuple(seen)
 
+    @cached_property
+    def chord_at(self) -> tuple[int, ...]:
+        """Index in :meth:`pairs` of the chord at each 0-based position.
+
+        Labeling chord ``c`` with ``perm[c]`` gives the word
+        ``tuple(perm[c] for c in chord_at)``.
+        """
+        chord_at = [0] * len(self.pairing)
+        for idx, (p, q) in enumerate(self.pairs()):
+            chord_at[p - 1] = chord_at[q - 1] = idx
+        return tuple(chord_at)
+
 
 @dataclass(frozen=True)
 class SurfaceStats:
@@ -131,21 +146,32 @@ class SurfaceStats:
     genus: int
 
 
-def parse_code(text: str) -> FlatBasketCode:
-    """Parse a basket code from comma/whitespace separated positive integers.
+def _tokens(text: str, what: str) -> list[str]:
+    """Comma/whitespace separated ASCII digit strings, parentheses optional.
 
-    Optional surrounding parentheses are accepted, so table syntax such as
-    ``(1,2,3,4,1,2,3,4)`` parses directly.
+    ``isdigit`` alone admits superscripts, which ``int`` rejects.
     """
     stripped = text.strip()
     if stripped.startswith("(") and stripped.endswith(")"):
         stripped = stripped[1:-1]
     tokens = [t for t in _TOKEN_SPLIT.split(stripped) if t]
     if not tokens:
-        raise EmptyInput("no tokens in code text")
-    word = []
+        raise EmptyInput(f"no tokens in {what} text")
     for tok in tokens:
-        if not tok.isdigit() or int(tok) == 0:
+        if not (tok.isascii() and tok.isdigit()):
+            raise MalformedCode(f"token {tok!r} is not a positive integer")
+    return tokens
+
+
+def parse_code(text: str) -> FlatBasketCode:
+    """Parse a basket code from comma/whitespace separated positive integers.
+
+    Optional surrounding parentheses are accepted, so table syntax such as
+    ``(1,2,3,4,1,2,3,4)`` parses directly.
+    """
+    word = []
+    for tok in _tokens(text, "code"):
+        if int(tok) == 0:
             raise MalformedCode(f"token {tok!r} is not a positive integer")
         word.append(int(tok))
     return FlatBasketCode(tuple(word))
@@ -154,28 +180,18 @@ def parse_code(text: str) -> FlatBasketCode:
 def parse_matching(text: str) -> UnderlyingDiagram:
     """Parse a chord diagram given as a paired word, e.g. ``1,2,1,2``.
 
-    Tokens are arbitrary positive integers; each must occur exactly twice.
+    Tokens are arbitrary digit strings; each must occur exactly twice.
     Equal tokens mark the two feet of one chord.
     """
-    stripped = text.strip()
-    if stripped.startswith("(") and stripped.endswith(")"):
-        stripped = stripped[1:-1]
-    tokens = [t for t in _TOKEN_SPLIT.split(stripped) if t]
-    if not tokens:
-        raise EmptyInput("no tokens in matching text")
+    tokens = _tokens(text, "matching")
     counts = Counter(tokens)
     bad = sorted(t for t, c in counts.items() if c != 2)
     if bad:
         raise MalformedCode(f"matching tokens {bad} do not occur exactly twice")
-    first: dict[str, int] = {}
-    pairing = [0] * len(tokens)
-    for i, tok in enumerate(tokens):
-        if tok in first:
-            j = first[tok]
-            pairing[i], pairing[j] = j, i
-        else:
-            first[tok] = i
-    return UnderlyingDiagram(tuple(pairing))
+    label: dict[str, int] = {}
+    for tok in tokens:
+        label.setdefault(tok, len(label) + 1)
+    return underlying(FlatBasketCode(tuple(label[tok] for tok in tokens)))
 
 
 def underlying(code: FlatBasketCode) -> UnderlyingDiagram:
@@ -209,15 +225,20 @@ def boundary_components(diagram: UnderlyingDiagram) -> int:
     return cycles
 
 
+def surface_genus(bands: int, boundary: int) -> int:
+    """Genus of a disk plus ``bands`` bands with ``boundary`` components."""
+    genus2 = 2 - boundary - (1 - bands)
+    # 2 - b - chi is even for orientable surfaces; this can only trip on a bug.
+    if genus2 % 2 or genus2 < 0:
+        raise InvariantViolation(f"{bands} bands, {boundary} boundaries: 2g = {genus2}")
+    return genus2 // 2
+
+
 def surface_stats(code: FlatBasketCode) -> SurfaceStats:
     """Euler characteristic, boundary count and genus of the code's surface."""
     n = code.n
-    euler = 1 - n
     b = boundary_components(underlying(code))
-    genus2 = 2 - b - euler
-    # 2 - b - chi is even for orientable surfaces; this can only trip on a bug.
-    assert genus2 % 2 == 0 and genus2 >= 0
-    return SurfaceStats(bands=n, euler=euler, boundary=b, genus=genus2 // 2)
+    return SurfaceStats(bands=n, euler=1 - n, boundary=b, genus=surface_genus(n, b))
 
 
 def rotated(code: FlatBasketCode, k: int) -> FlatBasketCode:
@@ -237,21 +258,21 @@ def is_canonical_word(word: tuple[int, ...]) -> bool:
     return True
 
 
+def canonical_word(word: tuple[int, ...]) -> tuple[int, ...]:
+    """Lexicographically least rotation of ``word``."""
+    m = len(word)
+    doubled = word + word
+    return min(doubled[k:k + m] for k in range(m))
+
+
 def canonicalize(code: FlatBasketCode) -> FlatBasketCode:
     """Lexicographically least rotation of the word; labels untouched.
 
     Rotating the basepoint on the disk boundary does not change the surface,
     so this is a total representative of the rotation class.  Idempotent.
     """
-    w = code.word
-    m = len(w)
-    doubled = w + w
-    best = w
-    for k in range(1, m):
-        cand = doubled[k:k + m]
-        if cand < best:
-            best = cand
-    return code if best == w else FlatBasketCode(best)
+    best = canonical_word(code.word)
+    return code if best == code.word else FlatBasketCode(best)
 
 
 def relabel(code: FlatBasketCode, perm) -> FlatBasketCode:

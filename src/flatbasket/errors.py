@@ -9,6 +9,10 @@ class FlatBasketError(Exception):
     """Base class of all domain errors raised by this package."""
 
 
+class InvariantViolation(FlatBasketError):
+    """A mathematical invariant checked at run time failed (internal bug)."""
+
+
 # --- code parsing and validation -------------------------------------------
 
 class EmptyInput(FlatBasketError):

@@ -8,7 +8,7 @@ taken by two mutually checking exact algorithms:
   where every division is exact by construction;
 * ``eval_interp``: evaluate the pencil at n+1 small integers, take exact
   integer determinants, and interpolate; the interpolation must come out
-  integral, which is asserted.
+  integral, and :class:`MethodDisagreement` is raised when it does not.
 
 The signature of V + V^T is obtained from its characteristic polynomial by
 counting coefficient sign changes (exact for polynomials with all real
@@ -35,7 +35,9 @@ __all__ = [
     "normalize_alexander",
     "alexander",
     "knot_determinant",
+    "determinant_from_alexander",
     "arf",
+    "arf_from_determinant",
     "signature",
 ]
 
@@ -439,21 +441,30 @@ def alexander(
     return normalize_alexander(raw)
 
 
+def determinant_from_alexander(delta: AlexanderPolynomial) -> int:
+    """|Delta(-1)|, the determinant of a knot with Alexander polynomial delta."""
+    return abs(delta.normalized.evaluate(-1))
+
+
 def knot_determinant(code: FlatBasketCode) -> int:
     """|Delta(-1)| for a knot code."""
     stats = surface_stats(code)
     if stats.boundary != 1:
         raise NotAKnot(f"{code} bounds {stats.boundary} components")
-    return abs(alexander(code).normalized.evaluate(-1))
+    return determinant_from_alexander(alexander(code))
 
 
 def arf(code: FlatBasketCode) -> int:
-    """Arf invariant of the knot bounded by the code's basket.
+    """Arf invariant of the knot bounded by the code's basket."""
+    return arf_from_determinant(knot_determinant(code))
+
+
+def arf_from_determinant(det: int) -> int:
+    """Arf invariant of a knot from its determinant.
 
     0 when the determinant is +-1 mod 8, 1 when it is +-3 mod 8; any even
     residue is impossible for a knot and signals a bug upstream.
     """
-    det = knot_determinant(code)
     residue = det % 8
     if residue in (1, 7):
         return 0

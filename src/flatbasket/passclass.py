@@ -63,11 +63,7 @@ def pass_class(code: FlatBasketCode) -> PassClass:
 
 
 def _orbit_words(diagram: UnderlyingDiagram):
-    chords = diagram.pairs()
-    chord_at = [0] * (2 * diagram.n)
-    for idx, (p, q) in enumerate(chords):
-        chord_at[p - 1] = idx
-        chord_at[q - 1] = idx
+    chord_at = diagram.chord_at
     for perm in permutations(range(1, diagram.n + 1)):
         yield tuple(perm[c] for c in chord_at)
 

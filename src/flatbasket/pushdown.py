@@ -28,12 +28,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .codes import FlatBasketCode
+from .codes import FlatBasketCode, boundary_components, underlying
 from .errors import (
     DuplicateColumn,
     DuplicateHeight,
     EndpointCrossing,
     FootOrderViolation,
+    InvariantViolation,
     MalformedDiagram,
     SiteNotEligible,
 )
@@ -327,28 +328,12 @@ def _feet(diagram: RectilinearDiagram) -> list[tuple[Fraction, int]]:
 
 
 def diagram_boundary_components(diagram: RectilinearDiagram) -> int:
-    """Boundary components of the realized surface (matching trace)."""
-    feet = _feet(diagram)
-    m = len(feet)
-    partner = [0] * m
-    first_seen: dict[int, int] = {}
-    for pos, (_, owner) in enumerate(feet):
-        if owner in first_seen:
-            partner[pos] = first_seen[owner]
-            partner[first_seen[owner]] = pos
-        else:
-            first_seen[owner] = pos
-    seen = [False] * m
-    cycles = 0
-    for start in range(m):
-        if seen[start]:
-            continue
-        cycles += 1
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = (partner[i] + 1) % m
-    return cycles
+    """Boundary components of the realized surface (matching trace).
+
+    Only the foot pairing matters, so band ``i`` is simply labeled ``i + 1``.
+    """
+    owners = tuple(owner + 1 for _, owner in _feet(diagram))
+    return boundary_components(underlying(FlatBasketCode(owners)))
 
 
 def diagram_euler(diagram: RectilinearDiagram) -> int:
@@ -482,9 +467,20 @@ def push_down(
     )
     result = RectilinearDiagram(bands, diagram.connectors + (connector,))
     validate_diagram(result)
-    assert diagram_euler(result) == diagram_euler(diagram) - 2
-    assert diagram_boundary_components(result) == diagram_boundary_components(diagram)
+    if diagram_euler(result) != diagram_euler(diagram) - 2:
+        raise InvariantViolation("push-down must add exactly two bands")
+    if diagram_boundary_components(result) != diagram_boundary_components(diagram):
+        raise InvariantViolation("push-down must preserve the boundary count")
     return result
+
+
+def _bookkeeping(diagram: RectilinearDiagram) -> tuple[int, int, int]:
+    """(Euler characteristic, boundary count, ascending ends) for a trace."""
+    return (
+        diagram_euler(diagram),
+        diagram_boundary_components(diagram),
+        _ascending_count(diagram),
+    )
 
 
 def flatten_trace(diagram: RectilinearDiagram) -> FlattenResult:
@@ -492,6 +488,7 @@ def flatten_trace(diagram: RectilinearDiagram) -> FlattenResult:
     validate_diagram(diagram)
     steps: list[PushStep] = []
     current = diagram
+    after = _bookkeeping(current)
     while True:
         pending = [
             line
@@ -502,17 +499,9 @@ def flatten_trace(diagram: RectilinearDiagram) -> FlattenResult:
             break
         line = min(pending, key=lambda l: l.y)
         u, w = _site_for(current, line)
-        before = (
-            diagram_euler(current),
-            diagram_boundary_components(current),
-            _ascending_count(current),
-        )
+        before = after
         current = push_down(current, line.y, (u, w))
-        after = (
-            diagram_euler(current),
-            diagram_boundary_components(current),
-            _ascending_count(current),
-        )
+        after = _bookkeeping(current)
         steps.append(
             PushStep(
                 height=line.y,
@@ -525,9 +514,9 @@ def flatten_trace(diagram: RectilinearDiagram) -> FlattenResult:
                 ascending_after=after[2],
             )
         )
-        assert after[0] == before[0] - 2, "push-down must add exactly two bands"
-        assert after[1] == before[1], "push-down must preserve the boundary count"
-        assert after[2] < before[2], "push-down must remove an ascending end"
+        # push_down checks the Euler and boundary bookkeeping itself
+        if after[2] >= before[2]:
+            raise InvariantViolation("push-down must remove an ascending end")
     return FlattenResult(
         code=read_off_code(current), final=current, steps=tuple(steps)
     )

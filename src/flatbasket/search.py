@@ -20,12 +20,21 @@ from itertools import permutations
 from pathlib import Path
 
 from .bounds import fpbk_lower_bound
-from .codes import FlatBasketCode, UnderlyingDiagram, boundary_components
-from .errors import CapExceeded, StoreMismatch
+from .codes import (
+    FlatBasketCode,
+    UnderlyingDiagram,
+    boundary_components,
+    canonical_word,
+    is_canonical_word,
+    surface_genus,
+)
+from .errors import CapExceeded, InvariantViolation, StoreMismatch
 from .invariants import (
     AlexanderPolynomial,
     IntPolynomial,
     alexander,
+    arf_from_determinant,
+    determinant_from_alexander,
     normalize_alexander,
     signature as _signature,
 )
@@ -84,10 +93,6 @@ def enumerate_matchings(n: int, knots_only: bool = False):
     partners in increasing order.  ``knots_only`` keeps single-boundary
     matchings, which exist only for even n.
     """
-    yield from _matchings_raw(n, knots_only)
-
-
-def _matchings_raw(n: int, knots_only: bool):
     m = 2 * n
     pairing = [-1] * m
 
@@ -119,27 +124,14 @@ def enumerate_codes(matching: UnderlyingDiagram) -> list[FlatBasketCode]:
 
 
 def _canonical_words(matching: UnderlyingDiagram) -> list[tuple[int, ...]]:
-    n = matching.n
-    m = 2 * n
-    chord_at = [0] * m
-    for idx, (p, q) in enumerate(matching.pairs()):
-        chord_at[p - 1] = idx
-        chord_at[q - 1] = idx
+    chord_at = matching.chord_at
     out = []
-    for perm in permutations(range(1, n + 1)):
+    for perm in permutations(range(1, matching.n + 1)):
         word = tuple(perm[c] for c in chord_at)
-        if _is_lex_min(word, m):
+        if is_canonical_word(word):
             out.append(word)
     out.sort()
     return out
-
-
-def _is_lex_min(word: tuple[int, ...], m: int) -> bool:
-    doubled = word + word
-    for k in range(1, m):
-        if doubled[k:k + m] < word:
-            return False
-    return True
 
 
 def _mirror_word(word: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -151,14 +143,15 @@ def _record_for(word: tuple[int, ...], b: int, genus: int) -> SearchRecord:
     delta = alexander(code, method="eval_interp")
     det = arf_val = None
     if b == 1:
-        det = abs(delta.normalized.evaluate(-1))
-        arf_val = 0 if det % 8 in (1, 7) else 1
+        det = determinant_from_alexander(delta)
+        arf_val = arf_from_determinant(det)
         span = delta.span
         if span:
             # Realization consistency: the degree bound can never exceed the
             # band count of a code realizing the polynomial.
             bound = fpbk_lower_bound(delta, genus=span // 2)
-            assert code.n >= bound.overall, (code, bound)
+            if code.n < bound.overall:
+                raise InvariantViolation(f"{code} is below its band bound {bound}")
     return SearchRecord(
         code=code,
         boundary=b,
@@ -183,10 +176,10 @@ def _records_for_matchings(
         if knots_only and b != 1:
             continue
         n = matching.n
-        genus = (2 - b - (1 - n)) // 2
+        genus = surface_genus(n, b)
         for word in _canonical_words(matching):
             if dedup_mirror:
-                mirror = _canonical_form(_mirror_word(word, n))
+                mirror = canonical_word(_mirror_word(word, n))
                 if mirror < word:
                     continue
             record = _record_for(word, b, genus)
@@ -194,17 +187,6 @@ def _records_for_matchings(
                 continue
             out.append(record)
     return out
-
-
-def _canonical_form(word: tuple[int, ...]) -> tuple[int, ...]:
-    m = len(word)
-    doubled = word + word
-    best = word
-    for k in range(1, m):
-        cand = doubled[k:k + m]
-        if cand < best:
-            best = cand
-    return best
 
 
 def _chunks(items: list, count: int) -> list[list]:

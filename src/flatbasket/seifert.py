@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .codes import FlatBasketCode
 
-__all__ = ["SeifertMatrix", "seifert_matrix", "symmetrized"]
+__all__ = ["SeifertMatrix", "seifert_matrix", "symmetrized", "format_rows"]
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,13 @@ class SeifertMatrix:
         return self.rows[i - 1][j - 1]
 
     def __str__(self) -> str:
-        width = max((len(str(x)) for row in self.rows for x in row), default=1)
-        return "\n".join(
-            " ".join(str(x).rjust(width) for x in row) for row in self.rows
-        )
+        return format_rows(self.rows)
+
+
+def format_rows(rows: tuple[tuple[int, ...], ...]) -> str:
+    """Integer matrix rows, right-aligned to a common width."""
+    width = max((len(str(x)) for row in rows for x in row), default=1)
+    return "\n".join(" ".join(str(x).rjust(width) for x in row) for row in rows)
 
 
 def seifert_matrix(code: FlatBasketCode) -> SeifertMatrix:

@@ -10,14 +10,13 @@ are verified, never outputs of this package.
 from __future__ import annotations
 
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .bounds import fpbk_lower_bound
 from .codes import FlatBasketCode, parse_code, surface_stats
-from .errors import MissingReference, ParseError
+from .errors import FlatBasketError, MissingReference, ParseError
 from .invariants import IntPolynomial, alexander, normalize_alexander
 
 __all__ = [
@@ -98,10 +97,10 @@ class TableReport:
         return tuple(row for row in self.rows if not row.passed)
 
 
-def _data_text(filename: str) -> str:
-    return (resources.files("flatbasket") / "data" / filename).read_text(
-        encoding="utf-8"
-    )
+def _data_text(path: str | Path | None, bundled: str) -> str:
+    """Text of ``path``, or of the bundled data file when no path is given."""
+    source = Path(path) if path else resources.files("flatbasket") / "data" / bundled
+    return source.read_text(encoding="utf-8")
 
 
 _CLAIM = re.compile(
@@ -112,7 +111,7 @@ _CLAIM = re.compile(
 
 def load_table(path: str | Path | None = None) -> tuple[KnotRecord, ...]:
     """Parse the bundled (or an explicit) knot table."""
-    text = Path(path).read_text(encoding="utf-8") if path else _data_text("fpbk_table.tsv")
+    text = _data_text(path, "fpbk_table.tsv")
     records = []
     block = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -130,7 +129,7 @@ def load_table(path: str | Path | None = None) -> tuple[KnotRecord, ...]:
         try:
             code = parse_code(code_text)
             genus = int(genus_text)
-        except Exception as exc:
+        except (FlatBasketError, ValueError) as exc:
             raise ParseError(f"row {name!r} (line {lineno}): {exc}") from exc
         m = _CLAIM.match(claim_text)
         if not m:
@@ -154,11 +153,7 @@ def load_table(path: str | Path | None = None) -> tuple[KnotRecord, ...]:
 
 def load_references(path: str | Path | None = None) -> dict[str, IntPolynomial]:
     """Reference Alexander polynomials, name -> normalized polynomial."""
-    text = (
-        Path(path).read_text(encoding="utf-8")
-        if path
-        else _data_text("reference_alexander.tsv")
-    )
+    text = _data_text(path, "reference_alexander.tsv")
     out: dict[str, IntPolynomial] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -199,7 +194,6 @@ def _verify_row(record: KnotRecord, reference: IntPolynomial) -> RowResult:
 def verify_table(
     records: tuple[KnotRecord, ...] | None = None,
     references: dict[str, IntPolynomial] | None = None,
-    jobs: int = 1,
 ) -> TableReport:
     """Run the six checks for every row; order follows the table."""
     if records is None:
@@ -209,11 +203,6 @@ def verify_table(
     missing = [r.name for r in records if r.name not in references]
     if missing:
         raise MissingReference(f"no reference polynomial for {missing}")
-    pairs = [(record, references[record.name]) for record in records]
-    if jobs <= 1:
-        results = [_verify_row(record, ref) for record, ref in pairs]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_verify_row, record, ref) for record, ref in pairs]
-            results = [f.result() for f in futures]
-    return TableReport(rows=tuple(results))
+    return TableReport(
+        rows=tuple(_verify_row(record, references[record.name]) for record in records)
+    )

@@ -63,6 +63,13 @@ def test_domain_error_exit_code(capsys):
     assert "error" in err
 
 
+def test_non_ascii_digits_are_domain_errors(capsys):
+    for text in ("1,²,1,²", "١,٢,١,٢"):
+        status, out, err = run(capsys, "alexander", "--code", text)
+        assert status == 1 and out == ""
+        assert err.startswith("error: ")
+
+
 def test_usage_error_exit_code(capsys):
     status, _, _ = run(capsys, "no-such-command")
     assert status == 2

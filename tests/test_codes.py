@@ -7,6 +7,7 @@ from flatbasket import (
     boundary_components,
     canonicalize,
     parse_code,
+    parse_matching,
     relabel,
     surface_stats,
     underlying,
@@ -62,6 +63,13 @@ def test_parse_rejects_garbage_token():
         parse_code("1,x,1,2")
     with pytest.raises(MalformedCode):
         parse_code("0,0")
+    # str.isdigit accepts superscript and Arabic-Indic digits; int() then
+    # rejects the first and silently reads the second as 1 and 2
+    for text in ("1,²,1,²", "١,٢,١,٢"):
+        with pytest.raises(MalformedCode):
+            parse_code(text)
+        with pytest.raises(MalformedCode):
+            parse_matching(text)
 
 
 def test_foot_positions():

@@ -1,14 +1,17 @@
 """Error branches and less-travelled paths across the modules."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from flatbasket import IntPolynomial, parse_code, parse_matching
+from flatbasket import IntPolynomial, codes, parse_code, parse_matching, pushdown
+from flatbasket import search as search_module
 from flatbasket.cli import cli_dispatch
 from flatbasket.codes import FlatBasketCode, UnderlyingDiagram
 from flatbasket.errors import (
     EmptyInput,
+    InvariantViolation,
     MalformedCode,
     MalformedDiagram,
     ParseError,
@@ -16,11 +19,12 @@ from flatbasket.errors import (
 from flatbasket.pushdown import (
     code_to_flat_diagram,
     diagram_to_text,
+    flatten_trace,
     parse_diagram,
     push_down,
 )
 from flatbasket.search import SearchQuery
-from flatbasket.tables import load_references, load_table, verify_table
+from flatbasket.tables import load_references, load_table
 
 
 def test_code_constructor_rejects_empty_word():
@@ -124,13 +128,25 @@ def test_reference_file_errors(tmp_path):
         load_references(bad)
 
 
-def test_verify_table_parallel_matches_serial():
-    records = load_table()[:6]
-    references = load_references()
-    serial = verify_table(records, references, jobs=1)
-    parallel = verify_table(records, references, jobs=2)
-    assert [r.checks for r in serial.rows] == [r.checks for r in parallel.rows]
-    assert serial.passed and parallel.passed
+def test_invariant_checks_survive_optimized_mode(monkeypatch):
+    """Broken bookkeeping raises InvariantViolation, not a strippable assert."""
+    valley = parse_diagram("1,0; 1,3; 2,3; 2,1; 3,1; 3,4; 4,4; 4,0\n")
+    checks = [
+        (codes, "boundary_components", lambda d: 2,
+         lambda: codes.surface_stats(parse_code("1,2,1,2"))),
+        (pushdown, "diagram_euler", lambda d: 0, lambda: push_down(valley, 1)),
+        (pushdown, "diagram_boundary_components", lambda d: len(d.bands),
+         lambda: push_down(valley, 1)),
+        (pushdown, "_ascending_count", lambda d: 2, lambda: flatten_trace(valley)),
+        (search_module, "fpbk_lower_bound",
+         lambda delta, genus: SimpleNamespace(overall=99),
+         lambda: search_module.search(SearchQuery(bands=4, knots_only=True))),
+    ]
+    for module, name, fake, call in checks:
+        monkeypatch.setattr(module, name, fake)
+        with pytest.raises(InvariantViolation):
+            call()
+        monkeypatch.undo()
 
 
 def _run(capsys, *argv):

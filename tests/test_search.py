@@ -132,7 +132,8 @@ def test_search_jobs_deterministic():
 
 
 def test_mirror_dedup_keeps_smaller_representative():
-    from flatbasket.search import _canonical_form, _mirror_word
+    from flatbasket.codes import canonical_word
+    from flatbasket.search import _mirror_word
 
     full = search(SearchQuery(bands=4, knots_only=True))
     deduped = search(SearchQuery(bands=4, knots_only=True, dedup_mirror=True))
@@ -140,7 +141,7 @@ def test_mirror_dedup_keeps_smaller_representative():
     assert len(deduped) < len(full)
     by_word = {r.code.word: r for r in full}
     for record in full:
-        mirror = _canonical_form(_mirror_word(record.code.word, 4))
+        mirror = canonical_word(_mirror_word(record.code.word, 4))
         if record in deduped:
             assert mirror >= record.code.word
         else:
