@@ -171,9 +171,13 @@ def parse_code(text: str) -> FlatBasketCode:
     """
     word = []
     for tok in _tokens(text, "code"):
-        if int(tok) == 0:
+        try:
+            label = int(tok)
+        except ValueError as exc:  # longer than Python's int-conversion limit
+            raise MalformedCode(f"token of {len(tok)} digits is too long") from exc
+        if label == 0:
             raise MalformedCode(f"token {tok!r} is not a positive integer")
-        word.append(int(tok))
+        word.append(label)
     return FlatBasketCode(tuple(word))
 
 

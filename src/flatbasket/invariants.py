@@ -4,15 +4,20 @@ Everything here is computed over Z; no floating point anywhere.  The
 Alexander polynomial is det(V - t V^T) for the Seifert matrix V of the code,
 taken by two mutually checking exact algorithms:
 
-* ``fraction_free``: one-step fraction-free (Bareiss) elimination in Z[t],
-  where every division is exact by construction;
-* ``eval_interp``: evaluate the pencil at n+1 small integers, take exact
-  integer determinants, and interpolate; the interpolation must come out
-  integral, and :class:`MethodDisagreement` is raised when it does not.
+* ``fraction_free``: one-step fraction-free (Bareiss) elimination over Z[t]
+  on plain coefficient lists, where every division is exact by
+  construction;
+* ``eval_interp``: det(V - t V^T) = (-t)^n det(V - t^-1 V^T) for any square
+  V, so c_(n-k) = (-1)^n c_k and only c_0..c_(n//2) are unknown.  They are
+  solved from n//2 + 1 exact integer determinants at small integer points;
+  the solve must come out integral, and :class:`MethodDisagreement` is
+  raised when it does not.
 
-The signature of V + V^T is obtained from its characteristic polynomial by
-counting coefficient sign changes (exact for polynomials with all real
-roots), so it is exact as well.
+The signature of V + V^T comes from one fraction-free symmetric elimination
+(Sylvester's law of inertia): the signs of successive leading principal
+minors of a congruent matrix count the positive and negative eigenvalues,
+with a 2x2 congruence step where the remaining diagonal is zero.  Every
+division in it is checked to be exact.
 """
 
 from __future__ import annotations
@@ -45,6 +50,72 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # dense integer polynomials
 # ---------------------------------------------------------------------------
+# Coefficient lists are ascending and trimmed (no trailing zeros; [] is 0).
+
+def _poly_mul(a, b) -> list[int]:
+    """Product of two trimmed coefficient lists (trimmed, as Z has no zero
+    divisors)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b, i):
+                out[j] += ca * cb
+    return out
+
+
+def _poly_sub(a, b) -> list[int]:
+    """Trimmed difference a - b of two coefficient lists."""
+    if len(a) >= len(b):
+        out = list(a)
+        for k, c in enumerate(b):
+            out[k] -= c
+    else:
+        out = [-c for c in b]
+        for k, c in enumerate(a):
+            out[k] += c
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _poly_exact_div(a, b) -> list[int]:
+    """Quotient a / b of trimmed coefficient lists, exact over Z[t].
+
+    Raises ArithmeticError when b does not divide a.
+    """
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    if not a:
+        return []
+    lead = b[-1]
+    if len(b) == 1:
+        quot = []
+        for c in a:
+            q, r = divmod(c, lead)
+            if r:
+                raise ArithmeticError("inexact polynomial division")
+            quot.append(q)
+        return quot
+    rem = list(a)
+    top = len(b) - 1
+    qlen = len(rem) - top
+    if qlen <= 0:
+        raise ArithmeticError("inexact polynomial division")
+    quot = [0] * qlen
+    for k in range(qlen - 1, -1, -1):
+        q, r = divmod(rem[k + top], lead)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        quot[k] = q
+        if q:
+            for j, d in enumerate(b, k):
+                rem[j] -= q * d
+    if any(rem):
+        raise ArithmeticError("inexact polynomial division")
+    return quot
+
 
 @dataclass(frozen=True)
 class IntPolynomial:
@@ -93,50 +164,17 @@ class IntPolynomial:
         return IntPolynomial(tuple(out))
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
-        for k, c in enumerate(other.coeffs):
-            out[k] -= c
-        return IntPolynomial(tuple(out))
+        return IntPolynomial(_poly_sub(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPolynomial(tuple(out))
+        return IntPolynomial(_poly_mul(self.coeffs, other.coeffs))
 
     def exact_div(self, other: "IntPolynomial") -> "IntPolynomial":
         """Quotient self / other when the division is exact over Z[t]."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero:
-            return _ZERO
-        rem = list(self.coeffs)
-        div = other.coeffs
-        dlead = div[-1]
-        qlen = len(rem) - len(div) + 1
-        if qlen <= 0:
-            raise ArithmeticError("inexact polynomial division")
-        quot = [0] * qlen
-        for k in range(qlen - 1, -1, -1):
-            c = rem[k + len(div) - 1]
-            if c % dlead:
-                raise ArithmeticError("inexact polynomial division")
-            q = c // dlead
-            quot[k] = q
-            if q:
-                for j, d in enumerate(div):
-                    rem[k + j] -= q * d
-        if any(rem):
-            raise ArithmeticError("inexact polynomial division")
-        return IntPolynomial(tuple(quot))
+        return IntPolynomial(_poly_exact_div(self.coeffs, other.coeffs))
 
     def shifted(self, k: int) -> "IntPolynomial":
         """Multiply by t^k (k >= 0) or divide exactly by t^-k (k < 0)."""
@@ -179,7 +217,10 @@ class IntPolynomial:
 
 
 _ZERO = IntPolynomial(())
-_ONE = IntPolynomial((1,))
+
+# Largest exponent parse_polynomial accepts; the dense coefficient list is
+# allocated up to it.
+MAX_EXPONENT = 10_000
 
 _TERM = re.compile(
     r"(?P<sign>[+-])?\s*(?:(?P<coeff>\d+)\s*\*?\s*)?(?P<t>t(?:\^(?P<exp>\d+))?)?"
@@ -213,10 +254,15 @@ def parse_polynomial(text: str) -> IntPolynomial:
             raise MalformedCode(f"missing sign before {s[pos:]!r}")
         if coeff is None and t is None:
             raise MalformedCode(f"empty term at {s[pos:]!r}")
-        c = int(coeff) if coeff is not None else 1
+        try:
+            c = int(coeff) if coeff is not None else 1
+            d = 0 if t is None else (int(exp) if exp is not None else 1)
+        except ValueError as exc:  # longer than Python's int-conversion limit
+            raise MalformedCode(f"number too long in the term at offset {pos}") from exc
+        if d > MAX_EXPONENT:
+            raise MalformedCode(f"exponent {d} exceeds {MAX_EXPONENT}")
         if sign == "-":
             c = -c
-        d = 0 if t is None else (int(exp) if exp is not None else 1)
         coeffs[d] = coeffs.get(d, 0) + c
         pos = m.end()
         while pos < len(s) and s[pos].isspace():
@@ -229,7 +275,7 @@ def parse_polynomial(text: str) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# exact determinants of integer-linear pencils A + t*B
+# exact determinants of the pencil V - t V^T
 # ---------------------------------------------------------------------------
 
 def _det_bareiss_int(rows: list[list[int]]) -> int:
@@ -248,120 +294,138 @@ def _det_bareiss_int(rows: list[list[int]]) -> int:
                     break
             else:
                 return 0
-        pivot = rows[k][k]
+        rk = rows[k]
+        pivot = rk[k]
+        tail = rk[k + 1:]
         for i in range(k + 1, n):
-            ri, rk = rows[i], rows[k]
+            ri = rows[i]
             rik = ri[k]
-            for j in range(k + 1, n):
-                ri[j] = (ri[j] * pivot - rik * rk[j]) // prev
-            ri[k] = 0
+            if rik:
+                ri[k + 1:] = [
+                    (a * pivot - rik * b) // prev for a, b in zip(ri[k + 1:], tail)
+                ]
+            elif pivot != prev:
+                ri[k + 1:] = [a * pivot // prev for a in ri[k + 1:]]
         prev = pivot
     return sign * rows[n - 1][n - 1]
 
 
-def _det_bareiss_poly(rows: list[list[IntPolynomial]]) -> IntPolynomial:
-    """Exact determinant of a matrix over Z[t] (one-step Bareiss)."""
+def _det_bareiss_poly(rows: list[list[list[int]]]) -> list[int]:
+    """Exact determinant of a matrix over Z[t] (one-step Bareiss).
+
+    Entries and the result are trimmed coefficient lists.
+    """
     n = len(rows)
     if n == 0:
-        return _ONE
+        return [1]
     sign = 1
-    prev = _ONE
+    prev = [1]
     for k in range(n - 1):
-        if rows[k][k].is_zero:
+        if not rows[k][k]:
             for r in range(k + 1, n):
-                if not rows[r][k].is_zero:
+                if rows[r][k]:
                     rows[k], rows[r] = rows[r], rows[k]
                     sign = -sign
                     break
             else:
-                return _ZERO
-        pivot = rows[k][k]
+                return []
+        rk = rows[k]
+        pivot = rk[k]
         for i in range(k + 1, n):
-            ri, rk = rows[i], rows[k]
+            ri = rows[i]
             rik = ri[k]
             for j in range(k + 1, n):
-                ri[j] = (ri[j] * pivot - rik * rk[j]).exact_div(prev)
-            ri[k] = _ZERO
+                num = _poly_mul(ri[j], pivot)
+                if rik:
+                    num = _poly_sub(num, _poly_mul(rik, rk[j]))
+                ri[j] = _poly_exact_div(num, prev)
         prev = pivot
     det = rows[n - 1][n - 1]
-    return -det if sign < 0 else det
+    return [-c for c in det] if sign < 0 else det
+
+
+def _pencil_det_fraction_free(rows: tuple[tuple[int, ...], ...]) -> IntPolynomial:
+    """det(V - t V^T) by Bareiss elimination over Z[t]."""
+    n = len(rows)
+    pencil = [
+        [_poly_sub((rows[i][j],), (0, rows[j][i])) for j in range(n)]
+        for i in range(n)
+    ]
+    return IntPolynomial(tuple(_det_bareiss_poly(pencil)))
 
 
 @lru_cache(maxsize=None)
-def _interp_weights(xs: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Integer Lagrange solve for the points ``xs``.
+def _half_interp(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]:
+    """Points and integer weights recovering c_0..c_{n//2} of det(V - t V^T).
 
-    Returns ``(W, D)`` with coefficient_k = sum_i W[k][i]*y_i / D exactly.
+    With c_{n-k} = (-1)^n c_k the pencil determinant is
+    sum_k c_k * (t^k + (-1)^n t^(n-k)) over k < n/2, plus c_m t^m when
+    n = 2m.  Points are taken greedily from 0, 1, -1, 2, -2, ..., skipping
+    any whose row of basis values depends on the rows already taken (x = 1
+    for odd n).  Returns ``(xs, W, D)`` with
+    c_k = sum_i W[k][i] * det(V - xs[i] V^T) / D exactly.
     """
-    npts = len(xs)
-    basis: list[list[Fraction]] = [[Fraction(0)] * npts for _ in range(npts)]
-    for i, xi in enumerate(xs):
-        num = [Fraction(1)]
-        den = 1
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            den *= xi - xj
-            num = [Fraction(0)] + num
-            for k in range(len(num) - 1):
-                num[k] -= num[k + 1] * xj
-        for k in range(npts):
-            basis[k][i] = (num[k] if k < len(num) else Fraction(0)) / den
-    lcm = 1
-    for row in basis:
+    size = n // 2 + 1
+    sign = -1 if n % 2 else 1
+    xs: list[int] = []
+    # Gauss-Jordan on [basis row | unit row of its point], one point at a
+    # time; once every column has a pivot, the right halves form the inverse.
+    pivots: list[tuple[int, list[Fraction]]] = []
+    x = 0
+    while len(xs) < size:
+        row = [
+            Fraction(x**k if 2 * k == n else x**k + sign * x ** (n - k))
+            for k in range(size)
+        ] + [Fraction(int(i == len(xs))) for i in range(size)]
+        for col, prow in pivots:
+            if row[col]:
+                f = row[col]
+                row = [a - f * b for a, b in zip(row, prow)]
+        col = next((c for c in range(size) if row[c]), None)
+        if col is not None:
+            lead = row[col]
+            row = [a / lead for a in row]
+            for idx, (pcol, prow) in enumerate(pivots):
+                if prow[col]:
+                    f = prow[col]
+                    pivots[idx] = (pcol, [a - f * b for a, b in zip(prow, row)])
+            pivots.append((col, row))
+            xs.append(x)
+        x = -x if x > 0 else 1 - x
+    inverse = [row[size:] for _, row in sorted(pivots, key=lambda p: p[0])]
+    denom = 1
+    for row in inverse:
         for f in row:
-            lcm = lcm // gcd(lcm, f.denominator) * f.denominator
-    weights = tuple(
-        tuple(int(f * lcm) for f in row) for row in basis
-    )
-    return weights, lcm
+            denom = denom // gcd(denom, f.denominator) * f.denominator
+    weights = tuple(tuple(int(f * denom) for f in row) for row in inverse)
+    return tuple(xs), weights, denom
 
 
-def _eval_points(count: int) -> tuple[int, ...]:
-    pts = [0]
-    k = 1
-    while len(pts) < count:
-        pts.append(k)
-        if len(pts) < count:
-            pts.append(-k)
-        k += 1
-    return tuple(pts)
+def _pencil_det_eval_interp(rows: tuple[tuple[int, ...], ...]) -> IntPolynomial:
+    """det(V - t V^T) from n//2 + 1 integer determinants.
 
-
-def _pencil_det_eval_interp(
-    const: list[list[int]], linear: list[list[int]]
-) -> IntPolynomial:
-    """det(const + t*linear) by evaluation at n+1 points and interpolation."""
-    n = len(const)
-    xs = _eval_points(n + 1)
-    ys = []
-    for x in xs:
-        rows = [
-            [const[i][j] + x * linear[i][j] for j in range(n)] for i in range(n)
-        ]
-        ys.append(_det_bareiss_int(rows))
-    weights, denom = _interp_weights(xs)
-    coeffs = []
-    for wrow in weights:
-        num = sum(w * y for w, y in zip(wrow, ys))
-        if num % denom:
-            raise MethodDisagreement("interpolation produced a non-integer")
-        coeffs.append(num // denom)
-    return IntPolynomial(tuple(coeffs))
-
-
-def _pencil_det_fraction_free(
-    const: list[list[int]], linear: list[list[int]]
-) -> IntPolynomial:
-    n = len(const)
-    rows = [
-        [
-            IntPolynomial((const[i][j], linear[i][j]))
-            for j in range(n)
-        ]
-        for i in range(n)
+    det(V - t V^T) = (-t)^n det(V - t^-1 V^T) for every square V, so
+    c_{n-k} = (-1)^n c_k and the lower half of the coefficients fixes the
+    rest.  The solve must come out integral; :class:`MethodDisagreement` is
+    raised when it does not.
+    """
+    n = len(rows)
+    xs, weights, denom = _half_interp(n)
+    ys = [
+        _det_bareiss_int(
+            [[rows[i][j] - x * rows[j][i] for j in range(n)] for i in range(n)]
+        )
+        for x in xs
     ]
-    return _det_bareiss_poly(rows)
+    coeffs = [0] * (n + 1)
+    sign = -1 if n % 2 else 1
+    for k, wrow in enumerate(weights):
+        c, r = divmod(sum(w * y for w, y in zip(wrow, ys)), denom)
+        if r:
+            raise MethodDisagreement("interpolation produced a non-integer")
+        coeffs[k] = c
+        coeffs[n - k] = sign * c
+    return IntPolynomial(tuple(coeffs))
 
 
 def pencil_determinant(
@@ -372,14 +436,10 @@ def pencil_determinant(
     ``method`` is ``fraction_free`` or ``eval_interp``; both are exact and
     must agree (see :func:`alexander` checked mode).
     """
-    rows = matrix.rows
-    n = matrix.n
-    const = [[rows[i][j] for j in range(n)] for i in range(n)]
-    linear = [[-rows[j][i] for j in range(n)] for i in range(n)]
     if method == "fraction_free":
-        return _pencil_det_fraction_free(const, linear)
+        return _pencil_det_fraction_free(matrix.rows)
     if method == "eval_interp":
-        return _pencil_det_eval_interp(const, linear)
+        return _pencil_det_eval_interp(matrix.rows)
     raise ValueError(f"unknown determinant method {method!r}")
 
 
@@ -473,26 +533,56 @@ def arf_from_determinant(det: int) -> int:
     raise UnexpectedResidue(f"knot determinant {det} is even")
 
 
-def _descartes_positive_roots(coeffs: tuple[int, ...]) -> int:
-    """Sign changes of the coefficient sequence; exact count of positive
-    roots (with multiplicity) when all roots are real."""
-    signs = [1 if c > 0 else -1 for c in coeffs if c]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
 def signature(code: FlatBasketCode) -> int:
-    """Signature of V + V^T, computed exactly.
+    """Signature of S = V + V^T by Sylvester's law of inertia.
 
-    The characteristic polynomial of the symmetric pairing is obtained by an
-    exact pencil determinant; since all its roots are real, Descartes' rule
-    counts the positive and negative eigenvalues exactly.
+    One fraction-free symmetric elimination (Bareiss) runs on S with
+    diagonal pivots.  The k-th pivot is the leading principal minor D_k of
+    a matrix congruent to S, and it adds +1 when sign(D_k) = sign(D_(k-1))
+    and -1 otherwise (D_0 = 1).  When every remaining diagonal entry is zero
+    but some a_ij is not, the congruence "row/col i += row/col j" makes
+    a_ii = 2 a_ij: the integer form of a 2x2 Bunch-Kaufman pivot.  It
+    commutes with the elimination, so every division stays exact; each
+    remainder is checked and a nonzero one raises
+    :class:`MethodDisagreement`.  Elimination stops when the remaining block
+    is zero, as it is for the singular S of a link.
     """
-    sym = symmetrized(seifert_matrix(code))
-    n = len(sym)
-    const = [[-sym[i][j] for j in range(n)] for i in range(n)]
-    linear = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    char = _pencil_det_eval_interp(const, linear)
-    positives = _descartes_positive_roots(char.coeffs)
-    negated = tuple(c if k % 2 == 0 else -c for k, c in enumerate(char.coeffs))
-    negatives = _descartes_positive_roots(negated)
-    return positives - negatives
+    a = [list(row) for row in symmetrized(seifert_matrix(code))]
+    n = len(a)
+    prev = 1
+    total = 0
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][i]), None)
+        if p is None:
+            pair = next(
+                ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]),
+                None,
+            )
+            if pair is None:
+                break
+            p, j = pair
+            row_p, row_j = a[p], a[j]
+            for m in range(k, n):
+                row_p[m] += row_j[m]
+            for m in range(k, n):
+                a[m][p] += a[m][j]
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            for m in range(k, n):
+                row = a[m]
+                row[k], row[p] = row[p], row[k]
+        rk = a[k]
+        pivot = rk[k]
+        total += 1 if (pivot > 0) == (prev > 0) else -1
+        for i in range(k + 1, n):
+            ri = a[i]
+            rik = ri[k]
+            for j in range(i, n):
+                q, r = divmod(ri[j] * pivot - rik * rk[j], prev)
+                if r:
+                    raise MethodDisagreement(
+                        f"inexact symmetric elimination step on {code}"
+                    )
+                ri[j] = a[j][i] = q
+        prev = pivot
+    return total

@@ -22,7 +22,7 @@ from .codes import (
     surface_stats,
 )
 from .errors import NotAKnot, OrbitTooLarge
-from .invariants import arf
+from .invariants import alexander, arf_from_determinant, determinant_from_alexander
 
 __all__ = ["PassClass", "OrbitReport", "pass_class", "labeling_orbit", "orbit_invariant_check"]
 
@@ -57,9 +57,14 @@ def pass_class(code: FlatBasketCode) -> PassClass:
     """Classify the boundary link of the code's basket up to pass moves."""
     stats = surface_stats(code)
     if stats.boundary == 1:
-        family = "II" if arf(code) else "I"
+        family = "II" if _knot_arf(code) else "I"
         return PassClass(family=family, components=1, d=None, certainty="exact")
     return PassClass(family=None, components=stats.boundary, d=None, certainty="partial")
+
+
+def _knot_arf(code: FlatBasketCode) -> int:
+    """Arf invariant of a code already known to bound a knot: one Delta."""
+    return arf_from_determinant(determinant_from_alexander(alexander(code)))
 
 
 def _orbit_words(diagram: UnderlyingDiagram):
@@ -89,7 +94,7 @@ def orbit_invariant_check(
     if boundary_components(diagram) != 1:
         raise NotAKnot("orbit check needs a single boundary component")
     orbit = labeling_orbit(diagram, cap=cap)
-    values = sorted({arf(code) for code in orbit})
+    values = sorted({_knot_arf(code) for code in orbit})
     return OrbitReport(
         arf_values=tuple(values),
         orbit_size=len(orbit),

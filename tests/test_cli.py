@@ -70,6 +70,19 @@ def test_non_ascii_digits_are_domain_errors(capsys):
         assert err.startswith("error: ")
 
 
+def test_overlong_numbers_are_domain_errors(capsys):
+    # past Python's 4300-digit int-conversion limit
+    huge = "9" * 5000
+    for argv in (
+        ("alexander", "--code", f"{huge},1"),
+        ("search", "-n", "2", "--target", f"t^{huge}"),
+        ("search", "-n", "2", "--target", f"{huge}t + 1"),
+    ):
+        status, out, err = run(capsys, *argv)
+        assert status == 1 and out == ""
+        assert err.startswith("error: ") and len(err) < 200
+
+
 def test_usage_error_exit_code(capsys):
     status, _, _ = run(capsys, "no-such-command")
     assert status == 2

@@ -70,6 +70,9 @@ def test_parse_rejects_garbage_token():
             parse_code(text)
         with pytest.raises(MalformedCode):
             parse_matching(text)
+    # more digits than Python's int-conversion limit allows
+    with pytest.raises(MalformedCode):
+        parse_code("9" * 5000 + ",1")
 
 
 def test_foot_positions():

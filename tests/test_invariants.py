@@ -21,8 +21,10 @@ from flatbasket import (
     signature,
     surface_stats,
 )
-from flatbasket.errors import MalformedCode, NotAKnot
-from flatbasket.seifert import SeifertMatrix
+from flatbasket import invariants
+from flatbasket.errors import MalformedCode, MethodDisagreement, NotAKnot
+from flatbasket.invariants import MAX_EXPONENT
+from flatbasket.seifert import SeifertMatrix, symmetrized
 from conftest import all_codes, leibniz_pencil_det, random_code
 
 
@@ -74,6 +76,16 @@ def test_parse_polynomial_round_trip():
     assert parse_polynomial("t^4-2t^3+3t^2-2t+1") == IntPolynomial((1, -2, 3, -2, 1))
     with pytest.raises(MalformedCode):
         parse_polynomial("t^2 % 3")
+
+
+def test_parse_polynomial_bounds_exponents_and_digits():
+    top = parse_polynomial(f"t^{MAX_EXPONENT} + 1")
+    assert top.degree == MAX_EXPONENT and top.coeffs[0] == 1
+    with pytest.raises(MalformedCode, match="exceeds"):
+        parse_polynomial(f"t^{MAX_EXPONENT + 1} + 1")
+    for text in (f"t^{'9' * 5000}", f"{'9' * 5000}t - 1", f"1,{'9' * 5000}"):
+        with pytest.raises(MalformedCode):
+            parse_polynomial(text)
 
 
 # ---------------------------------------------------------------------------
@@ -168,22 +180,67 @@ def test_signature_examples(trefoil_code):
     assert signature(trefoil_code) == 2
 
 
-def test_signature_against_sympy_real_roots():
-    # exact real roots (with multiplicity) of the characteristic polynomial
+def _sympy_signature(sym) -> int:
+    """Oracle: signs of the exact real roots (with multiplicity) of the
+    characteristic polynomial."""
     import sympy
 
+    roots = sympy.real_roots(sympy.Matrix(sym).charpoly().as_expr())
+    return sum(
+        1 if root.is_positive else -1 if root.is_negative else 0 for root in roots
+    )
+
+
+def test_signature_against_sympy_real_roots():
     rng = random.Random(99)
     for _ in range(25):
         code = random_code(rng, rng.randint(1, 6))
-        from flatbasket.seifert import symmetrized
-
         sym = symmetrized(seifert_matrix(code))
-        roots = sympy.real_roots(sympy.Matrix(sym).charpoly().as_expr())
-        expected = sum(
-            1 if root.is_positive else -1 if root.is_negative else 0
-            for root in roots
-        )
-        assert signature(code) == expected
+        assert signature(code) == _sympy_signature(sym)
+
+
+def test_signature_against_sympy_exhaustive_n4():
+    import sympy
+
+    oracle: dict = {}
+    for n in (1, 2, 3, 4):
+        boundaries = set()
+        singular = 0
+        for code in all_codes(n):
+            sym = symmetrized(seifert_matrix(code))
+            if sym not in oracle:
+                oracle[sym] = _sympy_signature(sym), sympy.Matrix(sym).det() == 0
+            expected, is_singular = oracle[sym]
+            assert signature(code) == expected, code
+            boundaries.add(surface_stats(code).boundary)
+            singular += is_singular
+        # every boundary count n+1, n-1, ... that n bands realize was seen,
+        # and links with a singular V + V^T were among the codes
+        assert boundaries == set(range(1 if n % 2 == 0 else 2, n + 2, 2))
+        assert singular
+    assert len(oracle) > 100
+
+
+def test_signature_against_sympy_random_n9():
+    rng = random.Random(2024)
+    for _ in range(120):
+        code = random_code(rng, rng.randint(5, 9))
+        sym = symmetrized(seifert_matrix(code))
+        assert signature(code) == _sympy_signature(sym), code
+
+
+def test_signature_inexact_division_raises(monkeypatch):
+    """A nonzero elimination remainder raises, even under ``python -O``."""
+    real_divmod = divmod
+
+    def lossy_divmod(a, b):
+        q, r = real_divmod(a, b)
+        return q, r if b in (1, -1) else r + 1
+
+    monkeypatch.setattr(invariants, "divmod", lossy_divmod, raising=False)
+    # the trefoil's S = V + V^T needs a pivot other than +-1
+    with pytest.raises(MethodDisagreement):
+        signature(parse_code("1,2,3,4,1,2,3,4"))
 
 
 # ---------------------------------------------------------------------------

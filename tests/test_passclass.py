@@ -83,3 +83,27 @@ def test_orbit_check_rejects_links():
 def test_arf_constant_on_all_n4_knot_orbits():
     for matching in enumerate_matchings(4, knots_only=True):
         assert orbit_invariant_check(matching).passed
+
+
+def test_one_boundary_walk_and_one_delta_per_code(monkeypatch, trefoil_code):
+    from flatbasket import codes, passclass
+
+    calls = {"walk": 0, "delta": 0}
+    walk, delta = codes.boundary_components, passclass.alexander
+
+    def counted_walk(diagram):
+        calls["walk"] += 1
+        return walk(diagram)
+
+    def counted_delta(code, *args, **kwargs):
+        calls["delta"] += 1
+        return delta(code, *args, **kwargs)
+
+    monkeypatch.setattr(codes, "boundary_components", counted_walk)
+    monkeypatch.setattr(passclass, "boundary_components", counted_walk)
+    monkeypatch.setattr(passclass, "alexander", counted_delta)
+    assert pass_class(trefoil_code).family == "II"
+    assert calls == {"walk": 1, "delta": 1}
+    calls.update(walk=0, delta=0)
+    report = orbit_invariant_check(underlying(trefoil_code))
+    assert calls == {"walk": 1, "delta": report.orbit_size}
