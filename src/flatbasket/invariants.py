@@ -30,7 +30,7 @@ from math import gcd
 
 from .codes import FlatBasketCode, surface_stats
 from .errors import MalformedCode, MethodDisagreement, NotAKnot, UnexpectedResidue
-from .seifert import SeifertMatrix, seifert_matrix, symmetrized
+from .seifert import SeifertMatrix, seifert_matrix
 
 __all__ = [
     "IntPolynomial",
@@ -227,6 +227,13 @@ _TERM = re.compile(
 )
 
 
+def _excerpt(text: str, width: int = 24) -> str:
+    """``repr`` of text cut to ``width`` characters, so errors stay one short line."""
+    if len(text) <= width:
+        return repr(text)
+    return f"{text[:width]!r}... ({len(text)} characters)"
+
+
 def parse_polynomial(text: str) -> IntPolynomial:
     """Parse ``t^2 - t + 1`` style text, or an ascending coefficient list.
 
@@ -237,23 +244,27 @@ def parse_polynomial(text: str) -> IntPolynomial:
     if not s:
         raise MalformedCode("empty polynomial text")
     if "t" not in s:
-        toks = [t for t in re.split(r"[,\s]+", s) if t]
-        try:
-            return IntPolynomial(tuple(int(t) for t in toks))
-        except ValueError as exc:
-            raise MalformedCode(f"bad coefficient list {text!r}") from exc
+        values = []
+        for tok in re.split(r"[,\s]+", s):
+            if not tok:
+                continue
+            try:
+                values.append(int(tok))
+            except ValueError as exc:
+                raise MalformedCode(f"bad coefficient {_excerpt(tok)}") from exc
+        return IntPolynomial(tuple(values))
     coeffs: dict[int, int] = {}
     pos = 0
     first = True
     while pos < len(s):
         m = _TERM.match(s, pos)
         if not m or m.end() == pos:
-            raise MalformedCode(f"cannot parse polynomial at {s[pos:]!r}")
+            raise MalformedCode(f"cannot parse polynomial at {_excerpt(s[pos:])}")
         sign, coeff, t, exp = m.group("sign", "coeff", "t", "exp")
         if sign is None and not first:
-            raise MalformedCode(f"missing sign before {s[pos:]!r}")
+            raise MalformedCode(f"missing sign before {_excerpt(s[pos:])}")
         if coeff is None and t is None:
-            raise MalformedCode(f"empty term at {s[pos:]!r}")
+            raise MalformedCode(f"empty term at {_excerpt(s[pos:])}")
         try:
             c = int(coeff) if coeff is not None else 1
             d = 0 if t is None else (int(exp) if exp is not None else 1)
@@ -534,7 +545,13 @@ def arf_from_determinant(det: int) -> int:
 
 
 def signature(code: FlatBasketCode) -> int:
-    """Signature of S = V + V^T by Sylvester's law of inertia.
+    """Signature of S = V + V^T for the code's Seifert matrix V."""
+    return _signature_of_rows(seifert_matrix(code).rows)
+
+
+def _signature_of_rows(rows) -> int:
+    """Signature of S = V + V^T for the integer matrix rows V, by Sylvester's
+    law of inertia.
 
     One fraction-free symmetric elimination (Bareiss) runs on S with
     diagonal pivots.  The k-th pivot is the leading principal minor D_k of
@@ -547,8 +564,8 @@ def signature(code: FlatBasketCode) -> int:
     :class:`MethodDisagreement`.  Elimination stops when the remaining block
     is zero, as it is for the singular S of a link.
     """
-    a = [list(row) for row in symmetrized(seifert_matrix(code))]
-    n = len(a)
+    n = len(rows)
+    a = [[rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)]
     prev = 1
     total = 0
     for k in range(n):
@@ -580,9 +597,7 @@ def signature(code: FlatBasketCode) -> int:
             for j in range(i, n):
                 q, r = divmod(ri[j] * pivot - rik * rk[j], prev)
                 if r:
-                    raise MethodDisagreement(
-                        f"inexact symmetric elimination step on {code}"
-                    )
+                    raise MethodDisagreement("inexact symmetric elimination step")
                 ri[j] = a[j][i] = q
         prev = pivot
     return total

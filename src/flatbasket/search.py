@@ -1,11 +1,14 @@
 """Exhaustive enumeration of basket codes with invariant filtering.
 
 Enumeration is factored by underlying chord diagram: boundary count depends
-only on the matching, so knot filtering prunes all n! labelings of a
-non-knot matching at once.  Within a matching, a labeled word is kept
+only on the matching, so knot filtering skips every labeling of a non-knot
+matching at once.  Within a matching only the (n-1)! labelings that give
+label 1 to the chord at position 0 are tried, and a labeled word is kept
 exactly when it is the lexicographic minimum of its rotations; since every
 canonical word arises unrotated from exactly one labeling of exactly one
-matching, summing over matchings counts every canonical code once.
+matching, summing over matchings counts every canonical code once.  The
+matching's interleaving chord pairs give each labeling's Seifert matrix,
+which Delta and the signature share; ``census`` computes Delta only.
 
 Work is partitioned by matching across processes; the merged result is
 sorted by code word, so output is identical for any worker count.
@@ -17,6 +20,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
+from operator import itemgetter
 from pathlib import Path
 
 from .bounds import fpbk_lower_bound
@@ -25,18 +29,17 @@ from .codes import (
     UnderlyingDiagram,
     boundary_components,
     canonical_word,
-    is_canonical_word,
     surface_genus,
 )
 from .errors import CapExceeded, InvariantViolation, StoreMismatch
 from .invariants import (
     AlexanderPolynomial,
     IntPolynomial,
-    alexander,
+    _pencil_det_eval_interp,
+    _signature_of_rows,
     arf_from_determinant,
     determinant_from_alexander,
     normalize_alexander,
-    signature as _signature,
 )
 
 __all__ = [
@@ -124,43 +127,83 @@ def enumerate_codes(matching: UnderlyingDiagram) -> list[FlatBasketCode]:
 
 
 def _canonical_words(matching: UnderlyingDiagram) -> list[tuple[int, ...]]:
-    chord_at = matching.chord_at
+    """Sorted canonical words of the matching, from (n-1)! labelings.
+
+    A lex-min rotation starts with label 1, so the chord at position 0 gets
+    label 1 and only 2..n are permuted.  The one other rotation starting
+    with 1 begins at that chord's second foot q, so a word is canonical
+    exactly when it is <= that rotation (equal for a periodic word).
+    """
+    label = itemgetter(*matching.chord_at)
+    q = matching.pairing[0]
     out = []
-    for perm in permutations(range(1, matching.n + 1)):
-        word = tuple(perm[c] for c in chord_at)
-        if is_canonical_word(word):
+    for rest in permutations(range(2, matching.n + 1)):
+        word = label((1,) + rest)
+        if word <= word[q:] + word[:q]:
             out.append(word)
     out.sort()
     return out
+
+
+def _chord_crossings(matching: UnderlyingDiagram) -> list[tuple[int, int]]:
+    """First feet (0-based) of each interleaving chord pair, earlier chord first."""
+    pairs = matching.pairs()
+    return [
+        (pa - 1, pb - 1)
+        for a, (pa, qa) in enumerate(pairs)
+        for pb, qb in pairs[a + 1:]
+        if pb < qa < qb
+    ]
+
+
+def _seifert_rows(word: tuple[int, ...], crossings) -> list[list[int]]:
+    """Seifert matrix rows of one labeling, as :func:`seifert.seifert_matrix`:
+    crossing chords labeled x (first foot earlier) and y give v[y][x] = -1
+    when x < y and v[x][y] = +1 otherwise."""
+    n = len(word) // 2
+    rows = [[0] * n for _ in range(n)]
+    for pa, pb in crossings:
+        x, y = word[pa], word[pb]
+        if x < y:
+            rows[y - 1][x - 1] = -1
+        else:
+            rows[x - 1][y - 1] = 1
+    return rows
+
+
+def _labelings(pairings: list[tuple[int, ...]], knots_only: bool):
+    """(bands, boundary count, crossings, canonical words) per kept matching."""
+    for pairing in pairings:
+        matching = UnderlyingDiagram(pairing)
+        b = boundary_components(matching)
+        if knots_only and b != 1:
+            continue
+        yield matching.n, b, _chord_crossings(matching), _canonical_words(matching)
 
 
 def _mirror_word(word: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(n + 1 - x for x in reversed(word))
 
 
-def _record_for(word: tuple[int, ...], b: int, genus: int) -> SearchRecord:
-    code = FlatBasketCode(word)
-    delta = alexander(code, method="eval_interp")
+def _checked_delta(word: tuple[int, ...], rows, b: int):
+    """Delta, and for a knot its determinant and checked Arf residue.
+
+    Realization consistency is checked too: the degree bound can never
+    exceed the band count of a code realizing the polynomial.
+    """
+    delta = normalize_alexander(_pencil_det_eval_interp(rows))
     det = arf_val = None
     if b == 1:
         det = determinant_from_alexander(delta)
         arf_val = arf_from_determinant(det)
         span = delta.span
         if span:
-            # Realization consistency: the degree bound can never exceed the
-            # band count of a code realizing the polynomial.
             bound = fpbk_lower_bound(delta, genus=span // 2)
-            if code.n < bound.overall:
-                raise InvariantViolation(f"{code} is below its band bound {bound}")
-    return SearchRecord(
-        code=code,
-        boundary=b,
-        genus=genus,
-        delta=delta,
-        determinant=det,
-        arf=arf_val,
-        signature=_signature(code),
-    )
+            if len(rows) < bound.overall:
+                raise InvariantViolation(
+                    f"{FlatBasketCode(word)} is below its band bound {bound}"
+                )
+    return delta, det, arf_val
 
 
 def _records_for_matchings(
@@ -170,22 +213,39 @@ def _records_for_matchings(
     dedup_mirror: bool,
 ) -> list[SearchRecord]:
     out = []
-    for pairing in pairings:
-        matching = UnderlyingDiagram(pairing)
-        b = boundary_components(matching)
-        if knots_only and b != 1:
-            continue
-        n = matching.n
+    for n, b, crossings, words in _labelings(pairings, knots_only):
         genus = surface_genus(n, b)
-        for word in _canonical_words(matching):
+        for word in words:
             if dedup_mirror:
                 mirror = canonical_word(_mirror_word(word, n))
                 if mirror < word:
                     continue
-            record = _record_for(word, b, genus)
-            if target_coeffs is not None and record.delta.normalized.coeffs != target_coeffs:
+            rows = _seifert_rows(word, crossings)
+            delta, det, arf_val = _checked_delta(word, rows, b)
+            if target_coeffs is not None and delta.normalized.coeffs != target_coeffs:
                 continue
-            out.append(record)
+            out.append(
+                SearchRecord(
+                    code=FlatBasketCode(word),
+                    boundary=b,
+                    genus=genus,
+                    delta=delta,
+                    determinant=det,
+                    arf=arf_val,
+                    signature=_signature_of_rows(rows),
+                )
+            )
+    return out
+
+
+def _census_for_matchings(pairings: list[tuple[int, ...]]) -> dict[IntPolynomial, int]:
+    """Histogram of normalized knot Delta: Delta only, no signature, no record."""
+    out: dict[IntPolynomial, int] = {}
+    for _, b, crossings, words in _labelings(pairings, knots_only=True):
+        for word in words:
+            delta, _, _ = _checked_delta(word, _seifert_rows(word, crossings), b)
+            key = delta.normalized
+            out[key] = out.get(key, 0) + 1
     return out
 
 
@@ -194,31 +254,35 @@ def _chunks(items: list, count: int) -> list[list]:
     return [items[k:k + size] for k in range(0, len(items), size)]
 
 
+def _map_matchings(func, pairings: list[tuple[int, ...]], jobs: int, *args) -> list:
+    """``func(chunk, *args)`` over chunks of the pairings, serial or in a pool.
+
+    Results come back in chunk order whatever ``jobs`` is.
+    """
+    if jobs <= 1 or len(pairings) < 4:
+        return [func(pairings, *args)]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        futures = [
+            pool.submit(func, chunk, *args) for chunk in _chunks(pairings, jobs * 4)
+        ]
+        return [fut.result() for fut in futures]
+
+
 def search(query: SearchQuery) -> list[SearchRecord]:
     """All canonical codes passing the query's filters, canonically sorted."""
     pairings = [
         d.pairing for d in enumerate_matchings(query.bands, query.knots_only)
     ]
     target = query.target.coeffs if query.target is not None else None
-    if query.jobs <= 1 or len(pairings) < 4:
-        records = _records_for_matchings(
-            pairings, query.knots_only, target, query.dedup_mirror
-        )
-    else:
-        records = []
-        with ProcessPoolExecutor(max_workers=query.jobs) as pool:
-            futures = [
-                pool.submit(
-                    _records_for_matchings,
-                    chunk,
-                    query.knots_only,
-                    target,
-                    query.dedup_mirror,
-                )
-                for chunk in _chunks(pairings, query.jobs * 4)
-            ]
-            for fut in futures:
-                records.extend(fut.result())
+    chunks = _map_matchings(
+        _records_for_matchings,
+        pairings,
+        query.jobs,
+        query.knots_only,
+        target,
+        query.dedup_mirror,
+    )
+    records = [record for chunk in chunks for record in chunk]
     records.sort(key=lambda r: r.code.word)
     if query.limit is not None:
         records = records[: query.limit]
@@ -227,13 +291,18 @@ def search(query: SearchQuery) -> list[SearchRecord]:
 
 def census(n: int, cap: int = DEFAULT_CENSUS_CAP, jobs: int = 1) -> dict[IntPolynomial, int]:
     """Histogram of normalized Alexander polynomials over all canonical knot
-    codes with n bands."""
+    codes with n bands.
+
+    Only Delta is computed.  Keys come in the order their first code is
+    reached in matching order, the same for any ``jobs``.
+    """
     if n > cap:
         raise CapExceeded(f"census for {n} bands exceeds the cap {cap}")
+    pairings = [d.pairing for d in enumerate_matchings(n, knots_only=True)]
     out: dict[IntPolynomial, int] = {}
-    for record in search(SearchQuery(bands=n, knots_only=True, jobs=jobs)):
-        key = record.delta.normalized
-        out[key] = out.get(key, 0) + 1
+    for part in _map_matchings(_census_for_matchings, pairings, jobs):
+        for key, count in part.items():
+            out[key] = out.get(key, 0) + count
     return out
 
 

@@ -2,7 +2,7 @@
 
 import json
 
-from flatbasket.cli import cli_dispatch
+from flatbasket.cli import build_parser, cli_dispatch
 
 
 def run(capsys, *argv):
@@ -81,6 +81,27 @@ def test_overlong_numbers_are_domain_errors(capsys):
         status, out, err = run(capsys, *argv)
         assert status == 1 and out == ""
         assert err.startswith("error: ") and len(err) < 200
+
+
+def test_polynomial_errors_name_a_short_excerpt(capsys):
+    huge = "9" * 5000
+    for target in (f"1,{huge}", f"1,{huge}x", f"t + 1 {huge}", f"t + 1 + {huge}x"):
+        status, out, err = run(capsys, "search", "-n", "2", "--target", target)
+        assert status == 1 and out == ""
+        assert err.startswith("error: ") and len(err.encode()) < 200, err[:300]
+
+
+def test_dispatch_calls_share_no_state(capsys):
+    status, out, _ = run(capsys, "search", "-n", "4", "--no-such-flag")
+    assert (status, out) == (2, "")
+    status, out, _ = run(capsys, "search", "-n", "4", "--knots-only", "--limit", "1")
+    assert status == 0 and len(out.splitlines()) == 1
+    status, full, err = run(capsys, "search", "-n", "4", "--knots-only")
+    assert status == 0 and "66 records" in err
+    assert full.splitlines()[0] == out.strip() and len(full.splitlines()) == 66
+    status, again, _ = run(capsys, "search", "-n", "4", "--knots-only")
+    assert (status, again) == (0, full)
+    assert build_parser() is not build_parser()
 
 
 def test_usage_error_exit_code(capsys):

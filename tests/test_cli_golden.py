@@ -1,4 +1,5 @@
-"""Golden outputs: every README command-line example, plain and ``--json``.
+"""Golden outputs: every README command-line example, plain and ``--json``,
+and the full n = 4 knot search.
 
 Each case pins the exit code and the SHA-256 of stdout, so any change in
 what a documented command prints shows up here byte for byte.
@@ -25,6 +26,7 @@ EXAMPLES = {
     "search": ["search", "-n", "4", "--target", "t^2 - t + 1", "--knots-only"],
     "census": ["census", "-n", "4"],
     "verify-table": ["verify-table"],
+    "search-knots": ["search", "-n", "4", "--knots-only"],
 }
 
 # (example, json) -> (exit code, sha256 of stdout)
@@ -48,9 +50,11 @@ GOLDEN = {
     ("search", False): (0, "76afff22b9b06ad72a9c331aad0830c75d6b7e22fb3c0650a7a0180cecb7ccf8"),
     ("search", True): (0, "28faee87795f00b007b8df09e7fb013a3f82226a1704297e24b202e62508581c"),
     ("census", False): (0, "59756a797a59e4b6d1ff63bff05861ce89bae24b903b9cd26d0c931c7d096e5a"),
+    # census -n 4 --json: every canonical knot code with 4 bands
     ("census", True): (0, "15e4ebd9a042b081bd74ed65e386175a21c828311f953bf6f8ac3f30eb12b5b2"),
     ("verify-table", False): (0, "a667a8ad2a4c37167f6ee0215abb46795b72c011623be977a82ac90d28ee249a"),
     ("verify-table", True): (0, "839b43924939692b41c25fae736a757b840b1e23d13d145f368d08576bfafaab"),
+    ("search-knots", True): (0, "5b85e29c6077eb6c9cfac6eba3b2f0c4b551d9e8d884d24d14b117668803f753"),
 }
 
 

@@ -1,11 +1,13 @@
 """Enumeration, census, target search, and the result store."""
 
 import json
+from itertools import permutations
 
 import pytest
 
 from flatbasket import parse_code, parse_polynomial, underlying
-from flatbasket.codes import canonicalize, is_canonical_word
+from flatbasket import search as search_module
+from flatbasket.codes import FlatBasketCode, canonicalize, is_canonical_word
 from flatbasket.errors import CapExceeded, StoreMismatch
 from flatbasket.search import (
     SearchQuery,
@@ -17,6 +19,7 @@ from flatbasket.search import (
     search,
     write_store,
 )
+from flatbasket.seifert import seifert_matrix
 from conftest import all_codes
 
 
@@ -67,6 +70,43 @@ def test_completeness_against_naive_enumeration():
             via_matchings.extend(c.word for c in enumerate_codes(matching))
         assert len(via_matchings) == len(set(via_matchings)) == len(direct)
         assert set(via_matchings) == direct
+
+
+def test_canonical_words_match_brute_force_filter():
+    # (n-1)! labelings and one rotation compare against all n! labelings
+    # through the full rotation check
+    for n in range(1, 6):
+        for matching in enumerate_matchings(n):
+            brute = sorted(
+                word
+                for perm in permutations(range(1, n + 1))
+                if is_canonical_word(word := tuple(perm[c] for c in matching.chord_at))
+            )
+            assert search_module._canonical_words(matching) == brute, matching
+
+
+def test_chord_table_seifert_rows_match_seifert_matrix():
+    checked = 0
+    for n in range(1, 6):
+        for matching in enumerate_matchings(n):
+            crossings = search_module._chord_crossings(matching)
+            for word in search_module._canonical_words(matching):
+                rows = search_module._seifert_rows(word, crossings)
+                assert tuple(map(tuple, rows)) == seifert_matrix(FlatBasketCode(word)).rows
+                checked += 1
+    assert checked == 1 + 2 + 16 + 318 + 11352  # canonical codes per n
+
+
+def test_census_never_computes_signature(monkeypatch):
+    expected = census(4)
+
+    def refuse(rows):
+        raise AssertionError("census computed a signature")
+
+    monkeypatch.setattr(search_module, "_signature_of_rows", refuse)
+    assert census(4) == expected
+    with pytest.raises(AssertionError):
+        search(SearchQuery(bands=2, knots_only=True))
 
 
 def test_census_small():
@@ -129,6 +169,13 @@ def test_search_jobs_deterministic():
     serial = search(SearchQuery(bands=4, knots_only=True, jobs=1))
     parallel = search(SearchQuery(bands=4, knots_only=True, jobs=2))
     assert [record_to_json(r) for r in serial] == [record_to_json(r) for r in parallel]
+
+
+def test_census_jobs_deterministic():
+    serial = census(4, jobs=1)
+    parallel = census(4, jobs=2)
+    assert serial == parallel
+    assert list(serial) == list(parallel)
 
 
 def test_mirror_dedup_keeps_smaller_representative():
