@@ -6,7 +6,10 @@ taken by two mutually checking exact algorithms:
 
 * ``fraction_free``: one-step fraction-free (Bareiss) elimination over Z[t]
   on plain coefficient lists, where every division is exact by
-  construction;
+  construction and checked.  Each pivot comes from the whole trailing
+  block: a constant +-1 when there is one, else an entry of least degree.
+  Two unit pivots in a row make the step a plain a - a_ik * a_kj, with no
+  multiply and no division;
 * ``eval_interp``: det(V - t V^T) = (-t)^n det(V - t^-1 V^T) for any square
   V, so c_(n-k) = (-1)^n c_k and only c_0..c_(n//2) are unknown.  They are
   solved from n//2 + 1 exact integer determinants at small integer points;
@@ -223,8 +226,11 @@ _ZERO = IntPolynomial(())
 MAX_EXPONENT = 10_000
 
 _TERM = re.compile(
-    r"(?P<sign>[+-])?\s*(?:(?P<coeff>\d+)\s*\*?\s*)?(?P<t>t(?:\^(?P<exp>\d+))?)?"
+    r"(?P<sign>[+-])?\s*(?:(?P<coeff>[0-9]+)\s*\*?\s*)?(?P<t>t(?:\^(?P<exp>[0-9]+))?)?"
 )
+
+# ASCII only: ``\d`` and ``int`` also read other scripts' digits and ``_``.
+_COEFF = re.compile(r"[+-]?[0-9]+")
 
 
 def _excerpt(text: str, width: int = 24) -> str:
@@ -248,9 +254,11 @@ def parse_polynomial(text: str) -> IntPolynomial:
         for tok in re.split(r"[,\s]+", s):
             if not tok:
                 continue
+            if not _COEFF.fullmatch(tok):
+                raise MalformedCode(f"bad coefficient {_excerpt(tok)}")
             try:
                 values.append(int(tok))
-            except ValueError as exc:
+            except ValueError as exc:  # longer than Python's int-conversion limit
                 raise MalformedCode(f"bad coefficient {_excerpt(tok)}") from exc
         return IntPolynomial(tuple(values))
     coeffs: dict[int, int] = {}
@@ -321,10 +329,39 @@ def _det_bareiss_int(rows: list[list[int]]) -> int:
     return sign * rows[n - 1][n - 1]
 
 
-def _det_bareiss_poly(rows: list[list[list[int]]]) -> list[int]:
-    """Exact determinant of a matrix over Z[t] (one-step Bareiss).
+def _pivot_position(rows: list[list[list[int]]], k: int) -> tuple[int, int] | None:
+    """Position of the pivot for step k in the block ``rows[k:][k:]``.
 
-    Entries and the result are trimmed coefficient lists.
+    The first constant +-1 in row-major order, else the first nonzero entry
+    of least degree; None when the block is zero.
+    """
+    best = None
+    best_len = 0
+    for i in range(k, len(rows)):
+        row = rows[i]
+        for j in range(k, len(row)):
+            e = row[j]
+            if e and (best is None or len(e) < best_len):
+                if len(e) == 1 and (e[0] == 1 or e[0] == -1):
+                    return i, j
+                best, best_len = (i, j), len(e)
+    return best
+
+
+def _det_bareiss_poly(rows: list[list[list[int]]]) -> list[int]:
+    """Exact determinant of a matrix over Z[t] (fully pivoted one-step Bareiss).
+
+    Entries and the result are trimmed coefficient lists; ``rows`` is
+    overwritten.  Each step takes its pivot from the whole trailing block
+    (see :func:`_pivot_position`), swapping it into place by a row and a
+    column swap, each of which flips the sign.  A pivot with a negative
+    leading coefficient has its row negated, flipping the sign again, so a
+    unit pivot is always ``[1]``.  The update of entry (i, j) is
+    (a_ij * pivot - a_ik * a_kj) / prev, with prev the previous pivot;
+    the multiply is skipped when the pivot is ``[1]``, the division when
+    prev is ``[1]``, and every other division is checked by
+    :func:`_poly_exact_div`.  When pivot == prev, an entry with
+    a_ik * a_kj = 0 stays as it is, and so does every row with a_ik = 0.
     """
     n = len(rows)
     if n == 0:
@@ -332,24 +369,39 @@ def _det_bareiss_poly(rows: list[list[list[int]]]) -> list[int]:
     sign = 1
     prev = [1]
     for k in range(n - 1):
-        if not rows[k][k]:
-            for r in range(k + 1, n):
-                if rows[r][k]:
-                    rows[k], rows[r] = rows[r], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return []
+        pos = _pivot_position(rows, k)
+        if pos is None:
+            return []
+        p, q = pos
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            sign = -sign
+        if q != k:
+            for row in rows[k:]:
+                row[k], row[q] = row[q], row[k]
+            sign = -sign
         rk = rows[k]
+        if rk[k][-1] < 0:
+            rk[k:] = [[-c for c in e] for e in rk[k:]]
+            sign = -sign
         pivot = rk[k]
+        unit_pivot = pivot == [1]
+        unit_prev = prev == [1]
+        same = pivot == prev
         for i in range(k + 1, n):
             ri = rows[i]
             rik = ri[k]
+            if not rik and same:
+                continue
             for j in range(k + 1, n):
-                num = _poly_mul(ri[j], pivot)
-                if rik:
-                    num = _poly_sub(num, _poly_mul(rik, rk[j]))
-                ri[j] = _poly_exact_div(num, prev)
+                a = ri[j]
+                b = rk[j] if rik else []
+                if not b and (not a or same):
+                    continue
+                num = a if unit_pivot else _poly_mul(a, pivot)
+                if b:
+                    num = _poly_sub(num, _poly_mul(rik, b))
+                ri[j] = num if unit_prev else _poly_exact_div(num, prev)
         prev = pivot
     det = rows[n - 1][n - 1]
     return [-c for c in det] if sign < 0 else det

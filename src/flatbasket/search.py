@@ -171,13 +171,15 @@ def _seifert_rows(word: tuple[int, ...], crossings) -> list[list[int]]:
     return rows
 
 
-def _labelings(pairings: list[tuple[int, ...]], knots_only: bool):
-    """(bands, boundary count, crossings, canonical words) per kept matching."""
-    for pairing in pairings:
-        matching = UnderlyingDiagram(pairing)
-        b = boundary_components(matching)
-        if knots_only and b != 1:
-            continue
+def _labelings(matchings: list[UnderlyingDiagram], knots_only: bool):
+    """(bands, boundary count, crossings, canonical words) per matching.
+
+    The matchings come from :func:`enumerate_matchings` with the same
+    ``knots_only``, which has already walked the boundary of each knot
+    matching, so only an unfiltered run walks it here.
+    """
+    for matching in matchings:
+        b = 1 if knots_only else boundary_components(matching)
         yield matching.n, b, _chord_crossings(matching), _canonical_words(matching)
 
 
@@ -207,13 +209,13 @@ def _checked_delta(word: tuple[int, ...], rows, b: int):
 
 
 def _records_for_matchings(
-    pairings: list[tuple[int, ...]],
+    matchings: list[UnderlyingDiagram],
     knots_only: bool,
     target_coeffs: tuple[int, ...] | None,
     dedup_mirror: bool,
 ) -> list[SearchRecord]:
     out = []
-    for n, b, crossings, words in _labelings(pairings, knots_only):
+    for n, b, crossings, words in _labelings(matchings, knots_only):
         genus = surface_genus(n, b)
         for word in words:
             if dedup_mirror:
@@ -238,10 +240,10 @@ def _records_for_matchings(
     return out
 
 
-def _census_for_matchings(pairings: list[tuple[int, ...]]) -> dict[IntPolynomial, int]:
+def _census_for_matchings(matchings: list[UnderlyingDiagram]) -> dict[IntPolynomial, int]:
     """Histogram of normalized knot Delta: Delta only, no signature, no record."""
     out: dict[IntPolynomial, int] = {}
-    for _, b, crossings, words in _labelings(pairings, knots_only=True):
+    for _, b, crossings, words in _labelings(matchings, knots_only=True):
         for word in words:
             delta, _, _ = _checked_delta(word, _seifert_rows(word, crossings), b)
             key = delta.normalized
@@ -254,29 +256,27 @@ def _chunks(items: list, count: int) -> list[list]:
     return [items[k:k + size] for k in range(0, len(items), size)]
 
 
-def _map_matchings(func, pairings: list[tuple[int, ...]], jobs: int, *args) -> list:
-    """``func(chunk, *args)`` over chunks of the pairings, serial or in a pool.
+def _map_matchings(func, matchings: list[UnderlyingDiagram], jobs: int, *args) -> list:
+    """``func(chunk, *args)`` over chunks of the matchings, serial or in a pool.
 
     Results come back in chunk order whatever ``jobs`` is.
     """
-    if jobs <= 1 or len(pairings) < 4:
-        return [func(pairings, *args)]
+    if jobs <= 1 or len(matchings) < 4:
+        return [func(matchings, *args)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [
-            pool.submit(func, chunk, *args) for chunk in _chunks(pairings, jobs * 4)
+            pool.submit(func, chunk, *args) for chunk in _chunks(matchings, jobs * 4)
         ]
         return [fut.result() for fut in futures]
 
 
 def search(query: SearchQuery) -> list[SearchRecord]:
     """All canonical codes passing the query's filters, canonically sorted."""
-    pairings = [
-        d.pairing for d in enumerate_matchings(query.bands, query.knots_only)
-    ]
+    matchings = list(enumerate_matchings(query.bands, query.knots_only))
     target = query.target.coeffs if query.target is not None else None
     chunks = _map_matchings(
         _records_for_matchings,
-        pairings,
+        matchings,
         query.jobs,
         query.knots_only,
         target,
@@ -298,9 +298,9 @@ def census(n: int, cap: int = DEFAULT_CENSUS_CAP, jobs: int = 1) -> dict[IntPoly
     """
     if n > cap:
         raise CapExceeded(f"census for {n} bands exceeds the cap {cap}")
-    pairings = [d.pairing for d in enumerate_matchings(n, knots_only=True)]
+    matchings = list(enumerate_matchings(n, knots_only=True))
     out: dict[IntPolynomial, int] = {}
-    for part in _map_matchings(_census_for_matchings, pairings, jobs):
+    for part in _map_matchings(_census_for_matchings, matchings, jobs):
         for key, count in part.items():
             out[key] = out.get(key, 0) + count
     return out

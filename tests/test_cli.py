@@ -64,8 +64,14 @@ def test_domain_error_exit_code(capsys):
 
 
 def test_non_ascii_digits_are_domain_errors(capsys):
-    for text in ("1,²,1,²", "١,٢,١,٢"):
-        status, out, err = run(capsys, "alexander", "--code", text)
+    for argv in (
+        ("alexander", "--code", "1,²,1,²"),
+        ("alexander", "--code", "١,٢,١,٢"),
+        ("search", "-n", "2", "--target", "١,٢"),
+        ("search", "-n", "2", "--target", "t^٢ - t + ١"),
+        ("search", "-n", "2", "--target", "1_0,2"),
+    ):
+        status, out, err = run(capsys, *argv)
         assert status == 1 and out == ""
         assert err.startswith("error: ")
 

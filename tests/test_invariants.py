@@ -5,6 +5,7 @@ independently of the elimination and interpolation code under test.
 """
 
 import random
+from importlib import resources
 
 import pytest
 
@@ -24,7 +25,10 @@ from flatbasket import (
 from flatbasket import invariants
 from flatbasket.errors import MalformedCode, MethodDisagreement, NotAKnot
 from flatbasket.invariants import MAX_EXPONENT
+from flatbasket.pushdown import diagram_seifert_matrix, parse_diagram
+from flatbasket.search import enumerate_codes, enumerate_matchings
 from flatbasket.seifert import SeifertMatrix, symmetrized
+from flatbasket.tables import load_table
 from conftest import all_codes, leibniz_pencil_det, random_code
 
 
@@ -86,6 +90,11 @@ def test_parse_polynomial_bounds_exponents_and_digits():
     for text in (f"t^{'9' * 5000}", f"{'9' * 5000}t - 1", f"1,{'9' * 5000}"):
         with pytest.raises(MalformedCode):
             parse_polynomial(text)
+    # only ASCII digits: int() and \d also read other scripts' digits and "_"
+    for text in ("\u0661,\u0662", "t^\u0662 - t + \u0661", "1_0,2", "t^1_0", "1_0t + 1"):
+        with pytest.raises(MalformedCode):
+            parse_polynomial(text)
+    assert parse_polynomial("+3,-1") == IntPolynomial((3, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +131,46 @@ def test_methods_agree_random():
             pencil_determinant(v, "fraction_free")
             == pencil_determinant(v, "eval_interp")
         )
+
+
+def _methods_agree(matrices) -> int:
+    count = 0
+    for v in matrices:
+        assert pencil_determinant(v, "fraction_free") == pencil_determinant(
+            v, "eval_interp"
+        ), v
+        count += 1
+    return count
+
+
+def test_methods_agree_on_every_canonical_code_up_to_five_bands():
+    matrices = (
+        seifert_matrix(code)
+        for n in range(1, 6)
+        for matching in enumerate_matchings(n)
+        for code in enumerate_codes(matching)
+    )
+    assert _methods_agree(matrices) == 1 + 2 + 16 + 318 + 11352
+
+
+def test_methods_agree_on_table_codes_and_corpus_diagrams():
+    assert _methods_agree(seifert_matrix(record.code) for record in load_table()) == 84
+    root = resources.files("flatbasket") / "data" / "diagrams"
+    diagrams = [parse_diagram(path.read_text()) for path in root.iterdir()]
+    assert len(diagrams) >= 20
+    assert _methods_agree(
+        SeifertMatrix(diagram_seifert_matrix(d)) for d in diagrams
+    ) == len(diagrams)
+
+
+def test_methods_agree_on_seeded_24_band_knots():
+    rng = random.Random(24)
+    codes = []
+    while len(codes) < 10:
+        code = random_code(rng, 24)
+        if surface_stats(code).boundary == 1:
+            codes.append(code)
+    assert _methods_agree(seifert_matrix(code) for code in codes) == 10
 
 
 def test_pencil_rejects_unknown_method(trefoil_code):

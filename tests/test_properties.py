@@ -1,15 +1,21 @@
-"""Property-based differential tests of the exact determinant kernels.
+"""Property-based tests of the exact determinant kernels and the parsers.
 
 Both pencil methods are compared with the permutation-expansion oracle in
 conftest, on Seifert matrices of generated codes and on generated integer
-matrices that are not triangular, as flattened diagrams can produce.
+matrices that are not triangular, as flattened diagrams can produce.  The
+matrix families are chosen to reach each path of the pivoted Z[t] Bareiss
+elimination: unit pivots with row and column swaps and row negation, pivots
+that are never units, and a zero trailing block.  The parsers are fuzzed
+with text that mixes their syntax with digits they must refuse.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatbasket import alexander, pencil_determinant, seifert_matrix
+from flatbasket import alexander, parse_code, parse_matching, parse_polynomial
+from flatbasket import pencil_determinant, seifert_matrix
 from flatbasket.codes import FlatBasketCode, rotated
+from flatbasket.errors import FlatBasketError
 from flatbasket.search import _mirror_word
 from flatbasket.seifert import SeifertMatrix
 from conftest import leibniz_pencil_det
@@ -25,29 +31,75 @@ def codes(max_bands: int):
     ).map(lambda word: FlatBasketCode(tuple(word)))
 
 
-@st.composite
-def integer_matrices(draw, max_size: int = 7):
-    n = draw(st.integers(0, max_size))
-    entry = st.integers(-2, 2)
-    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+def _matrix(rows) -> SeifertMatrix:
     return SeifertMatrix(tuple(tuple(row) for row in rows))
+
+
+def square_lists(entry, min_size: int = 2, max_size: int = 7):
+    return st.integers(min_size, max_size).flatmap(
+        lambda n: st.lists(
+            st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+
+
+@st.composite
+def unitless_matrices(draw):
+    """Entries from {0, +-2, +-3} with a nonzero entry in the top-right and
+    bottom-left corners, so V is not triangular and no pencil entry is a
+    constant +-1."""
+    nonzero = st.sampled_from((2, -2, 3, -3))
+    rows = draw(square_lists(st.sampled_from((0, 2, -2, 3, -3))))
+    rows[0][-1] = draw(nonzero)
+    rows[-1][0] = draw(nonzero)
+    return _matrix(rows)
+
+
+@st.composite
+def repeated_index_matrices(draw):
+    """V in which one index repeats another in its row and its column, so
+    V - t V^T has two equal rows and its determinant is zero."""
+    base = draw(square_lists(st.integers(-3, 3), min_size=1, max_size=6))
+    index = list(range(len(base)))
+    index.insert(draw(st.integers(0, len(base))), draw(st.integers(0, len(base) - 1)))
+    return _matrix([[base[a][b] for b in index] for a in index])
+
+
+def _methods_match_leibniz(v) -> tuple[int, ...]:
+    expected = leibniz_pencil_det(v)
+    assert pencil_determinant(v, "fraction_free").coeffs == expected
+    assert pencil_determinant(v, "eval_interp").coeffs == expected
+    return expected
 
 
 @PROPERTY
 @given(codes(7))
 def test_pencil_methods_match_leibniz_on_codes(code):
-    v = seifert_matrix(code)
-    expected = leibniz_pencil_det(v)
-    assert pencil_determinant(v, "fraction_free").coeffs == expected
-    assert pencil_determinant(v, "eval_interp").coeffs == expected
+    _methods_match_leibniz(seifert_matrix(code))
 
 
 @PROPERTY
-@given(integer_matrices())
+@given(square_lists(st.integers(-2, 2), min_size=0).map(_matrix))
 def test_pencil_methods_match_leibniz_on_integer_matrices(v):
-    expected = leibniz_pencil_det(v)
-    assert pencil_determinant(v, "fraction_free").coeffs == expected
-    assert pencil_determinant(v, "eval_interp").coeffs == expected
+    _methods_match_leibniz(v)
+
+
+@PROPERTY
+@given(unitless_matrices())
+def test_pencil_methods_match_leibniz_without_unit_entries(v):
+    _methods_match_leibniz(v)
+
+
+@PROPERTY
+@given(square_lists(st.sampled_from((1, -1, 0)), min_size=1).map(_matrix))
+def test_pencil_methods_match_leibniz_on_dense_sign_matrices(v):
+    _methods_match_leibniz(v)
+
+
+@PROPERTY
+@given(repeated_index_matrices())
+def test_pencil_methods_vanish_on_repeated_rows(v):
+    assert _methods_match_leibniz(v) == ()
 
 
 @PROPERTY
@@ -57,3 +109,30 @@ def test_alexander_invariant_under_rotation_and_mirror(code, shift):
     assert alexander(rotated(code, shift)).normalized == base
     mirror = FlatBasketCode(_mirror_word(code.word, code.n))
     assert alexander(mirror, checked=True).normalized == base
+
+
+# Parser syntax mixed with what the parsers must refuse: digits of other
+# scripts, superscripts, full-width digits and the underscore that ``int``
+# accepts inside numbers.
+PARSER_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from("0123456789,()t^+-* \t\n"),
+        st.sampled_from("_\u00a0\u2003\u00b2\u0661\u0662\u096a\uff13"),
+        st.characters(categories=("Nd",)),
+    ),
+    max_size=40,
+)
+
+FUZZ = settings(max_examples=500, deadline=None, derandomize=True, database=None)
+
+
+@FUZZ
+@given(PARSER_TEXT)
+def test_parsers_return_or_raise_domain_errors(text):
+    foreign = any(c == "_" or (c.isdigit() and not c.isascii()) for c in text)
+    for parse in (parse_code, parse_matching, parse_polynomial):
+        try:
+            parse(text)
+        except FlatBasketError:
+            continue
+        assert not foreign, (parse.__name__, text)

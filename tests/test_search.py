@@ -109,6 +109,32 @@ def test_census_never_computes_signature(monkeypatch):
         search(SearchQuery(bands=2, knots_only=True))
 
 
+def test_each_matching_is_built_and_walked_once(monkeypatch):
+    walks = []
+    builds = []
+    real_walk = search_module.boundary_components
+    real_build = search_module.UnderlyingDiagram
+
+    def walk(diagram):
+        walks.append(diagram.pairing)
+        return real_walk(diagram)
+
+    def build(pairing):
+        builds.append(pairing)
+        return real_build(pairing)
+
+    expected_census = census(4)
+    expected_links = search(SearchQuery(bands=3))
+    monkeypatch.setattr(search_module, "boundary_components", walk)
+    monkeypatch.setattr(search_module, "UnderlyingDiagram", build)
+    assert census(4) == expected_census
+    assert len(walks) == len(builds) == 105
+    walks.clear()
+    builds.clear()
+    assert search(SearchQuery(bands=3)) == expected_links
+    assert len(walks) == len(builds) == 15
+
+
 def test_census_small():
     two = census(2)
     assert {str(k): v for k, v in two.items()} == {"1": 1}
