@@ -17,11 +17,12 @@ from .bounds import fpbk_lower_bound
 from .codes import canonicalize, parse_code, parse_matching, surface_stats
 from .errors import FlatBasketError, NotAKnot
 from .invariants import (
+    _alexander_of_matrix,
+    _signature_of_rows,
     alexander,
     arf_from_determinant,
     determinant_from_alexander,
     parse_polynomial,
-    signature,
 )
 from .passclass import orbit_invariant_check, pass_class
 from .pushdown import flatten_trace, load_diagram
@@ -121,13 +122,14 @@ def _cmd_alexander(args) -> int:
 def _cmd_invariants(args) -> int:
     code = parse_code(args.code)
     stats = surface_stats(code)
-    delta = alexander(code, checked=True)
+    matrix = seifert_matrix(code)
+    delta = _alexander_of_matrix(code, matrix, "fraction_free", checked=True)
     payload = {
         "bands": stats.bands,
         "boundary": stats.boundary,
         "genus": stats.genus,
         "alexander": _poly_json(delta.normalized),
-        "signature": signature(code),
+        "signature": _signature_of_rows(matrix.rows),
         "determinant": None,
         "arf": None,
     }

@@ -552,7 +552,14 @@ def alexander(
     With ``checked=True`` both determinant algorithms run and any mismatch
     raises :class:`MethodDisagreement` (an arithmetic bug, not bad input).
     """
-    matrix = seifert_matrix(code)
+    return _alexander_of_matrix(code, seifert_matrix(code), method, checked)
+
+
+def _alexander_of_matrix(
+    code: FlatBasketCode, matrix: SeifertMatrix, method: str, checked: bool
+) -> AlexanderPolynomial:
+    """:func:`alexander` from the code's Seifert matrix, for callers that
+    also need the matrix for the signature."""
     raw = pencil_determinant(matrix, method)
     if checked:
         other = "eval_interp" if method == "fraction_free" else "fraction_free"

@@ -24,6 +24,7 @@ order of feet matters for the resulting code.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -38,6 +39,7 @@ from .errors import (
     MalformedDiagram,
     SiteNotEligible,
 )
+from .invariants import _excerpt
 
 __all__ = [
     "RectilinearDiagram",
@@ -63,6 +65,15 @@ __all__ = [
 Vertex = tuple[Fraction, Fraction]
 
 
+def _vertex(v) -> Vertex:
+    """``(Fraction(x), Fraction(y))``, reusing a vertex that already is one,
+    as every vertex of a push-down result is."""
+    x, y = v
+    if type(v) is tuple and type(x) is Fraction and type(y) is Fraction:
+        return v
+    return Fraction(x), Fraction(y)
+
+
 @dataclass(frozen=True)
 class Connector:
     """Rear band: an arc behind the disk joining two baseline feet."""
@@ -79,9 +90,7 @@ class RectilinearDiagram:
     connectors: tuple[Connector, ...] = ()
 
     def __post_init__(self):
-        bands = tuple(
-            tuple((Fraction(x), Fraction(y)) for x, y in band) for band in self.bands
-        )
+        bands = tuple(tuple(_vertex(v) for v in band) for band in self.bands)
         object.__setattr__(self, "bands", bands)
         object.__setattr__(self, "connectors", tuple(self.connectors))
 
@@ -140,8 +149,28 @@ class FlattenResult:
 # parsing and formatting
 # ---------------------------------------------------------------------------
 
+# ASCII only, at most Python's int-conversion limit of 4300 digits a part:
+# ``Fraction(str)`` also reads exponents, decimals, ``_`` and other scripts'
+# digits, and ``1e2000000`` alone costs seconds.
+_RATIONAL = re.compile(r"[+-]?[0-9]{1,4300}(?:/[0-9]{1,4300})?")
+
+
+def _rational(text: str, lineno: int) -> Fraction:
+    text = text.strip()
+    try:
+        if _RATIONAL.fullmatch(text):
+            return Fraction(text)
+    except ZeroDivisionError:
+        pass
+    raise MalformedDiagram(f"line {lineno}: bad coordinate {_excerpt(text)}")
+
+
 def parse_diagram(text: str) -> RectilinearDiagram:
-    """Parse one band per line, ``x,y; x,y; ...`` with integer coordinates."""
+    """Parse one band per line, ``x,y; x,y; ...``.
+
+    Coordinates are integers or fractions ``p/q`` in ASCII digits, as
+    :func:`diagram_to_text` writes them.
+    """
     bands = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -154,11 +183,8 @@ def parse_diagram(text: str) -> RectilinearDiagram:
                 continue
             parts = chunk.split(",")
             if len(parts) != 2:
-                raise MalformedDiagram(f"line {lineno}: bad vertex {chunk!r}")
-            try:
-                vertices.append((Fraction(parts[0].strip()), Fraction(parts[1].strip())))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise MalformedDiagram(f"line {lineno}: bad vertex {chunk!r}") from exc
+                raise MalformedDiagram(f"line {lineno}: bad vertex {_excerpt(chunk)}")
+            vertices.append((_rational(parts[0], lineno), _rational(parts[1], lineno)))
         if vertices:
             bands.append(tuple(vertices))
     if not bands:
@@ -167,7 +193,11 @@ def parse_diagram(text: str) -> RectilinearDiagram:
 
 
 def load_diagram(path: str | Path) -> RectilinearDiagram:
-    return parse_diagram(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedDiagram(f"{path}: undecodable byte at offset {exc.start}") from exc
+    return parse_diagram(text)
 
 
 def _coord(value: Fraction) -> str:
@@ -241,22 +271,35 @@ def validate_diagram(diagram: RectilinearDiagram) -> None:
 
 
 def _check_crossings(diagram: RectilinearDiagram) -> None:
+    """Reject any x-line/y-line contact that is not a transverse interior
+    crossing.
+
+    The test only compares coordinates, so it runs on each coordinate's rank
+    among the distinct vertex x (or y) values: sorting them costs
+    O(N log N) ``Fraction`` comparisons, and the pair loop compares ints.
+    """
+    xs = sorted({v[0] for band in diagram.bands for v in band})
+    ys = sorted({v[1] for band in diagram.bands for v in band})
+    xrank = {x: i for i, x in enumerate(xs)}
+    yrank = {y: i for i, y in enumerate(ys)}
     xlines = []
     ylines = []
     for bi, band in enumerate(diagram.bands):
         for k, a, b, vertical in _segments(band):
             if vertical:
-                ylines.append((bi, k, a[0], min(a[1], b[1]), max(a[1], b[1])))
+                lo, hi = sorted((yrank[a[1]], yrank[b[1]]))
+                ylines.append((bi, k, xrank[a[0]], lo, hi))
             else:
-                xlines.append((bi, k, a[1], min(a[0], b[0]), max(a[0], b[0])))
+                lo, hi = sorted((xrank[a[0]], xrank[b[0]]))
+                xlines.append((bi, k, yrank[a[1]], lo, hi))
     for bi, ki, y, xl, xr in xlines:
         for bj, kj, x, ylo, yhi in ylines:
-            if bi == bj and abs(ki - kj) == 1:
-                continue  # shared joint of consecutive segments
             if xl <= x <= xr and ylo <= y <= yhi:
+                if bi == bj and abs(ki - kj) == 1:
+                    continue  # shared joint of consecutive segments
                 if not (xl < x < xr and ylo < y < yhi):
                     raise EndpointCrossing(
-                        f"crossing touches a segment endpoint at ({x},{y})"
+                        f"crossing touches a segment endpoint at ({xs[x]},{ys[y]})"
                     )
 
 
@@ -305,10 +348,8 @@ def classify_xlines(diagram: RectilinearDiagram) -> tuple[XLineClass, ...]:
     return tuple(out)
 
 
-def _ascending_count(diagram: RectilinearDiagram) -> int:
-    return sum(
-        line.left_ascends + line.right_ascends for line in _xlines(diagram)
-    )
+def _ascending_count(lines: list[_XLine]) -> int:
+    return sum(line.left_ascends + line.right_ascends for line in lines)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +415,7 @@ def _find_xline(diagram: RectilinearDiagram, height) -> _XLine:
     raise SiteNotEligible(f"no x-line at height {height}")
 
 
-def _site_for(diagram: RectilinearDiagram, line: _XLine) -> tuple[Fraction, Fraction]:
+def _site_for(line: _XLine, occupied: set[Fraction]) -> tuple[Fraction, Fraction]:
     """Default push interval for a non-flat x-line.
 
     A clean valley (both ends ascending, nothing in between) goes in one
@@ -382,7 +423,6 @@ def _site_for(diagram: RectilinearDiagram, line: _XLine) -> tuple[Fraction, Frac
     first occupied column, so the pushed interval never spans crossings or
     feet of other bands.
     """
-    occupied = _occupied_columns(diagram)
     inside = sorted(c for c in occupied if line.x_left < c < line.x_right)
     if line.left_ascends and line.right_ascends and not inside:
         return line.x_left, line.x_right
@@ -405,11 +445,16 @@ def push_down(
     ``interval`` defaults to the deterministic site choice used by
     :func:`flatten`; an explicit interval must touch an ascending end of the
     x-line.  The result has one more front band and one more connector.
+
+    The input is validated here, before the eligibility checks.  The
+    surgery itself (shared with :func:`flatten_trace`) assumes a validated
+    input and validates its result once.
     """
     validate_diagram(diagram)
     line = _find_xline(diagram, height)
+    occupied = _occupied_columns(diagram)
     if interval is None:
-        u, w = _site_for(diagram, line)
+        u, w = _site_for(line, occupied)
     else:
         u, w = Fraction(interval[0]), Fraction(interval[1])
         if not (line.x_left <= u < w <= line.x_right):
@@ -427,7 +472,6 @@ def push_down(
             raise SiteNotEligible(
                 "pushed interval must reach an ascending end of the x-line"
             )
-        occupied = _occupied_columns(diagram)
         for cut, junction in ((u, u == line.x_left), (w, w == line.x_right)):
             if not junction and cut in occupied:
                 raise SiteNotEligible(f"cut column {cut} is already occupied")
@@ -437,7 +481,26 @@ def push_down(
             raise SiteNotEligible(
                 "pushed interval may not span occupied columns"
             )
+    return _push(
+        diagram, line, u, w, diagram_boundary_components(diagram), occupied
+    )
 
+
+def _push(
+    diagram: RectilinearDiagram,
+    line: _XLine,
+    u: Fraction,
+    w: Fraction,
+    boundary_before: int,
+    occupied: set[Fraction],
+) -> RectilinearDiagram:
+    """The surgery itself, on a validated ``diagram`` and an eligible
+    interval [u, w] of ``line``; ``boundary_before`` and ``occupied`` are
+    the diagram's boundary count and occupied columns.
+
+    The result is validated here, and its Euler characteristic and boundary
+    count are checked against the input's.
+    """
     band = diagram.bands[line.band]
     k = line.seg
     va, vb = band[k], band[k + 1]
@@ -457,7 +520,7 @@ def push_down(
         (piece_first, piece_second) if rightward else (piece_second, piece_first)
     )
 
-    occupied = _occupied_columns(diagram) | {u, w}
+    occupied = occupied | {u, w}
     connector = Connector(_fresh_left(occupied, u), _fresh_right(occupied, w))
 
     bands = (
@@ -469,56 +532,52 @@ def push_down(
     validate_diagram(result)
     if diagram_euler(result) != diagram_euler(diagram) - 2:
         raise InvariantViolation("push-down must add exactly two bands")
-    if diagram_boundary_components(result) != diagram_boundary_components(diagram):
+    if diagram_boundary_components(result) != boundary_before:
         raise InvariantViolation("push-down must preserve the boundary count")
     return result
 
 
-def _bookkeeping(diagram: RectilinearDiagram) -> tuple[int, int, int]:
-    """(Euler characteristic, boundary count, ascending ends) for a trace."""
-    return (
-        diagram_euler(diagram),
-        diagram_boundary_components(diagram),
-        _ascending_count(diagram),
-    )
-
-
 def flatten_trace(diagram: RectilinearDiagram) -> FlattenResult:
-    """Push down eligible sites (lowest first) until every x-line is flat."""
+    """Push down eligible sites (lowest first) until every x-line is flat.
+
+    Every diagram is validated exactly once: the input here, and each
+    push-down's result inside the surgery.  The private steps called here
+    assume a validated input, so a flatten with s steps makes 1 + s
+    validations.
+    """
     validate_diagram(diagram)
     steps: list[PushStep] = []
     current = diagram
-    after = _bookkeeping(current)
+    lines = _xlines(current)
+    euler = diagram_euler(current)
+    boundary = diagram_boundary_components(current)
+    ascending = _ascending_count(lines)
     while True:
-        pending = [
-            line
-            for line in _xlines(current)
-            if line.left_ascends or line.right_ascends
-        ]
+        pending = [line for line in lines if line.left_ascends or line.right_ascends]
         if not pending:
             break
         line = min(pending, key=lambda l: l.y)
-        u, w = _site_for(current, line)
-        before = after
-        current = push_down(current, line.y, (u, w))
-        after = _bookkeeping(current)
-        steps.append(
-            PushStep(
-                height=line.y,
-                interval=(u, w),
-                euler_before=before[0],
-                euler_after=after[0],
-                boundary_before=before[1],
-                boundary_after=after[1],
-                ascending_before=before[2],
-                ascending_after=after[2],
-            )
+        occupied = _occupied_columns(current)
+        u, w = _site_for(line, occupied)
+        current = _push(current, line, u, w, boundary, occupied)
+        lines = _xlines(current)
+        # _push has checked the Euler drop and that the boundary count is kept
+        step = PushStep(
+            height=line.y,
+            interval=(u, w),
+            euler_before=euler,
+            euler_after=diagram_euler(current),
+            boundary_before=boundary,
+            boundary_after=boundary,
+            ascending_before=ascending,
+            ascending_after=_ascending_count(lines),
         )
-        # push_down checks the Euler and boundary bookkeeping itself
-        if after[2] >= before[2]:
+        steps.append(step)
+        if step.ascending_after >= step.ascending_before:
             raise InvariantViolation("push-down must remove an ascending end")
+        euler, ascending = step.euler_after, step.ascending_after
     return FlattenResult(
-        code=read_off_code(current), final=current, steps=tuple(steps)
+        code=_read_off_code(current), final=current, steps=tuple(steps)
     )
 
 
@@ -530,9 +589,16 @@ def read_off_code(diagram: RectilinearDiagram) -> FlatBasketCode:
     """Basket code of an all-flat diagram.
 
     Front bands are single arches; pages go to the lowest arch first, then
-    to connectors in creation order behind all front bands.
+    to connectors in creation order behind all front bands.  The input is
+    validated here; :func:`flatten_trace` reads off its own final diagram,
+    already validated, through the private step.
     """
     validate_diagram(diagram)
+    return _read_off_code(diagram)
+
+
+def _read_off_code(diagram: RectilinearDiagram) -> FlatBasketCode:
+    """:func:`read_off_code` on a validated diagram."""
     arch_heights = []
     for bi, band in enumerate(diagram.bands):
         spans = [a[1] for _, a, b, vertical in _segments(band) if not vertical]

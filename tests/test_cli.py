@@ -137,6 +137,42 @@ def test_flatten_command(tmp_path, capsys):
     assert json.loads(out) == {"code": "1,3,1,2,3,2", "bands": 3, "push_downs": 1}
 
 
+def test_flatten_rejects_non_rational_coordinates(tmp_path, capsys):
+    diagram = tmp_path / "exponent.txt"
+    for text in (
+        "1,0; 1,1e2000000; 2,1e2000000; 2,0\n",
+        "1,0; 1,1.5; 2,1.5; 2,0\n",
+        "1,0; 1,1_0; 2,1_0; 2,0\n",
+        "1,0; 1,\u0661; 2,\u0661; 2,0\n",
+    ):
+        diagram.write_text(text, encoding="utf-8")
+        status, out, err = run(capsys, "flatten", "--json", "--diagram", str(diagram))
+        assert status == 1 and out == ""
+        assert "bad coordinate" in err and len(err) < 200
+    diagram.write_bytes(b"1,0; 1,1; 2,1; 2,0\xff\n")
+    status, out, err = run(capsys, "flatten", "--json", "--diagram", str(diagram))
+    assert status == 1 and out == "" and "undecodable byte" in err
+
+
+def test_invariants_builds_one_seifert_matrix(monkeypatch, capsys):
+    from flatbasket import cli, invariants
+
+    calls = []
+    real = invariants.seifert_matrix
+
+    def counted(code):
+        calls.append(code)
+        return real(code)
+
+    monkeypatch.setattr(cli, "seifert_matrix", counted)
+    monkeypatch.setattr(invariants, "seifert_matrix", counted)
+    status, out, _ = run(capsys, "invariants", "--json", "--code", "1,2,3,4,1,2,3,4")
+    assert status == 0
+    payload = json.loads(out)
+    assert payload["signature"] == 2 and payload["determinant"] == 3
+    assert len(calls) == 1
+
+
 def test_flatten_missing_file(capsys):
     status, _, err = run(capsys, "flatten", "--diagram", "does-not-exist.txt")
     assert status == 1

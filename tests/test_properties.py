@@ -5,19 +5,30 @@ conftest, on Seifert matrices of generated codes and on generated integer
 matrices that are not triangular, as flattened diagrams can produce.  The
 matrix families are chosen to reach each path of the pivoted Z[t] Bareiss
 elimination: unit pivots with row and column swaps and row negation, pivots
-that are never units, and a zero trailing block.  The parsers are fuzzed
-with text that mixes their syntax with digits they must refuse.
+that are never units, and a zero trailing block.  Flattening is compared
+with the independent boundary-trace oracle on generated diagrams.  The
+parsers are fuzzed with text that mixes their syntax with digits they must
+refuse.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractions import Fraction
+
 from flatbasket import alexander, parse_code, parse_matching, parse_polynomial
 from flatbasket import pencil_determinant, seifert_matrix
-from flatbasket.codes import FlatBasketCode, rotated
+from flatbasket.codes import FlatBasketCode, boundary_components, rotated, underlying
 from flatbasket.errors import FlatBasketError
+from flatbasket.pushdown import (
+    RectilinearDiagram,
+    diagram_boundary_components,
+    flatten,
+    validate_diagram,
+)
 from flatbasket.search import _mirror_word
 from flatbasket.seifert import SeifertMatrix
+from boundary_oracle import boundary_alexander
 from conftest import leibniz_pencil_det
 
 # derandomized and without an example database, so runs are reproducible
@@ -109,6 +120,40 @@ def test_alexander_invariant_under_rotation_and_mirror(code, shift):
     assert alexander(rotated(code, shift)).normalized == base
     mirror = FlatBasketCode(_mirror_word(code.word, code.n))
     assert alexander(mirror, checked=True).normalized == base
+
+
+@st.composite
+def staircase_diagrams(draw, max_bands: int = 4, max_xlines: int = 3):
+    """Bands that alternate up and across, each with 1..max_xlines x-lines;
+    every column and every height is distinct, which makes the diagram
+    valid."""
+    bands = draw(st.integers(1, max_bands))
+    counts = draw(st.lists(st.integers(1, max_xlines), min_size=bands, max_size=bands))
+    columns = iter(draw(st.permutations(range(1, sum(counts) + len(counts) + 1))))
+    heights = iter(draw(st.permutations(range(1, sum(counts) + 1))))
+    paths = []
+    for k in counts:
+        cols = [next(columns) for _ in range(k + 1)]
+        verts = [(cols[0], 0)]
+        for j in range(k):
+            level = next(heights)
+            verts += [(cols[j], level), (cols[j + 1], level)]
+        verts.append((cols[k], 0))
+        paths.append(tuple((Fraction(x), Fraction(y)) for x, y in verts))
+    return RectilinearDiagram(tuple(paths))
+
+
+# about one generated diagram in nine bounds a knot, so more examples are
+# drawn here: 200 reach 23 knots
+@settings(PROPERTY, max_examples=200)
+@given(staircase_diagrams())
+def test_flatten_matches_boundary_oracle(diagram):
+    validate_diagram(diagram)
+    code = flatten(diagram)
+    boundary = diagram_boundary_components(diagram)
+    assert boundary_components(underlying(code)) == boundary
+    if boundary == 1:
+        assert alexander(code).normalized == boundary_alexander(diagram)
 
 
 # Parser syntax mixed with what the parsers must refuse: digits of other

@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from flatbasket import alexander, normalize_alexander, parse_code, seifert_matrix
+from flatbasket import alexander, normalize_alexander, parse_code, pushdown, seifert_matrix
 from flatbasket.errors import (
     DuplicateColumn,
     DuplicateHeight,
@@ -81,6 +81,82 @@ def test_endpoint_crossing_rejected():
         _check_crossings(touching)
 
 
+def _reference_check_crossings(diagram: RectilinearDiagram) -> None:
+    """The crossing test written directly on Fraction coordinates."""
+    xlines = []
+    ylines = []
+    for bi, band in enumerate(diagram.bands):
+        for k in range(len(band) - 1):
+            a, b = band[k], band[k + 1]
+            if a[0] == b[0]:
+                ylines.append((bi, k, a[0], min(a[1], b[1]), max(a[1], b[1])))
+            else:
+                xlines.append((bi, k, a[1], min(a[0], b[0]), max(a[0], b[0])))
+    for bi, ki, y, xl, xr in xlines:
+        for bj, kj, x, ylo, yhi in ylines:
+            if bi == bj and abs(ki - kj) == 1:
+                continue
+            if xl <= x <= xr and ylo <= y <= yhi:
+                if not (xl < x < xr and ylo < y < yhi):
+                    raise EndpointCrossing(
+                        f"crossing touches a segment endpoint at ({x},{y})"
+                    )
+
+
+def _crossing_outcome(check, diagram):
+    try:
+        check(diagram)
+    except EndpointCrossing as exc:
+        return str(exc)
+    return None
+
+
+def _assert_crossing_checks_agree(diagram):
+    expected = _crossing_outcome(_reference_check_crossings, diagram)
+    assert _crossing_outcome(pushdown._check_crossings, diagram) == expected
+    return expected
+
+
+def test_rank_crossing_check_matches_fraction_reference_on_pushed_diagrams():
+    for path in corpus_paths():
+        result = flatten_trace(parse_diagram(path.read_text()))
+        assert _assert_crossing_checks_agree(result.final) is None
+    pushed = push_down(parse_diagram(VALLEY), 1, (Fraction(2), Fraction(5, 2)))
+    assert any(x.denominator > 1 for band in pushed.bands for x, _ in band)
+    assert _assert_crossing_checks_agree(pushed) is None
+
+
+def test_rank_crossing_check_matches_fraction_reference_on_touches():
+    touching = parse_diagram("1,0; 1,2; 4,2; 4,0\n2,0; 2,2; 3,2; 3,0")
+    assert _assert_crossing_checks_agree(touching) is not None
+    # a y-line at a fractional column ends on an x-line
+    fractional = parse_diagram("1,0; 1,2; 4,2; 4,0\n3/2,0; 3/2,2; 5,2; 5,0")
+    message = _assert_crossing_checks_agree(fractional)
+    assert message is not None and "(3/2,2)" in message
+
+
+def test_rank_crossing_check_matches_fraction_reference_on_a_small_grid():
+    # staircase bands on a grid of halves, where contacts are frequent
+    import random
+
+    rng = random.Random(20261018)
+    grid = [Fraction(k, 2) for k in range(1, 9)]
+    touches = 0
+    for _ in range(300):
+        bands = []
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randint(1, 3)
+            cols = [rng.choice(grid) for _ in range(k + 1)]
+            levels = [rng.choice(grid) for _ in range(k)]
+            verts = [(cols[0], Fraction(0))]
+            for j in range(k):
+                verts += [(cols[j], levels[j]), (cols[j + 1], levels[j])]
+            verts.append((cols[k], Fraction(0)))
+            bands.append(tuple(verts))
+        touches += _assert_crossing_checks_agree(RectilinearDiagram(tuple(bands))) is not None
+    assert 30 <= touches <= 270
+
+
 def test_foot_violations_rejected():
     with pytest.raises(FootOrderViolation):
         validate_diagram(parse_diagram("1,1; 1,2; 2,2; 2,0"))
@@ -101,6 +177,27 @@ def test_parse_and_format_round_trip():
     diagram = parse_diagram(VALLEY)
     again = parse_diagram(diagram_to_text(diagram))
     assert again == diagram
+
+
+def test_parse_reads_ascii_integers_and_fractions():
+    diagram = parse_diagram("-1/2,0; -1/2,+3; 7/3,3; 7/3,0")
+    assert diagram.bands[0][2] == (Fraction(7, 3), Fraction(3))
+    assert parse_diagram(diagram_to_text(diagram)) == diagram
+    longest = "9" * 4300
+    (band,) = parse_diagram(f"1,0; 1,{longest}; 2,{longest}; 2,0").bands
+    assert band[1][1] == int(longest)
+
+
+@pytest.mark.parametrize(
+    "coordinate",
+    ["1e2000000", "1E5", "1.5", ".5", "1_0", "\u0661", "\uff13", "\u00b2",
+     "3/", "/2", "1/-2", "1/0", "nan", "inf", "0x10", "9" * 4301,
+     "1/" + "9" * 4301],
+)
+def test_parse_rejects_other_coordinate_syntax(coordinate):
+    with pytest.raises(MalformedDiagram) as info:
+        parse_diagram(f"1,0; 1,{coordinate}; 2,{coordinate}; 2,0")
+    assert len(str(info.value)) < 100
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +324,51 @@ def test_flatten_hopf_curl_keeps_delta():
     )
     assert str(oracle.normalized) == "t - 1"
     assert str(alexander(flatten(diagram)).normalized) == "t - 1"
+
+
+def _count_validations(monkeypatch) -> list[int]:
+    calls = [0]
+    real = pushdown.validate_diagram
+
+    def counted(diagram):
+        calls[0] += 1
+        real(diagram)
+
+    monkeypatch.setattr(pushdown, "validate_diagram", counted)
+    return calls
+
+
+def test_flatten_validates_each_diagram_once(monkeypatch):
+    calls = _count_validations(monkeypatch)
+    pushes = 0
+    for path in corpus_paths():
+        diagram = parse_diagram(path.read_text())
+        calls[0] = 0
+        result = flatten_trace(diagram)
+        assert calls[0] == 1 + len(result.steps), path.name
+        pushes += len(result.steps)
+    assert pushes > 0
+
+
+def test_public_surgery_and_read_off_validate_their_input():
+    # column 4 is used twice; the valley's x-line at y=1 is still eligible
+    invalid = parse_diagram(VALLEY + "\n4,0; 4,6; 5,6; 5,0")
+    with pytest.raises(DuplicateColumn):
+        push_down(invalid, 1)
+    with pytest.raises(DuplicateColumn):
+        push_down(invalid, 1, (Fraction(2), Fraction(3)))
+    two_flat_arches_one_height = parse_diagram("1,0; 1,1; 2,1; 2,0\n3,0; 3,1; 4,1; 4,0")
+    with pytest.raises(DuplicateHeight):
+        read_off_code(two_flat_arches_one_height)
+
+
+def test_corrupted_surgery_result_is_rejected(monkeypatch):
+    # a connector foot on an occupied column must fail the result's validation
+    monkeypatch.setattr(pushdown, "_fresh_left", lambda occupied, x: min(occupied))
+    with pytest.raises(DuplicateColumn):
+        flatten_trace(parse_diagram(VALLEY))
+    with pytest.raises(DuplicateColumn):
+        push_down(parse_diagram(VALLEY), 1)
 
 
 # ---------------------------------------------------------------------------
