@@ -184,7 +184,7 @@ def _cmd_passclass(args) -> int:
 
 def _cmd_orbit_check(args) -> int:
     diagram = parse_matching(args.matching)
-    report = orbit_invariant_check(diagram, cap=args.cap)
+    report = orbit_invariant_check(diagram)
     _emit(
         {
             "arf_values": list(report.arf_values),
@@ -254,7 +254,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    histogram = census(args.bands, cap=args.cap, jobs=args.jobs)
+    histogram = census(args.bands, jobs=args.jobs)
     items = sorted(histogram.items(), key=lambda kv: (len(kv[0].coeffs), kv[0].coeffs))
     if args.json:
         print(
@@ -329,11 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "bound":
             p.add_argument("--genus", type=int, default=None, help="three genus")
 
-    p = add("orbit-check", _cmd_orbit_check, "Arf constancy over a labeling orbit")
+    p = add("orbit-check", _cmd_orbit_check, "Arf constancy over a labeling orbit, n <= 8")
     p.add_argument(
         "--matching", required=True, help="paired word, e.g. 1,2,1,2"
     )
-    p.add_argument("--cap", type=int, default=8, help="orbit size cap")
 
     p = add("flatten", _cmd_flatten, "flatten a rectilinear band diagram")
     p.add_argument("--diagram", required=True, help="diagram file")
@@ -348,9 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--store", help="append-only result store path")
 
-    p = add("census", _cmd_census, "histogram of knot polynomials")
+    p = add("census", _cmd_census, "histogram of knot polynomials, n <= 6")
     p.add_argument("-n", "--bands", type=_positive_int, required=True)
-    p.add_argument("--cap", type=_positive_int, default=6)
     p.add_argument("--jobs", type=_positive_int, default=1)
 
     p = add("verify-table", _cmd_verify_table, "verify the bundled knot table")

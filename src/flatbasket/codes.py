@@ -26,6 +26,7 @@ from .errors import (
     InvariantViolation,
     MalformedCode,
     NonContiguousLabels,
+    _excerpt,
 )
 
 __all__ = [
@@ -65,11 +66,11 @@ class FlatBasketCode:
         counts = Counter(word)
         bad = sorted(x for x, c in counts.items() if c != 2)
         if bad:
-            raise MalformedCode(f"labels {bad} do not occur exactly twice")
+            listed = _excerpt(",".join(map(str, bad)))
+            raise MalformedCode(f"{len(bad)} labels do not occur exactly twice: {listed}")
         if set(counts) != set(range(1, n + 1)):
-            raise NonContiguousLabels(
-                f"labels {sorted(counts)} are not exactly 1..{n}"
-            )
+            listed = _excerpt(",".join(map(str, sorted(counts))))
+            raise NonContiguousLabels(f"labels {listed} are not exactly 1..{n}")
 
     @property
     def n(self) -> int:
@@ -135,6 +136,17 @@ class UnderlyingDiagram:
             chord_at[p - 1] = chord_at[q - 1] = idx
         return tuple(chord_at)
 
+    @cached_property
+    def crossings(self) -> tuple[tuple[int, int], ...]:
+        """First feet (0-based) of each interleaving chord pair, earlier chord first."""
+        pairs = self.pairs()
+        return tuple(
+            (pa - 1, pb - 1)
+            for a, (pa, qa) in enumerate(pairs)
+            for pb, qb in pairs[a + 1:]
+            if pb < qa < qb
+        )
+
 
 @dataclass(frozen=True)
 class SurfaceStats:
@@ -159,7 +171,7 @@ def _tokens(text: str, what: str) -> list[str]:
         raise EmptyInput(f"no tokens in {what} text")
     for tok in tokens:
         if not (tok.isascii() and tok.isdigit()):
-            raise MalformedCode(f"token {tok!r} is not a positive integer")
+            raise MalformedCode(f"token {_excerpt(tok)} is not a positive integer")
     return tokens
 
 
@@ -176,7 +188,7 @@ def parse_code(text: str) -> FlatBasketCode:
         except ValueError as exc:  # longer than Python's int-conversion limit
             raise MalformedCode(f"token of {len(tok)} digits is too long") from exc
         if label == 0:
-            raise MalformedCode(f"token {tok!r} is not a positive integer")
+            raise MalformedCode(f"token {_excerpt(tok)} is not a positive integer")
         word.append(label)
     return FlatBasketCode(tuple(word))
 
@@ -191,7 +203,10 @@ def parse_matching(text: str) -> UnderlyingDiagram:
     counts = Counter(tokens)
     bad = sorted(t for t, c in counts.items() if c != 2)
     if bad:
-        raise MalformedCode(f"matching tokens {bad} do not occur exactly twice")
+        listed = _excerpt(",".join(bad))
+        raise MalformedCode(
+            f"{len(bad)} matching tokens do not occur exactly twice: {listed}"
+        )
     label: dict[str, int] = {}
     for tok in tokens:
         label.setdefault(tok, len(label) + 1)
@@ -254,12 +269,7 @@ def rotated(code: FlatBasketCode, k: int) -> FlatBasketCode:
 
 def is_canonical_word(word: tuple[int, ...]) -> bool:
     """True when ``word`` is the lexicographically least of its rotations."""
-    m = len(word)
-    doubled = word + word
-    for k in range(1, m):
-        if doubled[k:k + m] < word:
-            return False
-    return True
+    return canonical_word(word) == word
 
 
 def canonical_word(word: tuple[int, ...]) -> tuple[int, ...]:

@@ -9,6 +9,13 @@ class FlatBasketError(Exception):
     """Base class of all domain errors raised by this package."""
 
 
+def _excerpt(text: str, width: int = 24) -> str:
+    """``repr`` of text cut to ``width`` characters, so errors stay one short line."""
+    if len(text) <= width:
+        return repr(text)
+    return f"{text[:width]!r}... ({len(text)} characters)"
+
+
 class InvariantViolation(FlatBasketError):
     """A mathematical invariant checked at run time failed (internal bug)."""
 
@@ -58,7 +65,7 @@ class GenusContradiction(FlatBasketError):
 # --- pass classification ------------------------------------------------------
 
 class OrbitTooLarge(FlatBasketError):
-    """Band count exceeds the configured cap for orbit enumeration."""
+    """Band count exceeds the fixed cap for orbit enumeration."""
 
 
 # --- rectilinear diagrams ------------------------------------------------------
@@ -90,7 +97,7 @@ class SiteNotEligible(FlatBasketError):
 # --- search ---------------------------------------------------------------------
 
 class CapExceeded(FlatBasketError):
-    """Exhaustive enumeration requested above the configured band cap."""
+    """Exhaustive enumeration requested above the fixed band cap."""
 
 
 class StoreMismatch(FlatBasketError):
@@ -105,7 +112,3 @@ class ParseError(FlatBasketError):
 
 class MissingReference(FlatBasketError):
     """No reference polynomial is available for a table row."""
-
-
-class UsageError(FlatBasketError):
-    """Command line was syntactically valid but semantically unusable."""

@@ -32,7 +32,7 @@ from functools import lru_cache
 from math import gcd
 
 from .codes import FlatBasketCode, surface_stats
-from .errors import MalformedCode, MethodDisagreement, NotAKnot, UnexpectedResidue
+from .errors import MalformedCode, MethodDisagreement, NotAKnot, UnexpectedResidue, _excerpt
 from .seifert import SeifertMatrix, seifert_matrix
 
 __all__ = [
@@ -231,13 +231,6 @@ _TERM = re.compile(
 
 # ASCII only: ``\d`` and ``int`` also read other scripts' digits and ``_``.
 _COEFF = re.compile(r"[+-]?[0-9]+")
-
-
-def _excerpt(text: str, width: int = 24) -> str:
-    """``repr`` of text cut to ``width`` characters, so errors stay one short line."""
-    if len(text) <= width:
-        return repr(text)
-    return f"{text[:width]!r}... ({len(text)} characters)"
 
 
 def parse_polynomial(text: str) -> IntPolynomial:

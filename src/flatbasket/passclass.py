@@ -26,7 +26,7 @@ from .invariants import alexander, arf_from_determinant, determinant_from_alexan
 
 __all__ = ["PassClass", "OrbitReport", "pass_class", "labeling_orbit", "orbit_invariant_check"]
 
-DEFAULT_ORBIT_CAP = 8
+ORBIT_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -73,27 +73,24 @@ def _orbit_words(diagram: UnderlyingDiagram):
         yield tuple(perm[c] for c in chord_at)
 
 
-def labeling_orbit(
-    diagram: UnderlyingDiagram, cap: int = DEFAULT_ORBIT_CAP
-) -> list[FlatBasketCode]:
+def labeling_orbit(diagram: UnderlyingDiagram) -> list[FlatBasketCode]:
     """All page labelings of a chord diagram, canonicalized and deduplicated.
 
     Elements share the drawn chord diagram (the pairing up to basepoint
-    rotation); they are returned sorted for determinism.
+    rotation); they are returned sorted for determinism.  At most
+    ``ORBIT_CAP`` bands, so at most 8! labelings.
     """
-    if diagram.n > cap:
-        raise OrbitTooLarge(f"{diagram.n} bands exceeds the orbit cap {cap}")
+    if diagram.n > ORBIT_CAP:
+        raise OrbitTooLarge(f"{diagram.n} bands exceeds the orbit cap {ORBIT_CAP}")
     seen = {canonicalize(FlatBasketCode(w)).word for w in _orbit_words(diagram)}
     return [FlatBasketCode(w) for w in sorted(seen)]
 
 
-def orbit_invariant_check(
-    diagram: UnderlyingDiagram, cap: int = DEFAULT_ORBIT_CAP
-) -> OrbitReport:
+def orbit_invariant_check(diagram: UnderlyingDiagram) -> OrbitReport:
     """Check that Arf is constant over the labeling orbit of a knot diagram."""
     if boundary_components(diagram) != 1:
         raise NotAKnot("orbit check needs a single boundary component")
-    orbit = labeling_orbit(diagram, cap=cap)
+    orbit = labeling_orbit(diagram)
     values = sorted({_knot_arf(code) for code in orbit})
     return OrbitReport(
         arf_values=tuple(values),

@@ -38,8 +38,8 @@ from .errors import (
     InvariantViolation,
     MalformedDiagram,
     SiteNotEligible,
+    _excerpt,
 )
-from .invariants import _excerpt
 
 __all__ = [
     "RectilinearDiagram",

@@ -7,8 +7,9 @@ label 1 to the chord at position 0 are tried, and a labeled word is kept
 exactly when it is the lexicographic minimum of its rotations; since every
 canonical word arises unrotated from exactly one labeling of exactly one
 matching, summing over matchings counts every canonical code once.  The
-matching's interleaving chord pairs give each labeling's Seifert matrix,
-which Delta and the signature share; ``census`` computes Delta only.
+matching's interleaving chord pairs give each labeling's Seifert matrix
+through the one rule in :mod:`seifert`, which Delta and the signature share;
+``census`` computes Delta only, for at most ``CENSUS_CAP`` bands.
 
 Work is partitioned by matching across processes; the merged result is
 sorted by code word, so output is identical for any worker count.
@@ -41,6 +42,7 @@ from .invariants import (
     determinant_from_alexander,
     normalize_alexander,
 )
+from .seifert import _seifert_rows
 
 __all__ = [
     "SearchQuery",
@@ -53,7 +55,7 @@ __all__ = [
     "write_store",
 ]
 
-DEFAULT_CENSUS_CAP = 6
+CENSUS_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -145,44 +147,6 @@ def _canonical_words(matching: UnderlyingDiagram) -> list[tuple[int, ...]]:
     return out
 
 
-def _chord_crossings(matching: UnderlyingDiagram) -> list[tuple[int, int]]:
-    """First feet (0-based) of each interleaving chord pair, earlier chord first."""
-    pairs = matching.pairs()
-    return [
-        (pa - 1, pb - 1)
-        for a, (pa, qa) in enumerate(pairs)
-        for pb, qb in pairs[a + 1:]
-        if pb < qa < qb
-    ]
-
-
-def _seifert_rows(word: tuple[int, ...], crossings) -> list[list[int]]:
-    """Seifert matrix rows of one labeling, as :func:`seifert.seifert_matrix`:
-    crossing chords labeled x (first foot earlier) and y give v[y][x] = -1
-    when x < y and v[x][y] = +1 otherwise."""
-    n = len(word) // 2
-    rows = [[0] * n for _ in range(n)]
-    for pa, pb in crossings:
-        x, y = word[pa], word[pb]
-        if x < y:
-            rows[y - 1][x - 1] = -1
-        else:
-            rows[x - 1][y - 1] = 1
-    return rows
-
-
-def _labelings(matchings: list[UnderlyingDiagram], knots_only: bool):
-    """(bands, boundary count, crossings, canonical words) per matching.
-
-    The matchings come from :func:`enumerate_matchings` with the same
-    ``knots_only``, which has already walked the boundary of each knot
-    matching, so only an unfiltered run walks it here.
-    """
-    for matching in matchings:
-        b = 1 if knots_only else boundary_components(matching)
-        yield matching.n, b, _chord_crossings(matching), _canonical_words(matching)
-
-
 def _mirror_word(word: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(n + 1 - x for x in reversed(word))
 
@@ -214,10 +178,19 @@ def _records_for_matchings(
     target_coeffs: tuple[int, ...] | None,
     dedup_mirror: bool,
 ) -> list[SearchRecord]:
+    """Records of every kept code of the matchings.
+
+    The matchings come from :func:`enumerate_matchings` with the same
+    ``knots_only``, which has already walked the boundary of each knot
+    matching, so only an unfiltered run walks it here.
+    """
     out = []
-    for n, b, crossings, words in _labelings(matchings, knots_only):
+    for matching in matchings:
+        n = matching.n
+        b = 1 if knots_only else boundary_components(matching)
         genus = surface_genus(n, b)
-        for word in words:
+        crossings = matching.crossings
+        for word in _canonical_words(matching):
             if dedup_mirror:
                 mirror = canonical_word(_mirror_word(word, n))
                 if mirror < word:
@@ -243,9 +216,10 @@ def _records_for_matchings(
 def _census_for_matchings(matchings: list[UnderlyingDiagram]) -> dict[IntPolynomial, int]:
     """Histogram of normalized knot Delta: Delta only, no signature, no record."""
     out: dict[IntPolynomial, int] = {}
-    for _, b, crossings, words in _labelings(matchings, knots_only=True):
-        for word in words:
-            delta, _, _ = _checked_delta(word, _seifert_rows(word, crossings), b)
+    for matching in matchings:
+        crossings = matching.crossings
+        for word in _canonical_words(matching):
+            delta, _, _ = _checked_delta(word, _seifert_rows(word, crossings), 1)
             key = delta.normalized
             out[key] = out.get(key, 0) + 1
     return out
@@ -289,15 +263,16 @@ def search(query: SearchQuery) -> list[SearchRecord]:
     return records
 
 
-def census(n: int, cap: int = DEFAULT_CENSUS_CAP, jobs: int = 1) -> dict[IntPolynomial, int]:
+def census(n: int, jobs: int = 1) -> dict[IntPolynomial, int]:
     """Histogram of normalized Alexander polynomials over all canonical knot
-    codes with n bands.
+    codes with n <= ``CENSUS_CAP`` bands.
 
     Only Delta is computed.  Keys come in the order their first code is
-    reached in matching order, the same for any ``jobs``.
+    reached in matching order, the same for any ``jobs``.  The cap is fixed:
+    n = 7 has no knot codes and n = 8 is about 5e9 of them.
     """
-    if n > cap:
-        raise CapExceeded(f"census for {n} bands exceeds the cap {cap}")
+    if n > CENSUS_CAP:
+        raise CapExceeded(f"census for {n} bands exceeds the cap {CENSUS_CAP}")
     matchings = list(enumerate_matchings(n, knots_only=True))
     out: dict[IntPolynomial, int] = {}
     for part in _map_matchings(_census_for_matchings, matchings, jobs):

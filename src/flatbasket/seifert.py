@@ -7,17 +7,20 @@ the linking number of the pushed-off cycles depends only on that order:
 
     i j i j  ->  v[j][i] = -1        (chords interleave, i first)
     j i j i  ->  v[j][i] = +1        (chords interleave, j first)
-    all nested or disjoint orders -> 0
+    i i j j, j j i i  ->  0          (disjoint chords)
+    i j j i, j i i j  ->  0          (nested chords)
 
 and v[i][j] = 0 whenever i <= j, so the matrix is strictly lower triangular
-with entries in {-1, 0, 1}.
+with entries in {-1, 0, 1}.  Only interleaving pairs count, so the rule reads
+the matching's crossings (:attr:`UnderlyingDiagram.crossings`), and the
+labels orient each one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import FlatBasketCode
+from .codes import FlatBasketCode, underlying
 
 __all__ = ["SeifertMatrix", "seifert_matrix", "symmetrized", "format_rows"]
 
@@ -46,19 +49,25 @@ def format_rows(rows: tuple[tuple[int, ...], ...]) -> str:
     return "\n".join(" ".join(str(x).rjust(width) for x in row) for row in rows)
 
 
+def _seifert_rows(word: tuple[int, ...], crossings) -> list[list[int]]:
+    """The six-case rule on one labeling of a matching with these crossings:
+    crossing chords labeled x (first foot earlier) and y give v[y][x] = -1
+    when x < y and v[x][y] = +1 otherwise."""
+    n = len(word) // 2
+    rows = [[0] * n for _ in range(n)]
+    for pa, pb in crossings:
+        x, y = word[pa], word[pb]
+        if x < y:
+            rows[y - 1][x - 1] = -1
+        else:
+            rows[x - 1][y - 1] = 1
+    return rows
+
+
 def seifert_matrix(code: FlatBasketCode) -> SeifertMatrix:
     """Seifert matrix of the basket presented by ``code``."""
-    n = code.n
-    feet = code.foot_positions
-    rows = [[0] * n for _ in range(n)]
-    for j in range(2, n + 1):
-        pj, qj = feet[j]
-        for i in range(1, j):
-            pi, qi = feet[i]
-            inside = (pi < pj < qi) + (pi < qj < qi)
-            if inside == 1:  # chords cross
-                rows[j - 1][i - 1] = -1 if pi < pj else 1
-    return SeifertMatrix(tuple(tuple(r) for r in rows))
+    rows = _seifert_rows(code.word, underlying(code).crossings)
+    return SeifertMatrix(tuple(map(tuple, rows)))
 
 
 def symmetrized(matrix: SeifertMatrix) -> tuple[tuple[int, ...], ...]:

@@ -97,6 +97,37 @@ def test_polynomial_errors_name_a_short_excerpt(capsys):
         assert err.startswith("error: ") and len(err.encode()) < 200, err[:300]
 
 
+def test_errors_on_long_inputs_stay_short(capsys):
+    # 3,000 labels: each message gives a count and a short excerpt
+    once = ",".join(map(str, range(1, 3001)))
+    shifted = ",".join(map(str, list(range(2, 3002)) * 2))
+    for argv, says in (
+        (("alexander", "--code", "1," + "x" * 5000), "token 'xxx"),
+        (("alexander", "--code", once), "3000 labels do not occur exactly twice"),
+        (("alexander", "--code", shifted), "are not exactly 1..3000"),
+        (("orbit-check", "--matching", once), "3000 matching tokens"),
+    ):
+        status, out, err = run(capsys, *argv)
+        assert status == 1 and out == ""
+        assert err.startswith("error: ") and says in err
+        assert len(err.encode()) < 200, err[:300]
+
+
+def test_enumeration_caps_are_fixed(capsys):
+    status, out, _ = run(capsys, "census", "-n", "4", "--cap", "6")
+    assert (status, out) == (2, "")
+    status, out, err = run(capsys, "census", "-n", "7")
+    assert (status, out) == (1, "") and "exceeds the cap 6" in err
+    nine = ",".join(map(str, list(range(1, 10)) * 2))
+    status, out, _ = run(capsys, "orbit-check", "--matching", nine)
+    assert (status, out) == (1, "")
+    ten = ",".join(map(str, list(range(1, 11)) * 2))
+    status, out, err = run(capsys, "orbit-check", "--matching", ten)
+    assert (status, out) == (1, "") and "exceeds the orbit cap 8" in err
+    status, out, _ = run(capsys, "orbit-check", "--matching", "1,2,1,2", "--cap", "9")
+    assert (status, out) == (2, "")
+
+
 def test_dispatch_calls_share_no_state(capsys):
     status, out, _ = run(capsys, "search", "-n", "4", "--no-such-flag")
     assert (status, out) == (2, "")
@@ -203,3 +234,24 @@ def test_verify_table_command(capsys):
     status, out, _ = run(capsys, "verify-table")
     assert status == 0
     assert "84/84 rows pass" in out
+
+
+def test_verify_table_reports_a_row_without_a_bound(tmp_path, capsys):
+    # 2 * genus = 0 < span 2 leaves the bound undefined: that row fails
+    # check (v) and the report goes on
+    table = tmp_path / "table.tsv"
+    table.write_text(
+        "3_1\t(1,2,3,4,1,2,3,4)\t1\t4\n4_1\t(1,2,4,3,1,2,4,3)\t0\t4\n",
+        encoding="utf-8",
+    )
+    status, out, err = run(capsys, "verify-table", "--table", str(table))
+    assert (status, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[0].startswith("ok   3_1 ")
+    assert lines[1].startswith("FAIL 4_1 ") and "GENUS!" in lines[1]
+    assert "BOUND!" in lines[1] and lines[2] == "1/2 rows pass"
+    # a link row: zero polynomial, no bound, KNOT! instead of an abort
+    table.write_text("3_1\t(1,1,2,2)\t1\t2\n", encoding="utf-8")
+    status, out, err = run(capsys, "verify-table", "--table", str(table))
+    assert (status, err) == (1, "")
+    assert out.startswith("FAIL 3_1 ") and "KNOT!" in out

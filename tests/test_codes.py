@@ -88,6 +88,15 @@ def test_underlying_examples():
     )
 
 
+def test_crossings_examples():
+    assert underlying(parse_code("1,2,1,2")).crossings == ((0, 1),)
+    assert underlying(parse_code("1,1,2,2")).crossings == ()
+    assert underlying(parse_code("1,3,1,2,3,2")).crossings == ((0, 1), (1, 3))
+    assert underlying(parse_code("1,2,3,4,1,2,3,4")).crossings == (
+        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+    )
+
+
 def test_boundary_components_examples():
     assert boundary_components(underlying(parse_code("1,1"))) == 2
     assert boundary_components(underlying(parse_code("1,2,1,2"))) == 1

@@ -66,6 +66,10 @@ def test_orbit_cap():
     matching = underlying(parse_code("1,2,3,4,5,6,7,8,9,1,2,3,4,5,6,7,8,9"))
     with pytest.raises(OrbitTooLarge):
         labeling_orbit(matching)
+    # a ten-band knot diagram passes the knot check and stops at the cap
+    knot = parse_matching(",".join(map(str, list(range(1, 11)) * 2)))
+    with pytest.raises(OrbitTooLarge, match="orbit cap 8"):
+        orbit_invariant_check(knot)
 
 
 def test_orbit_check_examples(trefoil_code):

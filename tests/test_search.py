@@ -8,6 +8,7 @@ import pytest
 from flatbasket import parse_code, parse_polynomial, underlying
 from flatbasket import search as search_module
 from flatbasket.codes import FlatBasketCode, canonicalize, is_canonical_word
+from flatbasket.pushdown import code_to_flat_diagram, diagram_seifert_matrix
 from flatbasket.errors import CapExceeded, StoreMismatch
 from flatbasket.search import (
     SearchQuery,
@@ -19,7 +20,7 @@ from flatbasket.search import (
     search,
     write_store,
 )
-from flatbasket.seifert import seifert_matrix
+from flatbasket.seifert import _seifert_rows
 from conftest import all_codes
 
 
@@ -86,13 +87,14 @@ def test_canonical_words_match_brute_force_filter():
 
 
 def test_chord_table_seifert_rows_match_seifert_matrix():
+    # the chord-table rule against crossings counted on the drawn flat diagram
     checked = 0
     for n in range(1, 6):
         for matching in enumerate_matchings(n):
-            crossings = search_module._chord_crossings(matching)
             for word in search_module._canonical_words(matching):
-                rows = search_module._seifert_rows(word, crossings)
-                assert tuple(map(tuple, rows)) == seifert_matrix(FlatBasketCode(word)).rows
+                rows = _seifert_rows(word, matching.crossings)
+                oracle = diagram_seifert_matrix(code_to_flat_diagram(FlatBasketCode(word)))
+                assert tuple(map(tuple, rows)) == oracle, word
                 checked += 1
     assert checked == 1 + 2 + 16 + 318 + 11352  # canonical codes per n
 
@@ -148,6 +150,9 @@ def test_census_small():
 
 
 def test_census_cap():
+    assert search_module.CENSUS_CAP == 6
+    with pytest.raises(CapExceeded):
+        census(7)
     with pytest.raises(CapExceeded):
         census(8)
 

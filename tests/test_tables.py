@@ -63,6 +63,30 @@ def test_table_parse_error(tmp_path):
     assert "3_1" in str(err.value)
 
 
+def test_table_reads_ascii_digits_only(tmp_path):
+    bad = tmp_path / "table.tsv"
+    for row in (
+        "3_1\t(1,2,3,4,1,2,3,4)\t\u0661\t4\n",   # Arabic-Indic genus
+        "3_1\t(1,2,3,4,1,2,3,4)\t1\t\u0664\n",   # Arabic-Indic claim
+        "3_1\t(1,2,3,4,1,2,3,4)\t1_0\t4\n",
+        "3_1\t(1,2,3,4,1,2,3,4)\t1\t" + "9" * 5000 + "\n",
+    ):
+        bad.write_text(row, encoding="utf-8")
+        with pytest.raises(ParseError, match="3_1") as err:
+            load_table(bad)
+        assert len(str(err.value)) < 200
+
+
+def test_references_read_ascii_digits_only(tmp_path):
+    bad = tmp_path / "references.tsv"
+    for coeffs in ("\u0661,-1,1", "1_0,-1,1", "1,x,1"):
+        bad.write_text(f"3_1\t{coeffs}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="row '3_1'"):
+            load_references(bad)
+    bad.write_text("3_1\t1, -1, 1\n", encoding="utf-8")
+    assert load_references(bad)["3_1"].coeffs == (1, -1, 1)
+
+
 def test_missing_reference(tmp_path):
     table = load_table()
     refs = load_references()
