@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diagram", required=True, help="diagram file")
     p.add_argument("--trace", action="store_true", help="print each push-down")
 
-    p = add("search", _cmd_search, "enumerate codes with filters")
+    p = add("search", _cmd_search, "enumerate codes with filters, n <= 6")
     p.add_argument("-n", "--bands", type=_positive_int, required=True)
     p.add_argument("--target", help="Alexander polynomial to match")
     p.add_argument("--knots-only", action="store_true")

@@ -463,12 +463,15 @@ def _pencil_det_eval_interp(rows: tuple[tuple[int, ...], ...]) -> IntPolynomial:
     det(V - t V^T) = (-t)^n det(V - t^-1 V^T) for every square V, so
     c_{n-k} = (-1)^n c_k and the lower half of the coefficients fixes the
     rest.  The solve must come out integral; :class:`MethodDisagreement` is
-    raised when it does not.
+    raised when it does not.  The point x = 0 is V itself, whose determinant
+    is 0 when V is strictly lower triangular, as every code's V is; that is
+    checked on the rows, and any other V is eliminated at every point.
     """
     n = len(rows)
     xs, weights, denom = _half_interp(n)
+    lower = n > 0 and not any(any(row[i:]) for i, row in enumerate(rows))
     ys = [
-        _det_bareiss_int(
+        0 if x == 0 and lower else _det_bareiss_int(
             [[rows[i][j] - x * rows[j][i] for j in range(n)] for i in range(n)]
         )
         for x in xs

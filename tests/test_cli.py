@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs and exit codes."""
 
+import hashlib
 import json
 
 from flatbasket.cli import build_parser, cli_dispatch
@@ -116,8 +117,9 @@ def test_errors_on_long_inputs_stay_short(capsys):
 def test_enumeration_caps_are_fixed(capsys):
     status, out, _ = run(capsys, "census", "-n", "4", "--cap", "6")
     assert (status, out) == (2, "")
-    status, out, err = run(capsys, "census", "-n", "7")
-    assert (status, out) == (1, "") and "exceeds the cap 6" in err
+    for command in ("census", "search"):
+        status, out, err = run(capsys, command, "-n", "7")
+        assert (status, out) == (1, "") and "exceeds the cap 6" in err
     nine = ",".join(map(str, list(range(1, 10)) * 2))
     status, out, _ = run(capsys, "orbit-check", "--matching", nine)
     assert (status, out) == (1, "")
@@ -221,6 +223,27 @@ def test_search_command(tmp_path, capsys):
     assert any(rec["code"] == "1,2,3,4,1,2,3,4" for rec in lines)
     assert "2 records" in err
     assert len(store.read_text().splitlines()) == 2
+
+
+def test_search_store_with_a_non_object_line_is_an_error(tmp_path, capsys):
+    store = tmp_path / "store.jsonl"
+    # valid JSON, but not an object with a string "code"
+    for line in ("5", "[]", "null", '"1,1"', "{}", '{"code": 5}', '{"code": null}'):
+        store.write_text(line + "\n")
+        status, out, err = run(capsys, "search", "-n", "2", "--store", str(store))
+        assert status == 1 and err.startswith("error: ") and ":1: " in err, err
+        assert store.read_text() == line + "\n"
+
+
+def test_census_six_bands_output_is_pinned(capsys):
+    # the whole n = 6 knot census, plain and --json, byte for byte
+    digests = {
+        (): "51231c86843e6ed818dcf32626c478e3694cdbc76c90c0fea23cb9a8006449b2",
+        ("--json",): "61cb24b146e9df2efe562db31fb05c6bce80c7bf7474533cfaf4b1496529f783",
+    }
+    for extra, digest in digests.items():
+        status, out, _ = run(capsys, "census", "-n", "6", *extra)
+        assert (status, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 
 
 def test_census_command(capsys):

@@ -173,6 +173,36 @@ def test_methods_agree_on_seeded_24_band_knots():
     assert _methods_agree(seifert_matrix(code) for code in codes) == 10
 
 
+def test_eval_interp_skips_the_zero_point_only_for_a_triangular_v(monkeypatch):
+    # V at x = 0 is solved only when V is not strictly lower triangular
+    calls = []
+    real = invariants._det_bareiss_int
+
+    def counting(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(invariants, "_det_bareiss_int", counting)
+    rng = random.Random(8)
+    full = 0
+    for n in range(1, 8):
+        v = seifert_matrix(random_code(rng, n))
+        transposed = SeifertMatrix(tuple(zip(*v.rows)))
+        dense = SeifertMatrix(
+            tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n))
+        )
+        for matrix in (v, transposed, dense):
+            upper = any(matrix.rows[i][j] for i in range(n) for j in range(i, n))
+            calls.clear()
+            assert pencil_determinant(matrix, "eval_interp").coeffs == leibniz_pencil_det(
+                matrix
+            )
+            assert len(calls) == (n // 2 + 1 if upper else n // 2), (matrix, calls)
+            full += upper
+        assert not any(v.rows[i][j] for i in range(n) for j in range(i, n))
+    assert full >= 10
+
+
 def test_pencil_rejects_unknown_method(trefoil_code):
     with pytest.raises(ValueError):
         pencil_determinant(seifert_matrix(trefoil_code), "float")

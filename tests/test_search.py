@@ -5,9 +5,24 @@ from itertools import permutations
 
 import pytest
 
-from flatbasket import parse_code, parse_polynomial, underlying
+from flatbasket import (
+    alexander,
+    parse_code,
+    parse_polynomial,
+    pencil_determinant,
+    seifert_matrix,
+    signature,
+    underlying,
+)
 from flatbasket import search as search_module
-from flatbasket.codes import FlatBasketCode, canonicalize, is_canonical_word
+from flatbasket.codes import (
+    FlatBasketCode,
+    boundary_components,
+    canonicalize,
+    is_canonical_word,
+    surface_genus,
+)
+from flatbasket.invariants import arf_from_determinant, determinant_from_alexander
 from flatbasket.pushdown import code_to_flat_diagram, diagram_seifert_matrix
 from flatbasket.errors import CapExceeded, StoreMismatch
 from flatbasket.search import (
@@ -137,6 +152,106 @@ def test_each_matching_is_built_and_walked_once(monkeypatch):
     assert len(walks) == len(builds) == 15
 
 
+def test_equal_orientation_keys_give_equal_pencils_and_signatures():
+    # the label-order V is P^T M P for the chord-order M of the orientation,
+    # so the raw pencil determinant and the signature depend on the key only
+    codes = keys = 0
+    for n in range(1, 6):
+        for matching in enumerate_matchings(n):
+            seen = {}
+            for word in search_module._canonical_words(matching):
+                code = FlatBasketCode(word)
+                values = (pencil_determinant(seifert_matrix(code)), signature(code))
+                key = tuple(word[pa] < word[pb] for pa, pb in matching.crossings)
+                assert seen.setdefault(key, values) == values
+                codes += 1
+            keys += len(seen)
+    assert codes == 1 + 2 + 16 + 318 + 11352
+    assert keys < codes
+
+
+def _reference_records(n):
+    """Per-code records, each built from its own Seifert matrix."""
+    out = []
+    for matching in enumerate_matchings(n):
+        b = boundary_components(matching)
+        for code in enumerate_codes(matching):
+            delta = alexander(code)
+            det = determinant_from_alexander(delta) if b == 1 else None
+            out.append(
+                SearchRecord(
+                    code=code,
+                    boundary=b,
+                    genus=surface_genus(n, b),
+                    delta=delta,
+                    determinant=det,
+                    arf=None if det is None else arf_from_determinant(det),
+                    signature=signature(code),
+                )
+            )
+    return sorted(out, key=lambda r: r.code.word)
+
+
+def test_search_matches_per_code_reference():
+    from flatbasket.codes import canonical_word
+    from flatbasket.search import _mirror_word
+
+    targets = [parse_polynomial(t) for t in ("1", "0", "t^2 - t + 1", "t^2 - 3t + 1")]
+    hits = dict.fromkeys(targets, 0)
+    for n in range(1, 6):
+        full = _reference_records(n)
+        for dedup in (False, True):
+            reference = [
+                r for r in full
+                if not dedup or canonical_word(_mirror_word(r.code.word, n)) >= r.code.word
+            ]
+            assert search(SearchQuery(bands=n, dedup_mirror=dedup)) == reference
+            for target in targets:
+                expected = [r for r in reference if r.delta.normalized == target]
+                found = search(SearchQuery(bands=n, target=target, dedup_mirror=dedup))
+                assert found == expected, (n, dedup, str(target))
+                hits[target] += len(found)
+    assert all(hits.values()), hits
+
+
+def test_pencils_and_signatures_run_once_per_orientation_key(monkeypatch, tmp_path):
+    # a forked worker inherits the wrappers, and each call appends one byte
+    # to a file, so calls made in a pool are counted too
+    def counting(func, path):
+        def wrapper(rows):
+            with path.open("ab") as handle:
+                handle.write(b".")
+            return func(rows)
+
+        return wrapper
+
+    pencils = tmp_path / "pencils"
+    signatures = tmp_path / "signatures"
+    monkeypatch.setattr(
+        search_module,
+        "_pencil_det_eval_interp",
+        counting(search_module._pencil_det_eval_interp, pencils),
+    )
+    monkeypatch.setattr(
+        search_module,
+        "_signature_of_rows",
+        counting(search_module._signature_of_rows, signatures),
+    )
+
+    def calls(path):
+        count = path.stat().st_size if path.exists() else 0
+        path.unlink(missing_ok=True)
+        return count
+
+    for jobs in (1, 2):
+        assert sum(census(4, jobs=jobs).values()) == 66
+        assert (calls(pencils), calls(signatures)) == (48, 0)
+        assert sum(census(6, jobs=jobs).values()) == 89160
+        assert (calls(pencils), calls(signatures)) == (23202, 0)
+        assert len(search(SearchQuery(bands=4, knots_only=True, jobs=jobs))) == 66
+        assert (calls(pencils), calls(signatures)) == (48, 48)
+
+
 def test_census_small():
     two = census(2)
     assert {str(k): v for k, v in two.items()} == {"1": 1}
@@ -149,12 +264,21 @@ def test_census_small():
     )
 
 
-def test_census_cap():
+def test_census_cap(monkeypatch):
     assert search_module.CENSUS_CAP == 6
     with pytest.raises(CapExceeded):
         census(7)
     with pytest.raises(CapExceeded):
         census(8)
+
+    # search checks the cap before it enumerates anything
+    def refuse(*args, **kwargs):
+        raise AssertionError("search enumerated above the cap")
+
+    monkeypatch.setattr(search_module, "enumerate_matchings", refuse)
+    for bands in (7, 8):
+        with pytest.raises(CapExceeded):
+            search(SearchQuery(bands=bands, knots_only=True))
 
 
 def test_search_trefoil_target(trefoil_code):
