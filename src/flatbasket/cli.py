@@ -343,7 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", help="Alexander polynomial to match")
     p.add_argument("--knots-only", action="store_true")
     p.add_argument("--dedup-mirror", action="store_true")
-    p.add_argument("--limit", type=_positive_int, default=None)
+    p.add_argument(
+        "--limit",
+        type=_positive_int,
+        default=None,
+        help="keep only the first LIMIT records of the sorted output, "
+        "printed and stored; the whole search still runs",
+    )
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--store", help="append-only result store path")
 

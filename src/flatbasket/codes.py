@@ -273,10 +273,12 @@ def is_canonical_word(word: tuple[int, ...]) -> bool:
 
 
 def canonical_word(word: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographically least rotation of ``word``."""
+    """Lexicographically least rotation of ``word``: one of those starting
+    at an occurrence of the least letter."""
     m = len(word)
+    low = min(word)
     doubled = word + word
-    return min(doubled[k:k + m] for k in range(m))
+    return min(doubled[k:k + m] for k in range(m) if word[k] == low)
 
 
 def canonicalize(code: FlatBasketCode) -> FlatBasketCode:

@@ -21,6 +21,10 @@ The signature of V + V^T comes from one fraction-free symmetric elimination
 minors of a congruent matrix count the positive and negative eigenvalues,
 with a 2x2 congruence step where the remaining diagonal is zero.  Every
 division in it is checked to be exact.
+
+The knot determinant |Delta(-1)| is |det(V + V^T)|, the pencil at t = -1,
+so it and the Arf invariant come from one integer Bareiss elimination and
+never from the Z[t] pencil.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from math import gcd
 
 from .codes import FlatBasketCode, surface_stats
 from .errors import MalformedCode, MethodDisagreement, NotAKnot, UnexpectedResidue, _excerpt
-from .seifert import SeifertMatrix, seifert_matrix
+from .seifert import SeifertMatrix, _symmetrized_rows, seifert_matrix
 
 __all__ = [
     "IntPolynomial",
@@ -577,7 +581,13 @@ def knot_determinant(code: FlatBasketCode) -> int:
     stats = surface_stats(code)
     if stats.boundary != 1:
         raise NotAKnot(f"{code} bounds {stats.boundary} components")
-    return determinant_from_alexander(alexander(code))
+    return _knot_determinant_of_rows(seifert_matrix(code).rows)
+
+
+def _knot_determinant_of_rows(rows) -> int:
+    """|det(V + V^T)| for the integer matrix rows V: the pencil at t = -1, so
+    |Delta(-1)| exactly, from one integer Bareiss instead of one over Z[t]."""
+    return abs(_det_bareiss_int(_symmetrized_rows(rows)))
 
 
 def arf(code: FlatBasketCode) -> int:
@@ -620,7 +630,7 @@ def _signature_of_rows(rows) -> int:
     is zero, as it is for the singular S of a link.
     """
     n = len(rows)
-    a = [[rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)]
+    a = _symmetrized_rows(rows)
     prev = 1
     total = 0
     for k in range(n):

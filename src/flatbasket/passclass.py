@@ -7,22 +7,31 @@ diagram with its n! page labelings realizes a family of links that are all
 mutually pass-equivalent, so any pass invariant - Arf in particular - must
 be constant on such a labeling orbit.  ``orbit_invariant_check`` tests that
 consequence exhaustively for one diagram.
+
+Arf reads only the knot determinant |Delta(-1)| = |det(V + V^T)|, one
+integer Bareiss elimination, and V + V^T depends on a labeling only through
+the orientation it gives each interleaving chord pair.  So the orbit check
+walks the n! labelings once, keeps the first labeling of each canonical
+code, and takes one integer determinant per orientation key: about 10 ms a
+six-band orbit and under a second for the 8! labelings of an eight-band one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from operator import itemgetter
 
 from .codes import (
     FlatBasketCode,
     UnderlyingDiagram,
     boundary_components,
-    canonicalize,
+    canonical_word,
     surface_stats,
 )
 from .errors import NotAKnot, OrbitTooLarge
-from .invariants import alexander, arf_from_determinant, determinant_from_alexander
+from .invariants import _knot_determinant_of_rows, arf_from_determinant
+from .seifert import _seifert_rows, seifert_matrix
 
 __all__ = ["PassClass", "OrbitReport", "pass_class", "labeling_orbit", "orbit_invariant_check"]
 
@@ -57,20 +66,17 @@ def pass_class(code: FlatBasketCode) -> PassClass:
     """Classify the boundary link of the code's basket up to pass moves."""
     stats = surface_stats(code)
     if stats.boundary == 1:
-        family = "II" if _knot_arf(code) else "I"
+        det = _knot_determinant_of_rows(seifert_matrix(code).rows)
+        family = "II" if arf_from_determinant(det) else "I"
         return PassClass(family=family, components=1, d=None, certainty="exact")
     return PassClass(family=None, components=stats.boundary, d=None, certainty="partial")
 
 
-def _knot_arf(code: FlatBasketCode) -> int:
-    """Arf invariant of a code already known to bound a knot: one Delta."""
-    return arf_from_determinant(determinant_from_alexander(alexander(code)))
-
-
 def _orbit_words(diagram: UnderlyingDiagram):
-    chord_at = diagram.chord_at
-    for perm in permutations(range(1, diagram.n + 1)):
-        yield tuple(perm[c] for c in chord_at)
+    """The n! labeled words of the diagram; the cap is checked before any."""
+    if diagram.n > ORBIT_CAP:
+        raise OrbitTooLarge(f"{diagram.n} bands exceeds the orbit cap {ORBIT_CAP}")
+    return map(itemgetter(*diagram.chord_at), permutations(range(1, diagram.n + 1)))
 
 
 def labeling_orbit(diagram: UnderlyingDiagram) -> list[FlatBasketCode]:
@@ -80,20 +86,36 @@ def labeling_orbit(diagram: UnderlyingDiagram) -> list[FlatBasketCode]:
     rotation); they are returned sorted for determinism.  At most
     ``ORBIT_CAP`` bands, so at most 8! labelings.
     """
-    if diagram.n > ORBIT_CAP:
-        raise OrbitTooLarge(f"{diagram.n} bands exceeds the orbit cap {ORBIT_CAP}")
-    seen = {canonicalize(FlatBasketCode(w)).word for w in _orbit_words(diagram)}
+    seen = {canonical_word(w) for w in _orbit_words(diagram)}
     return [FlatBasketCode(w) for w in sorted(seen)]
 
 
 def orbit_invariant_check(diagram: UnderlyingDiagram) -> OrbitReport:
-    """Check that Arf is constant over the labeling orbit of a knot diagram."""
+    """Check that Arf is constant over the labeling orbit of a knot diagram.
+
+    Each canonical code of the orbit is read once, from the first labeling
+    that reaches it.  That labeling realizes the diagram itself, so its
+    Seifert matrix is P^T M P for the chord-order matrix M of its orientation
+    key (as in the search), and Arf - which reads only det(V + V^T) - is
+    computed once per key, by one integer determinant.
+    """
     if boundary_components(diagram) != 1:
         raise NotAKnot("orbit check needs a single boundary component")
-    orbit = labeling_orbit(diagram)
-    values = sorted({_knot_arf(code) for code in orbit})
+    crossings = diagram.crossings
+    seen: set[tuple[int, ...]] = set()
+    arf_of_key: dict[tuple[bool, ...], int] = {}
+    for word in _orbit_words(diagram):
+        canonical = canonical_word(word)
+        if canonical in seen:
+            continue
+        seen.add(canonical)
+        key = tuple(word[pa] < word[pb] for pa, pb in crossings)
+        if key not in arf_of_key:
+            det = _knot_determinant_of_rows(_seifert_rows(word, crossings))
+            arf_of_key[key] = arf_from_determinant(det)
+    values = sorted(set(arf_of_key.values()))
     return OrbitReport(
         arf_values=tuple(values),
-        orbit_size=len(orbit),
+        orbit_size=len(seen),
         passed=len(values) == 1,
     )

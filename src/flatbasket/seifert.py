@@ -72,8 +72,10 @@ def seifert_matrix(code: FlatBasketCode) -> SeifertMatrix:
 
 def symmetrized(matrix: SeifertMatrix) -> tuple[tuple[int, ...], ...]:
     """V + V^T, the symmetric pairing used for the signature."""
-    n = matrix.n
-    rows = matrix.rows
-    return tuple(
-        tuple(rows[i][j] + rows[j][i] for j in range(n)) for i in range(n)
-    )
+    return tuple(map(tuple, _symmetrized_rows(matrix.rows)))
+
+
+def _symmetrized_rows(rows) -> list[list[int]]:
+    """V + V^T for the square integer matrix rows V, as fresh mutable rows."""
+    n = len(rows)
+    return [[rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)]

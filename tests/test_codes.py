@@ -129,6 +129,16 @@ def test_canonicalize_idempotent_and_rotation_invariant():
             assert canonicalize(rotated(code, k)) == canonical
 
 
+def test_canonical_word_is_least_rotation():
+    from conftest import all_codes
+    from flatbasket.codes import canonical_word
+
+    words = [code.word for n in (1, 2, 3, 4) for code in all_codes(n)]
+    words += [(3, 1, 2, 1, 1), (2, 2, 2), (5,), (1, 2, 1, 1, 2, 1, 1)]
+    for word in words:
+        assert canonical_word(word) == min(word[k:] + word[:k] for k in range(len(word)))
+
+
 def test_relabel_examples(trefoil_code):
     assert relabel(parse_code("1,2,1,2"), (2, 1)).word == (1, 2, 1, 2)
     assert relabel(trefoil_code, (4, 3, 2, 1)).word == (1, 4, 3, 2, 1, 4, 3, 2)

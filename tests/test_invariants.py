@@ -24,7 +24,7 @@ from flatbasket import (
 )
 from flatbasket import invariants
 from flatbasket.errors import MalformedCode, MethodDisagreement, NotAKnot
-from flatbasket.invariants import MAX_EXPONENT
+from flatbasket.invariants import MAX_EXPONENT, determinant_from_alexander
 from flatbasket.pushdown import diagram_seifert_matrix, parse_diagram
 from flatbasket.search import enumerate_codes, enumerate_matchings
 from flatbasket.seifert import SeifertMatrix, symmetrized
@@ -243,6 +243,22 @@ def test_knot_determinant_examples(trefoil_code, figure_eight_code):
     assert knot_determinant(parse_code("1,2,1,2")) == 1
     with pytest.raises(NotAKnot):
         knot_determinant(parse_code("1,1"))
+
+
+def test_knot_determinant_matches_alexander_route():
+    codes = [record.code for record in load_table()]
+    assert len(codes) == 84
+    codes += [
+        code
+        for n in (1, 2, 3, 4)
+        for matching in enumerate_matchings(n, knots_only=True)
+        for code in enumerate_codes(matching)
+    ]
+    for code in codes:
+        expected = determinant_from_alexander(alexander(code, checked=True))
+        assert knot_determinant(code) == expected, code
+    with pytest.raises(NotAKnot):
+        knot_determinant(parse_code("1,1,2,2"))
 
 
 def test_arf_examples(trefoil_code, figure_eight_code):

@@ -1,10 +1,18 @@
 """Pass classification and Arf constancy over labeling orbits."""
 
+from itertools import islice, permutations
+
 import pytest
 
 from flatbasket import parse_code, parse_matching, underlying
 from flatbasket.errors import NotAKnot, OrbitTooLarge
-from flatbasket.passclass import labeling_orbit, orbit_invariant_check, pass_class
+from flatbasket.invariants import alexander, arf_from_determinant, determinant_from_alexander
+from flatbasket.passclass import (
+    OrbitReport,
+    labeling_orbit,
+    orbit_invariant_check,
+    pass_class,
+)
 from flatbasket.search import enumerate_matchings
 
 
@@ -89,25 +97,89 @@ def test_arf_constant_on_all_n4_knot_orbits():
         assert orbit_invariant_check(matching).passed
 
 
+def _count_calls(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    calls[name] = 0
+    monkeypatch.setattr(module, name, counted)
+
+
 def test_one_boundary_walk_and_one_delta_per_code(monkeypatch, trefoil_code):
-    from flatbasket import codes, passclass
+    from flatbasket import codes, invariants, passclass
 
-    calls = {"walk": 0, "delta": 0}
-    walk, delta = codes.boundary_components, passclass.alexander
-
-    def counted_walk(diagram):
-        calls["walk"] += 1
-        return walk(diagram)
-
-    def counted_delta(code, *args, **kwargs):
-        calls["delta"] += 1
-        return delta(code, *args, **kwargs)
-
-    monkeypatch.setattr(codes, "boundary_components", counted_walk)
-    monkeypatch.setattr(passclass, "boundary_components", counted_walk)
-    monkeypatch.setattr(passclass, "alexander", counted_delta)
+    calls = {}
+    _count_calls(monkeypatch, codes, "boundary_components", calls)
+    monkeypatch.setattr(passclass, "boundary_components", codes.boundary_components)
+    _count_calls(monkeypatch, invariants, "_det_bareiss_int", calls)
+    _count_calls(monkeypatch, invariants, "_det_bareiss_poly", calls)
     assert pass_class(trefoil_code).family == "II"
-    assert calls == {"walk": 1, "delta": 1}
-    calls.update(walk=0, delta=0)
-    report = orbit_invariant_check(underlying(trefoil_code))
-    assert calls == {"walk": 1, "delta": report.orbit_size}
+    assert calls == {"boundary_components": 1, "_det_bareiss_int": 1, "_det_bareiss_poly": 0}
+    calls.update(boundary_components=0)
+    orbit_invariant_check(underlying(trefoil_code))
+    assert calls["boundary_components"] == 1
+
+
+def test_orbit_check_one_integer_determinant_per_key(monkeypatch):
+    from flatbasket import invariants
+    from flatbasket.codes import canonical_word
+
+    # a six-band orbit where keys repeat across distinct canonical words
+    matching = next(
+        m for m in enumerate_matchings(6, knots_only=True) if len(m.crossings) == 7
+    )
+    first = {}
+    for perm in permutations(range(1, 7)):
+        word = tuple(perm[c] for c in matching.chord_at)
+        first.setdefault(canonical_word(word), word)
+    keys = {tuple(w[pa] < w[pb] for pa, pb in matching.crossings) for w in first.values()}
+    assert len(keys) < len(first)
+
+    calls = {}
+    _count_calls(monkeypatch, invariants, "_det_bareiss_int", calls)
+    _count_calls(monkeypatch, invariants, "_det_bareiss_poly", calls)
+    report = orbit_invariant_check(matching)
+    assert report.orbit_size == len(first)
+    assert calls == {"_det_bareiss_int": len(keys), "_det_bareiss_poly": 0}
+
+
+def _per_code_rule(matching):
+    """The orbit check as one checked Delta per canonical code of the orbit."""
+    orbit = labeling_orbit(matching)
+    values = sorted(
+        {
+            arf_from_determinant(determinant_from_alexander(alexander(code, checked=True)))
+            for code in orbit
+        }
+    )
+    return OrbitReport(arf_values=tuple(values), orbit_size=len(orbit), passed=len(values) == 1)
+
+
+def test_orbit_check_matches_per_code_rule():
+    matchings = [m for n in (1, 2, 3, 4) for m in enumerate_matchings(n, knots_only=True)]
+    matchings += list(islice(enumerate_matchings(6, knots_only=True), 60))
+    for matching in matchings:
+        assert orbit_invariant_check(matching) == _per_code_rule(matching), matching
+
+
+def test_labeling_orbit_is_sorted_least_rotations():
+    for matching in islice(enumerate_matchings(6), 0, None, 500):
+        words = (tuple(perm[c] for c in matching.chord_at) for perm in permutations(range(1, 7)))
+        expected = sorted({min(w[k:] + w[:k] for k in range(len(w))) for w in words})
+        assert [code.word for code in labeling_orbit(matching)] == expected
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("1,2,3,4,5,6,7,8,1,2,3,4,5,6,7,8", ((0,), 5040)),
+        ("1,2,1,3,4,3,5,6,5,7,8,7,2,4,6,8", ((0,), 40320)),
+    ],
+)
+def test_orbit_check_eight_bands(text, expected):
+    report = orbit_invariant_check(parse_matching(text))
+    assert (report.arf_values, report.orbit_size) == expected
+    assert report.passed
