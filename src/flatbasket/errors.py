@@ -97,7 +97,7 @@ class SiteNotEligible(FlatBasketError):
 # --- search ---------------------------------------------------------------------
 
 class CapExceeded(FlatBasketError):
-    """Exhaustive enumeration requested above the fixed band cap."""
+    """Input above a fixed cap: bands for an enumeration, x-lines for flatten."""
 
 
 class StoreMismatch(FlatBasketError):

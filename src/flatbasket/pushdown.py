@@ -18,12 +18,24 @@ connector).  Each surgery adds two bands (genus +1), keeps the boundary
 link, and strictly decreases the number of ascending ends, so flattening
 terminates.
 
-New feet are placed at fresh fractional columns; only the left-to-right
-order of feet matters for the resulting code.
+New feet go at fresh columns, midway to the nearest occupied column or one
+unit beyond the outermost one; only the left-to-right order of feet matters
+for the resulting code.
+
+:func:`flatten_trace` validates its ``Fraction`` input once and then works
+on one integer grid: every coordinate v becomes v * S with S = D * 2**(3A),
+where D is the lcm of the input's denominators and A its number of
+ascending ends.  A flatten makes at most A push-downs (each removes an
+ascending end) and each takes at most three midpoints (the cut and the two
+connector feet), so every midpoint lands on the grid; each halving is still
+checked.  The surgery is the same code on either number type, Fractions with
+unit 1 or grid integers with unit S, and only the values a
+:class:`FlattenResult` reports go back to Fractions.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,6 +43,7 @@ from pathlib import Path
 
 from .codes import FlatBasketCode, boundary_components, underlying
 from .errors import (
+    CapExceeded,
     DuplicateColumn,
     DuplicateHeight,
     EndpointCrossing,
@@ -67,7 +80,7 @@ Vertex = tuple[Fraction, Fraction]
 
 def _vertex(v) -> Vertex:
     """``(Fraction(x), Fraction(y))``, reusing a vertex that already is one,
-    as every vertex of a push-down result is."""
+    as every vertex of a :func:`push_down` result is."""
     x, y = v
     if type(v) is tuple and type(x) is Fraction and type(y) is Fraction:
         return v
@@ -276,7 +289,8 @@ def _check_crossings(diagram: RectilinearDiagram) -> None:
 
     The test only compares coordinates, so it runs on each coordinate's rank
     among the distinct vertex x (or y) values: sorting them costs
-    O(N log N) ``Fraction`` comparisons, and the pair loop compares ints.
+    O(N log N) coordinate comparisons, which are ``Fraction`` ones outside
+    :func:`flatten_trace`'s grid, and the pair loop compares small ints.
     """
     xs = sorted({v[0] for band in diagram.bands for v in band})
     ys = sorted({v[1] for band in diagram.bands for v in band})
@@ -397,14 +411,25 @@ def _occupied_columns(diagram: RectilinearDiagram) -> set[Fraction]:
     return occupied
 
 
-def _fresh_left(occupied: set[Fraction], x: Fraction) -> Fraction:
+def _half(v):
+    """v / 2, exactly: a Fraction halves; a grid integer must be even."""
+    if type(v) is Fraction:
+        return v / 2
+    if v % 2:
+        raise InvariantViolation(f"midpoint {v}/2 is off the flatten grid")
+    return v // 2
+
+
+def _fresh_left(occupied: set, x, unit):
+    """A free column left of ``x``: midway to the nearest occupied one, or
+    ``unit`` (1 in drawing coordinates, S on the flatten grid) beyond it."""
     below = [c for c in occupied if c < x]
-    return (max(below) + x) / 2 if below else x - 1
+    return _half(max(below) + x) if below else x - unit
 
 
-def _fresh_right(occupied: set[Fraction], x: Fraction) -> Fraction:
+def _fresh_right(occupied: set, x, unit):
     above = [c for c in occupied if c > x]
-    return (x + min(above)) / 2 if above else x + 1
+    return _half(x + min(above)) if above else x + unit
 
 
 def _find_xline(diagram: RectilinearDiagram, height) -> _XLine:
@@ -428,10 +453,10 @@ def _site_for(line: _XLine, occupied: set[Fraction]) -> tuple[Fraction, Fraction
         return line.x_left, line.x_right
     if line.left_ascends:
         stop = inside[0] if inside else line.x_right
-        return line.x_left, (line.x_left + stop) / 2
+        return line.x_left, _half(line.x_left + stop)
     if line.right_ascends:
         stop = inside[-1] if inside else line.x_left
-        return (stop + line.x_right) / 2, line.x_right
+        return _half(stop + line.x_right), line.x_right
     raise SiteNotEligible(
         f"x-line at height {line.y} has no ascending adjacency"
     )
@@ -447,8 +472,8 @@ def push_down(
     x-line.  The result has one more front band and one more connector.
 
     The input is validated here, before the eligibility checks.  The
-    surgery itself (shared with :func:`flatten_trace`) assumes a validated
-    input and validates its result once.
+    surgery itself (shared with :func:`flatten_trace`, which runs it on its
+    integer grid) assumes a validated input and validates its result once.
     """
     validate_diagram(diagram)
     line = _find_xline(diagram, height)
@@ -482,21 +507,32 @@ def push_down(
                 "pushed interval may not span occupied columns"
             )
     return _push(
-        diagram, line, u, w, diagram_boundary_components(diagram), occupied
+        diagram, line, u, w, diagram_boundary_components(diagram), occupied, 1
     )
+
+
+def _diagram(bands, connectors) -> RectilinearDiagram:
+    """A diagram whose coordinates are already all Fractions or all grid
+    integers, which the public constructor would turn into Fractions."""
+    diagram = object.__new__(RectilinearDiagram)
+    object.__setattr__(diagram, "bands", bands)
+    object.__setattr__(diagram, "connectors", connectors)
+    return diagram
 
 
 def _push(
     diagram: RectilinearDiagram,
     line: _XLine,
-    u: Fraction,
-    w: Fraction,
+    u,
+    w,
     boundary_before: int,
-    occupied: set[Fraction],
+    occupied: set,
+    unit,
 ) -> RectilinearDiagram:
     """The surgery itself, on a validated ``diagram`` and an eligible
     interval [u, w] of ``line``; ``boundary_before`` and ``occupied`` are
-    the diagram's boundary count and occupied columns.
+    the diagram's boundary count and occupied columns, and ``unit`` is 1 in
+    drawing coordinates or S on the flatten grid.
 
     The result is validated here, and its Euler characteristic and boundary
     count are checked against the input's.
@@ -505,30 +541,33 @@ def _push(
     k = line.seg
     va, vb = band[k], band[k + 1]
     y = line.y
+    base = band[0][1]  # the baseline y = 0 in the diagram's number type
     rightward = va[0] < vb[0]
     first_cut, second_cut = (u, w) if rightward else (w, u)
 
     if first_cut == va[0]:
-        piece_first = band[:k] + ((va[0], Fraction(0)),)
+        piece_first = band[:k] + ((va[0], base),)
     else:
-        piece_first = band[: k + 1] + ((first_cut, y), (first_cut, Fraction(0)))
+        piece_first = band[: k + 1] + ((first_cut, y), (first_cut, base))
     if second_cut == vb[0]:
-        piece_second = ((vb[0], Fraction(0)),) + band[k + 2:]
+        piece_second = ((vb[0], base),) + band[k + 2:]
     else:
-        piece_second = ((second_cut, Fraction(0)), (second_cut, y)) + band[k + 1:]
+        piece_second = ((second_cut, base), (second_cut, y)) + band[k + 1:]
     piece_a, piece_b = (
         (piece_first, piece_second) if rightward else (piece_second, piece_first)
     )
 
     occupied = occupied | {u, w}
-    connector = Connector(_fresh_left(occupied, u), _fresh_right(occupied, w))
+    connector = Connector(
+        _fresh_left(occupied, u, unit), _fresh_right(occupied, w, unit)
+    )
 
     bands = (
         diagram.bands[: line.band]
         + (piece_a, piece_b)
         + diagram.bands[line.band + 1:]
     )
-    result = RectilinearDiagram(bands, diagram.connectors + (connector,))
+    result = _diagram(bands, diagram.connectors + (connector,))
     validate_diagram(result)
     if diagram_euler(result) != diagram_euler(diagram) - 2:
         raise InvariantViolation("push-down must add exactly two bands")
@@ -537,17 +576,50 @@ def _push(
     return result
 
 
+# Largest input x-line count that ``flatten`` accepts.  Each push-down
+# revalidates its whole result, so cost grows steeply with size: 128 x-lines
+# (16 staircase bands of 8, 8 of 16, or 1 of 128) take 0.4-0.75 s on a
+# shared 2-core Linux VM.
+FLATTEN_CAP = 128
+
+
+def _grid_unit(diagram: RectilinearDiagram, ascending: int) -> int:
+    """S = D * 2**(3A): D is the lcm of the coordinates' denominators and A
+    the diagram's ``ascending`` end count, so at most A push-downs of three
+    midpoints each stay on the grid of multiples of 1/S."""
+    denominators = {v.denominator for band in diagram.bands for p in band for v in p}
+    for connector in diagram.connectors:
+        denominators.update((connector.left.denominator, connector.right.denominator))
+    return math.lcm(*denominators) << 3 * ascending
+
+
+def _mapped(diagram: RectilinearDiagram, f) -> RectilinearDiagram:
+    """``diagram`` with ``f`` applied to every coordinate."""
+    return _diagram(
+        tuple(tuple((f(x), f(y)) for x, y in band) for band in diagram.bands),
+        tuple(Connector(f(c.left), f(c.right)) for c in diagram.connectors),
+    )
+
+
 def flatten_trace(diagram: RectilinearDiagram) -> FlattenResult:
     """Push down eligible sites (lowest first) until every x-line is flat.
 
     Every diagram is validated exactly once: the input here, and each
     push-down's result inside the surgery.  The private steps called here
     assume a validated input, so a flatten with s steps makes 1 + s
-    validations.
+    validations.  After the input's validation and the ``FLATTEN_CAP``
+    check, the work runs on the integer grid of :func:`_grid_unit`, and the
+    steps and final diagram are reported in ``Fraction`` coordinates.
     """
     validate_diagram(diagram)
+    lines = _xlines(diagram)
+    if len(lines) > FLATTEN_CAP:
+        raise CapExceeded(
+            f"diagram with {len(lines)} x-lines exceeds the flatten cap {FLATTEN_CAP}"
+        )
+    unit = _grid_unit(diagram, _ascending_count(lines))
     steps: list[PushStep] = []
-    current = diagram
+    current = _mapped(diagram, lambda v: v.numerator * (unit // v.denominator))
     lines = _xlines(current)
     euler = diagram_euler(current)
     boundary = diagram_boundary_components(current)
@@ -559,12 +631,12 @@ def flatten_trace(diagram: RectilinearDiagram) -> FlattenResult:
         line = min(pending, key=lambda l: l.y)
         occupied = _occupied_columns(current)
         u, w = _site_for(line, occupied)
-        current = _push(current, line, u, w, boundary, occupied)
+        current = _push(current, line, u, w, boundary, occupied, unit)
         lines = _xlines(current)
         # _push has checked the Euler drop and that the boundary count is kept
         step = PushStep(
-            height=line.y,
-            interval=(u, w),
+            height=Fraction(line.y, unit),
+            interval=(Fraction(u, unit), Fraction(w, unit)),
             euler_before=euler,
             euler_after=diagram_euler(current),
             boundary_before=boundary,
@@ -577,7 +649,9 @@ def flatten_trace(diagram: RectilinearDiagram) -> FlattenResult:
             raise InvariantViolation("push-down must remove an ascending end")
         euler, ascending = step.euler_after, step.ascending_after
     return FlattenResult(
-        code=_read_off_code(current), final=current, steps=tuple(steps)
+        code=_read_off_code(current),
+        final=_mapped(current, lambda v: Fraction(v, unit)),
+        steps=tuple(steps),
     )
 
 

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 from flatbasket import FlatBasketCode, parse_code
+from flatbasket.pushdown import flatten_trace, push_down, read_off_code
 from flatbasket.seifert import SeifertMatrix
 
 
@@ -75,6 +77,32 @@ def _perm_sign(perm: tuple[int, ...]) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
+
+
+def replay_flatten(diagram):
+    """``flatten_trace``, which runs on a scaled integer grid, replayed step
+    by step through public ``push_down`` in ``Fraction`` coordinates.
+
+    Each step's interval must be the default site the public surgery picks
+    (pushing it explicitly gives the same diagram), and the replay must end
+    on the reported final diagram and code.  Every reported coordinate must
+    be a ``Fraction``.
+    """
+    result = flatten_trace(diagram)
+    current = diagram
+    for step in result.steps:
+        pushed = push_down(current, step.height)
+        assert push_down(current, step.height, step.interval) == pushed
+        current = pushed
+    assert current.bands == result.final.bands
+    assert current.connectors == result.final.connectors
+    assert read_off_code(current) == result.code
+    values = [step.height for step in result.steps]
+    values += [v for step in result.steps for v in step.interval]
+    values += [v for band in result.final.bands for vertex in band for v in vertex]
+    values += [v for c in result.final.connectors for v in (c.left, c.right)]
+    assert all(type(v) is Fraction for v in values)
+    return result
 
 
 def random_code(rng: random.Random, n: int) -> FlatBasketCode:

@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import time
 
 from flatbasket.cli import build_parser, cli_dispatch
+from flatbasket.pushdown import FLATTEN_CAP
 
 
 def run(capsys, *argv):
@@ -185,6 +187,52 @@ def test_flatten_rejects_non_rational_coordinates(tmp_path, capsys):
     diagram.write_bytes(b"1,0; 1,1; 2,1; 2,0\xff\n")
     status, out, err = run(capsys, "flatten", "--json", "--diagram", str(diagram))
     assert status == 1 and out == "" and "undecodable byte" in err
+
+
+def _staircases(bands: int, xlines: int) -> str:
+    """Side-by-side rising staircases on distinct columns and heights."""
+    rows = []
+    for b in range(bands):
+        cols = [b * (xlines + 1) + j + 1 for j in range(xlines + 1)]
+        verts = [(cols[0], 0)]
+        for j in range(xlines):
+            level = b * xlines + j + 1
+            verts += [(cols[j], level), (cols[j + 1], level)]
+        verts.append((cols[-1], 0))
+        rows.append("; ".join(f"{x},{y}" for x, y in verts))
+    return "\n".join(rows) + "\n"
+
+
+def test_flatten_cap_is_fixed(tmp_path, capsys):
+    diagram = tmp_path / "stairs.txt"
+    diagram.write_text(_staircases(FLATTEN_CAP // 2, 2))
+    status, out, _ = run(capsys, "flatten", "--json", "--diagram", str(diagram))
+    assert status == 0 and json.loads(out)["push_downs"] == FLATTEN_CAP // 2
+    diagram.write_text(_staircases(FLATTEN_CAP + 1, 1))
+    start = time.perf_counter()
+    status, out, err = run(capsys, "flatten", "--json", "--diagram", str(diagram))
+    assert time.perf_counter() - start < 1
+    assert (status, out) == (1, "")
+    assert err == (
+        f"error: diagram with {FLATTEN_CAP + 1} x-lines exceeds the flatten cap"
+        f" {FLATTEN_CAP}\n"
+    )
+
+
+def test_flatten_errors_quote_drawing_coordinates(tmp_path, capsys):
+    diagram = tmp_path / "invalid.txt"
+    for text, message in (
+        ("1,0; 1,2; 3/2,2; 3/2,0\n5,0; 5,3; 3/2,3; 3/2,4; 6,4; 6,0\n",
+         "error: two y-lines share column x=3/2\n"),
+        # a y-line that ends on another band's x-line at (3/2, 5/2): the
+        # shared height is reported first
+        ("1,0; 1,5/2; 4,5/2; 4,0\n3/2,0; 3/2,5/2; 5,5/2; 5,0\n",
+         "error: two x-lines share height y=5/2\n"),
+    ):
+        diagram.write_text(text)
+        for flags in ((), ("--json",), ("--trace",)):
+            status, out, err = run(capsys, "flatten", *flags, "--diagram", str(diagram))
+            assert (status, out, err) == (1, "", message)
 
 
 def test_invariants_builds_one_seifert_matrix(monkeypatch, capsys):

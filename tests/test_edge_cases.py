@@ -138,6 +138,8 @@ def test_invariant_checks_survive_optimized_mode(monkeypatch):
         (pushdown, "diagram_boundary_components", lambda d: len(d.bands),
          lambda: push_down(valley, 1)),
         (pushdown, "_ascending_count", lambda d: 2, lambda: flatten_trace(valley)),
+        # a grid too coarse for the connector's midpoint foot at x = 3/2
+        (pushdown, "_grid_unit", lambda d, ascending: 1, lambda: flatten_trace(valley)),
         (search_module, "fpbk_lower_bound",
          lambda delta, genus: SimpleNamespace(overall=99),
          lambda: search_module.search(SearchQuery(bands=4, knots_only=True))),

@@ -29,7 +29,7 @@ from flatbasket.pushdown import (
 from flatbasket.search import _mirror_word
 from flatbasket.seifert import SeifertMatrix
 from boundary_oracle import boundary_alexander
-from conftest import leibniz_pencil_det
+from conftest import leibniz_pencil_det, replay_flatten
 
 # derandomized and without an example database, so runs are reproducible
 # and leave no files behind
@@ -154,6 +154,12 @@ def test_flatten_matches_boundary_oracle(diagram):
     assert boundary_components(underlying(code)) == boundary
     if boundary == 1:
         assert alexander(code).normalized == boundary_alexander(diagram)
+
+
+@PROPERTY
+@given(staircase_diagrams())
+def test_flatten_grid_matches_fraction_replay(diagram):
+    replay_flatten(diagram)
 
 
 # Parser syntax mixed with what the parsers must refuse: digits of other

@@ -362,9 +362,27 @@ def test_public_surgery_and_read_off_validate_their_input():
         read_off_code(two_flat_arches_one_height)
 
 
+def test_flatten_grid_replays_through_public_push_down():
+    # the integer-grid flatten against the Fraction surgery, step by step
+    import random
+
+    from conftest import replay_flatten
+
+    pushes = 0
+    for path in corpus_paths():
+        pushes += len(replay_flatten(parse_diagram(path.read_text())).steps)
+    rng = random.Random(20261018)
+    for _ in range(40):
+        pushes += len(replay_flatten(_random_diagram(rng)).steps)
+    # a diagram that already has connectors and fractional columns
+    pushed = push_down(parse_diagram(VALLEY), 1, (Fraction(2), Fraction(5, 2)))
+    pushes += len(replay_flatten(pushed).steps)
+    assert pushes > 150
+
+
 def test_corrupted_surgery_result_is_rejected(monkeypatch):
     # a connector foot on an occupied column must fail the result's validation
-    monkeypatch.setattr(pushdown, "_fresh_left", lambda occupied, x: min(occupied))
+    monkeypatch.setattr(pushdown, "_fresh_left", lambda occupied, x, unit: min(occupied))
     with pytest.raises(DuplicateColumn):
         flatten_trace(parse_diagram(VALLEY))
     with pytest.raises(DuplicateColumn):
