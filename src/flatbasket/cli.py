@@ -173,7 +173,6 @@ def _cmd_passclass(args) -> int:
         {
             "family": cls.family,
             "components": cls.components,
-            "d": cls.d,
             "certainty": cls.certainty,
         },
         args.json,
@@ -229,7 +228,6 @@ def _cmd_search(args) -> int:
         target=target,
         knots_only=args.knots_only,
         dedup_mirror=args.dedup_mirror,
-        limit=args.limit,
         jobs=args.jobs,
     )
     records = search(query)
@@ -343,13 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", help="Alexander polynomial to match")
     p.add_argument("--knots-only", action="store_true")
     p.add_argument("--dedup-mirror", action="store_true")
-    p.add_argument(
-        "--limit",
-        type=_positive_int,
-        default=None,
-        help="keep only the first LIMIT records of the sorted output, "
-        "printed and stored; the whole search still runs",
-    )
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--store", help="append-only result store path")
 

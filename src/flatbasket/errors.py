@@ -82,10 +82,6 @@ class DuplicateColumn(FlatBasketError):
     """Two vertical segments share an x-coordinate."""
 
 
-class EndpointCrossing(FlatBasketError):
-    """A crossing touches the endpoint of a segment."""
-
-
 class FootOrderViolation(FlatBasketError):
     """Band feet are not properly arranged on the baseline."""
 

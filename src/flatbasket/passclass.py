@@ -43,13 +43,12 @@ class PassClass:
     """Pass-equivalence class: family I/II/III with component count.
 
     For knots the family is exact (I = unknot class, II = trefoil class).
-    For links only the component count is certain here; family and the
-    third-family parameter stay undetermined rather than guessed.
+    For links only the component count is certain here; the family stays
+    undetermined rather than guessed.
     """
 
     family: str | None
     components: int
-    d: int | None
     certainty: str  # "exact" | "partial"
 
 
@@ -68,8 +67,8 @@ def pass_class(code: FlatBasketCode) -> PassClass:
     if stats.boundary == 1:
         det = _knot_determinant_of_rows(seifert_matrix(code).rows)
         family = "II" if arf_from_determinant(det) else "I"
-        return PassClass(family=family, components=1, d=None, certainty="exact")
-    return PassClass(family=None, components=stats.boundary, d=None, certainty="partial")
+        return PassClass(family=family, components=1, certainty="exact")
+    return PassClass(family=None, components=stats.boundary, certainty="partial")
 
 
 def _orbit_words(diagram: UnderlyingDiagram):

@@ -73,7 +73,6 @@ class SearchQuery:
     target: IntPolynomial | None = None
     knots_only: bool = False
     dedup_mirror: bool = False
-    limit: int | None = None
     jobs: int = 1
 
     def __post_init__(self):
@@ -291,8 +290,6 @@ def search(query: SearchQuery) -> list[SearchRecord]:
     )
     records = [record for chunk in chunks for record in chunk]
     records.sort(key=lambda r: r.code.word)
-    if query.limit is not None:
-        records = records[: query.limit]
     return records
 
 
@@ -330,10 +327,6 @@ def record_to_json(record: SearchRecord) -> dict:
     }
 
 
-def _record_line(record: SearchRecord) -> str:
-    return json.dumps(record_to_json(record), sort_keys=True, separators=(",", ":"))
-
-
 def write_store(path: str | Path, records: list[SearchRecord]) -> tuple[int, int]:
     """Append records to a line store, verifying any that are already there.
 
@@ -358,8 +351,9 @@ def write_store(path: str | Path, records: list[SearchRecord]) -> tuple[int, int
     appended = verified = 0
     with path.open("a") as handle:
         for record in records:
-            line = _record_line(record)
-            key = record_to_json(record)["code"]
+            entry = record_to_json(record)
+            line = json.dumps(entry, sort_keys=True, separators=(",", ":"))
+            key = entry["code"]
             if key in existing:
                 if existing[key] != line:
                     raise StoreMismatch(

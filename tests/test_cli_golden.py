@@ -42,7 +42,7 @@ GOLDEN = {
     ("bound", False): (0, "0bc322478363fe104d7fb3be92031951fa16636d086f5b1c0f7d5ca5e8dbd196"),
     ("bound", True): (0, "b97a14d3c61a2ad7737352a88b5b3de80a57ce0c34e96e490c1dce896a5176c0"),
     ("passclass", False): (0, "5c272e9ac6abcf98cb061f3191ab1db01db91aa7db7dccfe44e16745ac03e141"),
-    ("passclass", True): (0, "88da2c99a643e45fff3f5b8ac86eb446fb50861eb445bc1f1aaade3db4b67f62"),
+    ("passclass", True): (0, "2c62cd106cd42776219304713064de7d609a0fadd4849900c81745e21c1d8990"),
     ("orbit-check", False): (0, "78e133affc4e166db8197ec4321a8c63016f251522a3e698e929105269b07cc6"),
     ("orbit-check", True): (0, "41a656dd17ffbd2001e03a2fb4efeaae1c3bd3cee8d37e607944bd56416b97f0"),
     ("flatten", False): (0, "21a634f125e83af37777a4a5c305d9cc5099da0d252107d4dfb032c9d818bb2f"),

@@ -6,9 +6,10 @@ matrices that are not triangular, as flattened diagrams can produce.  The
 matrix families are chosen to reach each path of the pivoted Z[t] Bareiss
 elimination: unit pivots with row and column swaps and row negation, pivots
 that are never units, and a zero trailing block.  Flattening is compared
-with the independent boundary-trace oracle on generated diagrams.  The
-parsers are fuzzed with text that mixes their syntax with digits they must
-refuse.
+with the independent boundary-trace oracle on generated diagrams, and
+validation with the reference crossing check on diagrams drawn from a small
+grid.  The parsers are fuzzed with text that mixes their syntax with
+digits they must refuse.
 """
 
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from flatbasket.search import _mirror_word
 from flatbasket.seifert import SeifertMatrix
 from boundary_oracle import boundary_alexander
 from conftest import leibniz_pencil_det, replay_flatten
+from test_pushdown import checked_touch, grid_staircases
 
 # derandomized and without an example database, so runs are reproducible
 # and leave no files behind
@@ -187,3 +189,11 @@ def test_parsers_return_or_raise_domain_errors(text):
         except FlatBasketError:
             continue
         assert not foreign, (parse.__name__, text)
+
+
+# columns and heights from six halves, so most drawings repeat one and many
+# have a touch; validation must reject every drawing with a touch
+@FUZZ
+@given(st.randoms(use_true_random=False))
+def test_validated_diagrams_pass_the_crossing_reference(rng):
+    checked_touch(grid_staircases(rng, [Fraction(k, 2) for k in range(1, 7)]))

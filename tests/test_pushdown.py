@@ -9,7 +9,7 @@ from flatbasket import alexander, normalize_alexander, parse_code, pushdown, sei
 from flatbasket.errors import (
     DuplicateColumn,
     DuplicateHeight,
-    EndpointCrossing,
+    FlatBasketError,
     FootOrderViolation,
     MalformedDiagram,
     SiteNotEligible,
@@ -68,17 +68,8 @@ def test_duplicate_column_rejected():
         validate_diagram(parse_diagram("1,0; 1,1; 2,1; 2,0\n2,0; 2,3; 4,3; 4,0"))
 
 
-def test_endpoint_crossing_rejected():
-    # Any endpoint touch also duplicates a height or column, so full
-    # validation reports the duplicate first; the crossing checker itself
-    # must still reject the touch when probed directly.
-    from flatbasket.pushdown import _check_crossings
-
-    touching = parse_diagram("1,0; 1,2; 4,2; 4,0\n2,0; 2,2; 3,2; 3,0")
-    with pytest.raises(DuplicateHeight):
-        validate_diagram(touching)
-    with pytest.raises(EndpointCrossing):
-        _check_crossings(touching)
+class _Touch(Exception):
+    """An x-line/y-line contact that is not a transverse interior crossing."""
 
 
 def _reference_check_crossings(diagram: RectilinearDiagram) -> None:
@@ -98,63 +89,98 @@ def _reference_check_crossings(diagram: RectilinearDiagram) -> None:
                 continue
             if xl <= x <= xr and ylo <= y <= yhi:
                 if not (xl < x < xr and ylo < y < yhi):
-                    raise EndpointCrossing(
-                        f"crossing touches a segment endpoint at ({x},{y})"
-                    )
+                    raise _Touch(f"crossing touches a segment endpoint at ({x},{y})")
 
 
-def _crossing_outcome(check, diagram):
+def checked_touch(diagram: RectilinearDiagram) -> str | None:
+    """The reference check's message for ``diagram``, None if it finds no
+    touch; fails if ``validate_diagram`` accepts a diagram with a touch."""
     try:
-        check(diagram)
-    except EndpointCrossing as exc:
-        return str(exc)
+        _reference_check_crossings(diagram)
+    except _Touch as exc:
+        try:
+            validate_diagram(diagram)
+        except FlatBasketError:
+            return str(exc)
+        pytest.fail(f"validate_diagram accepted a diagram whose {exc}")
     return None
 
 
-def _assert_crossing_checks_agree(diagram):
-    expected = _crossing_outcome(_reference_check_crossings, diagram)
-    assert _crossing_outcome(pushdown._check_crossings, diagram) == expected
-    return expected
-
-
-def test_rank_crossing_check_matches_fraction_reference_on_pushed_diagrams():
-    for path in corpus_paths():
-        result = flatten_trace(parse_diagram(path.read_text()))
-        assert _assert_crossing_checks_agree(result.final) is None
-    pushed = push_down(parse_diagram(VALLEY), 1, (Fraction(2), Fraction(5, 2)))
-    assert any(x.denominator > 1 for band in pushed.bands for x, _ in band)
-    assert _assert_crossing_checks_agree(pushed) is None
+def touching_diagrams():
+    touching = parse_diagram("1,0; 1,2; 4,2; 4,0\n2,0; 2,2; 3,2; 3,0")
+    # a y-line at a fractional column ends on an x-line
+    fractional = parse_diagram("1,0; 1,2; 4,2; 4,0\n3/2,0; 3/2,2; 5,2; 5,0")
+    # an x-line ends on another band's y-line
+    sideways = parse_diagram("2,0; 2,3; 3,3; 3,0\n1,0; 1,1; 2,1; 2,2; 4,2; 4,0")
+    return touching, fractional, sideways
 
 
 def test_rank_crossing_check_matches_fraction_reference_on_touches():
-    touching = parse_diagram("1,0; 1,2; 4,2; 4,0\n2,0; 2,2; 3,2; 3,0")
-    assert _assert_crossing_checks_agree(touching) is not None
-    # a y-line at a fractional column ends on an x-line
-    fractional = parse_diagram("1,0; 1,2; 4,2; 4,0\n3/2,0; 3/2,2; 5,2; 5,0")
-    message = _assert_crossing_checks_agree(fractional)
-    assert message is not None and "(3/2,2)" in message
+    # The reference finds each touch and validate_diagram rejects each one.
+    touching, fractional, sideways = touching_diagrams()
+    assert checked_touch(touching) is not None
+    assert "(3/2,2)" in checked_touch(fractional)
+    assert "(2,1)" in checked_touch(sideways)
 
 
-def test_rank_crossing_check_matches_fraction_reference_on_a_small_grid():
-    # staircase bands on a grid of halves, where contacts are frequent
+def test_endpoint_crossing_rejected():
+    # An endpoint touch repeats a height or a column (see validate_diagram),
+    # so validation reports the duplicate.
+    touching, fractional, sideways = touching_diagrams()
+    for diagram, error in (
+        (touching, DuplicateHeight),
+        (fractional, DuplicateHeight),
+        (sideways, DuplicateColumn),
+    ):
+        with pytest.raises(error):
+            validate_diagram(diagram)
+
+
+def test_validated_diagrams_pass_the_crossing_reference_after_push_downs():
+    for path in corpus_paths():
+        final = flatten_trace(parse_diagram(path.read_text())).final
+        validate_diagram(final)
+        assert checked_touch(final) is None
+    pushed = push_down(parse_diagram(VALLEY), 1, (Fraction(2), Fraction(5, 2)))
+    assert any(x.denominator > 1 for band in pushed.bands for x, _ in band)
+    validate_diagram(pushed)
+    assert checked_touch(pushed) is None
+
+
+def grid_staircases(rng, grid) -> RectilinearDiagram:
+    """One to three staircase bands with columns and heights drawn from
+    ``grid``, so repeated coordinates and touches are frequent."""
+    bands = []
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randint(1, 3)
+        cols = [rng.choice(grid) for _ in range(k + 1)]
+        levels = [rng.choice(grid) for _ in range(k)]
+        verts = [(cols[0], Fraction(0))]
+        for j in range(k):
+            verts += [(cols[j], levels[j]), (cols[j + 1], levels[j])]
+        verts.append((cols[k], Fraction(0)))
+        bands.append(tuple(verts))
+    return RectilinearDiagram(tuple(bands))
+
+
+def test_validated_diagrams_pass_the_crossing_reference_on_a_small_grid():
     import random
 
     rng = random.Random(20261018)
     grid = [Fraction(k, 2) for k in range(1, 9)]
-    touches = 0
+    touches = accepted = 0
     for _ in range(300):
-        bands = []
-        for _ in range(rng.randint(1, 3)):
-            k = rng.randint(1, 3)
-            cols = [rng.choice(grid) for _ in range(k + 1)]
-            levels = [rng.choice(grid) for _ in range(k)]
-            verts = [(cols[0], Fraction(0))]
-            for j in range(k):
-                verts += [(cols[j], levels[j]), (cols[j + 1], levels[j])]
-            verts.append((cols[k], Fraction(0)))
-            bands.append(tuple(verts))
-        touches += _assert_crossing_checks_agree(RectilinearDiagram(tuple(bands))) is not None
+        diagram = grid_staircases(rng, grid)
+        touch = checked_touch(diagram)
+        touches += touch is not None
+        if touch is None:
+            try:
+                validate_diagram(diagram)
+            except FlatBasketError:
+                continue
+            accepted += 1
     assert 30 <= touches <= 270
+    assert accepted >= 30
 
 
 def test_foot_violations_rejected():
