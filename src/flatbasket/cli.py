@@ -341,12 +341,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", help="Alexander polynomial to match")
     p.add_argument("--knots-only", action="store_true")
     p.add_argument("--dedup-mirror", action="store_true")
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument(
+        "--jobs", type=_positive_int, default=1,
+        help="worker processes, at most one per CPU; same output for any value",
+    )
     p.add_argument("--store", help="append-only result store path")
 
     p = add("census", _cmd_census, "histogram of knot polynomials, n <= 6")
     p.add_argument("-n", "--bands", type=_positive_int, required=True)
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument(
+        "--jobs", type=_positive_int, default=1,
+        help="worker processes, at most one per CPU; same output for any value",
+    )
 
     p = add("verify-table", _cmd_verify_table, "verify the bundled knot table")
     p.add_argument("--table", default=None, help="alternative table file")

@@ -31,7 +31,7 @@ from .codes import (
 )
 from .errors import NotAKnot, OrbitTooLarge
 from .invariants import _knot_determinant_of_rows, arf_from_determinant
-from .seifert import _seifert_rows, seifert_matrix
+from .seifert import _orientation_key, _seifert_rows, seifert_matrix
 
 __all__ = ["PassClass", "OrbitReport", "pass_class", "labeling_orbit", "orbit_invariant_check"]
 
@@ -108,7 +108,7 @@ def orbit_invariant_check(diagram: UnderlyingDiagram) -> OrbitReport:
         if canonical in seen:
             continue
         seen.add(canonical)
-        key = tuple(word[pa] < word[pb] for pa, pb in crossings)
+        key = _orientation_key(word, crossings)
         if key not in arf_of_key:
             det = _knot_determinant_of_rows(_seifert_rows(word, crossings))
             arf_of_key[key] = arf_from_determinant(det)

@@ -22,15 +22,17 @@ New feet go at fresh columns, midway to the nearest occupied column or one
 unit beyond the outermost one; only the left-to-right order of feet matters
 for the resulting code.
 
-:func:`flatten_trace` validates its ``Fraction`` input once and then works
-on one integer grid: every coordinate v becomes v * S with S = D * 2**(3A),
-where D is the lcm of the input's denominators and A its number of
-ascending ends.  A flatten makes at most A push-downs (each removes an
-ascending end) and each takes at most three midpoints (the cut and the two
-connector feet), so every midpoint lands on the grid; each halving is still
-checked.  The surgery is the same code on either number type, Fractions with
-unit 1 or grid integers with unit S, and only the values a
-:class:`FlattenResult` reports go back to Fractions.
+:func:`flatten_trace` walks every diagram once: one pass validates it and
+lists its x-lines and occupied columns, so a flatten with s push-downs makes
+2 + s walks (the input, its grid copy and each result).  After the
+``Fraction`` input's walk it works on one integer grid: every coordinate v
+becomes v * S with S = D * 2**(3A), where D is the lcm of the input's
+denominators and A its number of ascending ends.  A flatten makes at most A
+push-downs (each removes an ascending end) and each takes at most three
+midpoints (the cut and the two connector feet), so every midpoint lands on
+the grid; each halving is still checked.  The surgery is the same code on
+either number type, Fractions with unit 1 or grid integers with unit S, and
+only the values a :class:`FlattenResult` reports go back to Fractions.
 """
 
 from __future__ import annotations
@@ -249,8 +251,16 @@ def validate_diagram(diagram: RectilinearDiagram) -> None:
     are positive, or is joined to the x-line at that height, the only one
     there.  So a contact at a segment end repeats a column or a height.
     """
-    heights: set[Fraction] = set()
-    columns: set[Fraction] = set()
+    _walk(diagram)
+
+
+def _walk(diagram: RectilinearDiagram) -> tuple[list[_XLine], set]:
+    """The checks of :func:`validate_diagram`, in one pass that also returns
+    the diagram's x-lines (in band and path order) and its occupied columns
+    (y-line columns and connector feet)."""
+    heights: set = set()
+    columns: set = set()
+    lines: list[_XLine] = []
     for bi, band in enumerate(diagram.bands):
         if len(band) < 4:
             raise MalformedDiagram(f"band {bi} has fewer than 4 vertices")
@@ -271,16 +281,23 @@ def validate_diagram(diagram: RectilinearDiagram) -> None:
                 if a[1] in heights:
                     raise DuplicateHeight(f"two x-lines share height y={a[1]}")
                 heights.add(a[1])
-        first = band[0]
-        last = band[-1]
         if band[0][0] != band[1][0] or band[-1][0] != band[-2][0]:
             raise MalformedDiagram(f"band {bi} must start and end vertically")
-        if first[1] != 0 or last[1] != 0:
+        if band[0][1] != 0 or band[-1][1] != 0:
             raise FootOrderViolation(f"band {bi} feet must lie on the baseline")
         if any(v[1] <= 0 for v in band[1:-1]):
             raise FootOrderViolation(
                 f"band {bi} interior vertices must have positive height"
             )
+        # the path alternates and starts and ends vertically, so its x-lines
+        # are the odd segments, each between two y-lines
+        for k in range(1, len(band) - 2, 2):
+            (x0, y), (x1, _) = band[k], band[k + 1]
+            entry_ascends, exit_ascends = band[k - 1][1] > y, band[k + 2][1] > y
+            if x0 < x1:
+                lines.append(_XLine(bi, k, y, x0, x1, entry_ascends, exit_ascends))
+            else:
+                lines.append(_XLine(bi, k, y, x1, x0, exit_ascends, entry_ascends))
     for connector in diagram.connectors:
         for x in (connector.left, connector.right):
             if x in columns:
@@ -288,40 +305,12 @@ def validate_diagram(diagram: RectilinearDiagram) -> None:
             columns.add(x)
         if connector.left >= connector.right:
             raise FootOrderViolation("connector feet must be ordered left < right")
-
-
-def _xlines(diagram: RectilinearDiagram) -> list[_XLine]:
-    out = []
-    for bi, band in enumerate(diagram.bands):
-        for k, a, b, vertical in _segments(band):
-            if vertical:
-                continue
-            # neighbours in path order; both exist because paths end vertically
-            entry_other = band[k - 1]
-            exit_other = band[k + 2]
-            if a[0] < b[0]:
-                left_other, right_other = entry_other, exit_other
-                x_left, x_right = a[0], b[0]
-            else:
-                left_other, right_other = exit_other, entry_other
-                x_left, x_right = b[0], a[0]
-            out.append(
-                _XLine(
-                    band=bi,
-                    seg=k,
-                    y=a[1],
-                    x_left=x_left,
-                    x_right=x_right,
-                    left_ascends=left_other[1] > a[1],
-                    right_ascends=right_other[1] > a[1],
-                )
-            )
-    return out
+    return lines, columns
 
 
 def classify_xlines(diagram: RectilinearDiagram) -> tuple[XLineClass, ...]:
     """Adjacency classes of all x-lines, ordered by height."""
-    validate_diagram(diagram)
+    lines, _ = _walk(diagram)
     out = [
         XLineClass(
             band=line.band,
@@ -329,7 +318,7 @@ def classify_xlines(diagram: RectilinearDiagram) -> tuple[XLineClass, ...]:
             left="ascends" if line.left_ascends else "descends",
             right="ascends" if line.right_ascends else "descends",
         )
-        for line in _xlines(diagram)
+        for line in lines
     ]
     out.sort(key=lambda c: c.height)
     return tuple(out)
@@ -372,18 +361,6 @@ def diagram_euler(diagram: RectilinearDiagram) -> int:
 # the push-down surgery
 # ---------------------------------------------------------------------------
 
-def _occupied_columns(diagram: RectilinearDiagram) -> set[Fraction]:
-    occupied: set[Fraction] = set()
-    for band in diagram.bands:
-        for k, a, b, vertical in _segments(band):
-            if vertical:
-                occupied.add(a[0])
-    for connector in diagram.connectors:
-        occupied.add(connector.left)
-        occupied.add(connector.right)
-    return occupied
-
-
 def _half(v):
     """v / 2, exactly: a Fraction halves; a grid integer must be even."""
     if type(v) is Fraction:
@@ -405,9 +382,9 @@ def _fresh_right(occupied: set, x, unit):
     return _half(x + min(above)) if above else x + unit
 
 
-def _find_xline(diagram: RectilinearDiagram, height) -> _XLine:
+def _find_xline(lines: list[_XLine], height) -> _XLine:
     height = Fraction(height)
-    for line in _xlines(diagram):
+    for line in lines:
         if line.y == height:
             return line
     raise SiteNotEligible(f"no x-line at height {height}")
@@ -448,9 +425,8 @@ def push_down(
     surgery itself (shared with :func:`flatten_trace`, which runs it on its
     integer grid) assumes a validated input and validates its result once.
     """
-    validate_diagram(diagram)
-    line = _find_xline(diagram, height)
-    occupied = _occupied_columns(diagram)
+    lines, occupied = _walk(diagram)
+    line = _find_xline(lines, height)
     if interval is None:
         u, w = _site_for(line, occupied)
     else:
@@ -481,7 +457,7 @@ def push_down(
             )
     return _push(
         diagram, line, u, w, diagram_boundary_components(diagram), occupied, 1
-    )
+    )[0]
 
 
 def _diagram(bands, connectors) -> RectilinearDiagram:
@@ -501,14 +477,15 @@ def _push(
     boundary_before: int,
     occupied: set,
     unit,
-) -> RectilinearDiagram:
+) -> tuple[RectilinearDiagram, list[_XLine], set]:
     """The surgery itself, on a validated ``diagram`` and an eligible
     interval [u, w] of ``line``; ``boundary_before`` and ``occupied`` are
     the diagram's boundary count and occupied columns, and ``unit`` is 1 in
     drawing coordinates or S on the flatten grid.
 
-    The result is validated here, and its Euler characteristic and boundary
-    count are checked against the input's.
+    The result is validated here by one :func:`_walk`, whose x-lines and
+    occupied columns are returned with it, and its Euler characteristic and
+    boundary count are checked against the input's.
     """
     band = diagram.bands[line.band]
     k = line.seg
@@ -541,17 +518,17 @@ def _push(
         + diagram.bands[line.band + 1:]
     )
     result = _diagram(bands, diagram.connectors + (connector,))
-    validate_diagram(result)
+    lines, occupied = _walk(result)
     if diagram_euler(result) != diagram_euler(diagram) - 2:
         raise InvariantViolation("push-down must add exactly two bands")
     if diagram_boundary_components(result) != boundary_before:
         raise InvariantViolation("push-down must preserve the boundary count")
-    return result
+    return result, lines, occupied
 
 
 # Largest input x-line count that ``flatten`` accepts.  Each push-down
-# revalidates its whole result, so cost grows steeply with size: 128 x-lines
-# (16 staircase bands of 8, 8 of 16, or 1 of 128) take 0.12-0.2 s on a
+# walks its whole result once, so cost grows steeply with size: 128 x-lines
+# (16 staircase bands of 8, 8 of 16, or 1 of 128) take 0.08-0.15 s on a
 # shared 2-core Linux VM.
 FLATTEN_CAP = 128
 
@@ -577,15 +554,15 @@ def _mapped(diagram: RectilinearDiagram, f) -> RectilinearDiagram:
 def flatten_trace(diagram: RectilinearDiagram) -> FlattenResult:
     """Push down eligible sites (lowest first) until every x-line is flat.
 
-    Every diagram is validated exactly once: the input here, and each
-    push-down's result inside the surgery.  The private steps called here
-    assume a validated input, so a flatten with s steps makes 1 + s
-    validations.  After the input's validation and the ``FLATTEN_CAP``
-    check, the work runs on the integer grid of :func:`_grid_unit`, and the
-    steps and final diagram are reported in ``Fraction`` coordinates.
+    Every diagram is walked exactly once by :func:`_walk`, which validates
+    it and lists its x-lines and occupied columns: the input here, in
+    drawing coordinates, its copy on the integer grid of :func:`_grid_unit`,
+    and each push-down's result inside the surgery.  So a flatten with s
+    steps makes 2 + s walks.  The ``FLATTEN_CAP`` check reads the input's
+    walk, and the steps and final diagram are reported in ``Fraction``
+    coordinates.
     """
-    validate_diagram(diagram)
-    lines = _xlines(diagram)
+    lines, _ = _walk(diagram)
     if len(lines) > FLATTEN_CAP:
         raise CapExceeded(
             f"diagram with {len(lines)} x-lines exceeds the flatten cap {FLATTEN_CAP}"
@@ -593,7 +570,7 @@ def flatten_trace(diagram: RectilinearDiagram) -> FlattenResult:
     unit = _grid_unit(diagram, _ascending_count(lines))
     steps: list[PushStep] = []
     current = _mapped(diagram, lambda v: v.numerator * (unit // v.denominator))
-    lines = _xlines(current)
+    lines, occupied = _walk(current)
     euler = diagram_euler(current)
     boundary = diagram_boundary_components(current)
     ascending = _ascending_count(lines)
@@ -602,10 +579,8 @@ def flatten_trace(diagram: RectilinearDiagram) -> FlattenResult:
         if not pending:
             break
         line = min(pending, key=lambda l: l.y)
-        occupied = _occupied_columns(current)
         u, w = _site_for(line, occupied)
-        current = _push(current, line, u, w, boundary, occupied, unit)
-        lines = _xlines(current)
+        current, lines, occupied = _push(current, line, u, w, boundary, occupied, unit)
         # _push has checked the Euler drop and that the boundary count is kept
         step = PushStep(
             height=Fraction(line.y, unit),
@@ -622,7 +597,7 @@ def flatten_trace(diagram: RectilinearDiagram) -> FlattenResult:
             raise InvariantViolation("push-down must remove an ascending end")
         euler, ascending = step.euler_after, step.ascending_after
     return FlattenResult(
-        code=_read_off_code(current),
+        code=_read_off_code(current, lines),
         final=_mapped(current, lambda v: Fraction(v, unit)),
         steps=tuple(steps),
     )
@@ -638,22 +613,22 @@ def read_off_code(diagram: RectilinearDiagram) -> FlatBasketCode:
     Front bands are single arches; pages go to the lowest arch first, then
     to connectors in creation order behind all front bands.  The input is
     validated here; :func:`flatten_trace` reads off its own final diagram,
-    already validated, through the private step.
+    already walked, through the private step.
     """
-    validate_diagram(diagram)
-    return _read_off_code(diagram)
+    lines, _ = _walk(diagram)
+    return _read_off_code(diagram, lines)
 
 
-def _read_off_code(diagram: RectilinearDiagram) -> FlatBasketCode:
-    """:func:`read_off_code` on a validated diagram."""
+def _read_off_code(diagram: RectilinearDiagram, lines: list[_XLine]) -> FlatBasketCode:
+    """:func:`read_off_code` on a validated diagram with these x-lines, in
+    band order; every band has at least one."""
     arch_heights = []
-    for bi, band in enumerate(diagram.bands):
-        spans = [a[1] for _, a, b, vertical in _segments(band) if not vertical]
-        if len(spans) != 1:
+    for line in lines:
+        if arch_heights and arch_heights[-1][1] == line.band:
             raise SiteNotEligible(
-                f"band {bi} is not a single arch; flatten the diagram first"
+                f"band {line.band} is not a single arch; flatten the diagram first"
             )
-        arch_heights.append((spans[0], bi))
+        arch_heights.append((line.y, line.band))
     arch_heights.sort()
     label: dict[int, int] = {}
     for page, (_, bi) in enumerate(arch_heights, start=1):

@@ -23,6 +23,7 @@ sorted by code word, so output is identical for any worker count.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
@@ -47,7 +48,7 @@ from .invariants import (
     determinant_from_alexander,
     normalize_alexander,
 )
-from .seifert import _seifert_rows
+from .seifert import _orientation_key, _seifert_rows
 
 __all__ = [
     "SearchQuery",
@@ -209,7 +210,7 @@ def _records_for_matchings(
                 mirror = canonical_word(_mirror_word(word, n))
                 if mirror < word:
                     continue
-            key = tuple(word[pa] < word[pb] for pa, pb in crossings)
+            key = _orientation_key(word, crossings)
             if key not in by_key:
                 rows = _seifert_rows(word, crossings)
                 delta, det, arf_val = _checked_delta(word, rows, b)
@@ -243,7 +244,7 @@ def _census_for_matchings(matchings: list[UnderlyingDiagram]) -> dict[IntPolynom
         crossings = matching.crossings
         by_key: dict[tuple[bool, ...], IntPolynomial] = {}
         for word in _canonical_words(matching):
-            key = tuple(word[pa] < word[pb] for pa, pb in crossings)
+            key = _orientation_key(word, crossings)
             poly = by_key.get(key)
             if poly is None:
                 delta, _, _ = _checked_delta(word, _seifert_rows(word, crossings), 1)
@@ -258,15 +259,18 @@ def _chunks(items: list, count: int) -> list[list]:
 
 
 def _map_matchings(func, matchings: list[UnderlyingDiagram], jobs: int, *args) -> list:
-    """``func(chunk, *args)`` over chunks of the matchings, serial or in a pool.
+    """``func(chunk, *args)`` over chunks of the matchings, serial or in a pool
+    of at most one worker per CPU, since a pool starts all its workers at
+    once.
 
     Results come back in chunk order whatever ``jobs`` is.
     """
-    if jobs <= 1 or len(matchings) < 4:
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers <= 1 or len(matchings) < 4:
         return [func(matchings, *args)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(func, chunk, *args) for chunk in _chunks(matchings, jobs * 4)
+            pool.submit(func, chunk, *args) for chunk in _chunks(matchings, workers * 4)
         ]
         return [fut.result() for fut in futures]
 

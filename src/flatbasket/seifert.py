@@ -64,6 +64,13 @@ def _seifert_rows(word: tuple[int, ...], crossings) -> list[list[int]]:
     return rows
 
 
+def _orientation_key(word: tuple[int, ...], crossings) -> tuple[bool, ...]:
+    """The orientation a labeling gives each crossing chord pair: whether the
+    chord whose first foot is earlier has the smaller label.  The rule above
+    reads the labeling only through this key."""
+    return tuple(word[pa] < word[pb] for pa, pb in crossings)
+
+
 def seifert_matrix(code: FlatBasketCode) -> SeifertMatrix:
     """Seifert matrix of the basket presented by ``code``."""
     rows = _seifert_rows(code.word, underlying(code).crossings)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from fractions import Fraction
 
 from flatbasket import alexander, parse_code, parse_matching, parse_polynomial
-from flatbasket import pencil_determinant, seifert_matrix
+from flatbasket import pencil_determinant, pushdown, seifert_matrix
 from flatbasket.codes import FlatBasketCode, boundary_components, rotated, underlying
 from flatbasket.errors import FlatBasketError
 from flatbasket.pushdown import (
@@ -31,7 +31,7 @@ from flatbasket.search import _mirror_word
 from flatbasket.seifert import SeifertMatrix
 from boundary_oracle import boundary_alexander
 from conftest import leibniz_pencil_det, replay_flatten
-from test_pushdown import checked_touch, grid_staircases
+from test_pushdown import checked_touch, grid_staircases, reference_walk
 
 # derandomized and without an example database, so runs are reproducible
 # and leave no files behind
@@ -162,6 +162,12 @@ def test_flatten_matches_boundary_oracle(diagram):
 @given(staircase_diagrams())
 def test_flatten_grid_matches_fraction_replay(diagram):
     replay_flatten(diagram)
+
+
+@PROPERTY
+@given(staircase_diagrams())
+def test_walk_matches_reference_on_staircases(diagram):
+    assert pushdown._walk(diagram) == reference_walk(diagram)
 
 
 # Parser syntax mixed with what the parsers must refuse: digits of other

@@ -352,28 +352,159 @@ def test_flatten_hopf_curl_keeps_delta():
     assert str(alexander(flatten(diagram)).normalized) == "t - 1"
 
 
-def _count_validations(monkeypatch) -> list[int]:
-    calls = [0]
-    real = pushdown.validate_diagram
+def _record_walks(monkeypatch) -> list[RectilinearDiagram]:
+    """Every diagram that ``pushdown._walk`` is called on, in call order."""
+    walked = []
+    real = pushdown._walk
 
-    def counted(diagram):
-        calls[0] += 1
-        real(diagram)
+    def recorded(diagram):
+        walked.append(diagram)
+        return real(diagram)
 
-    monkeypatch.setattr(pushdown, "validate_diagram", counted)
-    return calls
+    monkeypatch.setattr(pushdown, "_walk", recorded)
+    return walked
 
 
 def test_flatten_validates_each_diagram_once(monkeypatch):
-    calls = _count_validations(monkeypatch)
+    # one walk each for the input, its grid copy and every push-down result
+    walked = _record_walks(monkeypatch)
     pushes = 0
     for path in corpus_paths():
         diagram = parse_diagram(path.read_text())
-        calls[0] = 0
+        walked.clear()
         result = flatten_trace(diagram)
-        assert calls[0] == 1 + len(result.steps), path.name
+        assert len(walked) == 2 + len(result.steps), path.name
+        assert walked[0] is diagram
+        assert len({id(d) for d in walked}) == len(walked)
         pushes += len(result.steps)
     assert pushes > 0
+
+
+def test_public_entry_points_walk_each_diagram_once(monkeypatch):
+    walked = _record_walks(monkeypatch)
+    valley = parse_diagram(VALLEY)
+    for call in (validate_diagram, classify_xlines, diagram_seifert_matrix):
+        walked.clear()
+        call(valley)
+        assert walked == [valley], call.__name__
+    for interval in (None, (Fraction(2), Fraction(5, 2))):
+        walked.clear()
+        pushed = push_down(valley, 1, interval)
+        assert len(walked) == 2 and walked[0] is valley and walked[1] is pushed
+    flat = code_to_flat_diagram(parse_code("1,2,1,2"))
+    walked.clear()
+    read_off_code(flat)
+    assert walked == [flat]
+
+
+def reference_xlines(diagram: RectilinearDiagram) -> list:
+    """The x-lines of a valid diagram in band and path order, from a walk of
+    every segment of its own."""
+    out = []
+    for bi, band in enumerate(diagram.bands):
+        for k in range(len(band) - 1):
+            a, b = band[k], band[k + 1]
+            if a[0] == b[0]:
+                continue
+            # neighbours in path order; both exist because paths end vertically
+            entry_other = band[k - 1]
+            exit_other = band[k + 2]
+            if a[0] < b[0]:
+                left_other, right_other = entry_other, exit_other
+                x_left, x_right = a[0], b[0]
+            else:
+                left_other, right_other = exit_other, entry_other
+                x_left, x_right = b[0], a[0]
+            out.append(
+                pushdown._XLine(
+                    band=bi,
+                    seg=k,
+                    y=a[1],
+                    x_left=x_left,
+                    x_right=x_right,
+                    left_ascends=left_other[1] > a[1],
+                    right_ascends=right_other[1] > a[1],
+                )
+            )
+    return out
+
+
+def reference_occupied_columns(diagram: RectilinearDiagram) -> set:
+    """The y-line columns and connector feet of a diagram."""
+    occupied = set()
+    for band in diagram.bands:
+        for k in range(len(band) - 1):
+            if band[k][0] == band[k + 1][0]:
+                occupied.add(band[k][0])
+    for connector in diagram.connectors:
+        occupied.add(connector.left)
+        occupied.add(connector.right)
+    return occupied
+
+
+def reference_walk(diagram: RectilinearDiagram) -> tuple[list, set]:
+    return reference_xlines(diagram), reference_occupied_columns(diagram)
+
+
+def test_walk_matches_reference_walks(monkeypatch):
+    # on the inputs, and on every push-down result on the flatten grid
+    import random
+
+    results = [0]
+    real_push = pushdown._push
+
+    def checked_push(*args):
+        result, lines, occupied = real_push(*args)
+        assert (lines, occupied) == reference_walk(result)
+        results[0] += 1
+        return result, lines, occupied
+
+    monkeypatch.setattr(pushdown, "_push", checked_push)
+    rng = random.Random(20261018)
+    diagrams = [parse_diagram(path.read_text()) for path in corpus_paths()]
+    diagrams += [_random_diagram(rng) for _ in range(40)]
+    diagrams.append(push_down(parse_diagram(VALLEY), 1, (Fraction(2), Fraction(5, 2))))
+    for diagram in diagrams:
+        assert pushdown._walk(diagram) == reference_walk(diagram)
+        flatten_trace(diagram)
+    assert results[0] > 150
+
+
+# band 1 of each diagram, after a valid arch
+MALFORMED_BANDS = (
+    ("1,0; 1,1; 2,1", "band 1 has fewer than 4 vertices"),
+    ("1,0; 2,0; 2,1; 3,1; 3,0", "band 1 must start and end vertically"),
+    ("1,0; 1,1; 2,1; 2,2; 3,2", "band 1 must start and end vertically"),
+    ("1,0; 1,1; 1,2; 2,2; 2,0", "band 1 does not alternate at segment 1"),
+)
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_BANDS)
+def test_malformed_bands_raise_their_error_from_every_entry_point(text, message):
+    diagram = parse_diagram("5,0; 5,7; 6,7; 6,0\n" + text)
+    for call in (
+        validate_diagram,
+        classify_xlines,
+        read_off_code,
+        flatten_trace,
+        diagram_seifert_matrix,
+        lambda d: push_down(d, 7),
+    ):
+        with pytest.raises(MalformedDiagram) as info:
+            call(diagram)
+        assert type(info.value) is MalformedDiagram and str(info.value) == message
+
+
+def test_read_off_names_the_first_band_that_is_not_an_arch():
+    arch = "1,0; 1,1; 2,1; 2,0"
+    valley = "3,0; 3,5; 4,5; 4,2; 5,2; 5,6; 6,6; 6,0"
+    snake = "7,0; 7,3; 8,3; 8,4; 9,4; 9,0"
+    for text, band in ((f"{arch}\n{valley}\n{snake}", 1), (f"{snake}\n{arch}", 0)):
+        with pytest.raises(SiteNotEligible) as info:
+            read_off_code(parse_diagram(text))
+        assert str(info.value) == (
+            f"band {band} is not a single arch; flatten the diagram first"
+        )
 
 
 def test_public_surgery_and_read_off_validate_their_input():

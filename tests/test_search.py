@@ -1,6 +1,8 @@
 """Enumeration, census, target search, and the result store."""
 
 import json
+import os
+from concurrent.futures import Future
 from itertools import permutations
 
 import pytest
@@ -329,6 +331,41 @@ def test_census_jobs_deterministic():
     parallel = census(4, jobs=2)
     assert serial == parallel
     assert list(serial) == list(parallel)
+
+
+def test_jobs_pool_is_at_most_one_worker_per_cpu(monkeypatch):
+    # a stand-in pool records its size and runs the work inline, so no
+    # process is started whatever jobs asks for
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, func, *args):
+            future = Future()
+            future.set_result(func(*args))
+            return future
+
+    serial = [record_to_json(r) for r in search(SearchQuery(bands=4, knots_only=True))]
+    serial_census = census(4)
+    monkeypatch.setattr(search_module, "ProcessPoolExecutor", InlinePool)
+    for cpus in (os.cpu_count(), 3, 1, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        records = search(SearchQuery(bands=4, knots_only=True, jobs=10**6))
+        histogram = census(4, jobs=10**6)
+        assert [record_to_json(r) for r in records] == serial
+        assert histogram == serial_census and list(histogram) == list(serial_census)
+        # one pool each for search and census, none when one worker is left
+        workers = cpus or 1
+        assert sizes == ([workers] * 2 if workers > 1 else [])
 
 
 def test_mirror_dedup_keeps_smaller_representative():
