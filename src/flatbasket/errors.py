@@ -93,7 +93,8 @@ class SiteNotEligible(FlatBasketError):
 # --- search ---------------------------------------------------------------------
 
 class CapExceeded(FlatBasketError):
-    """Input above a fixed cap: bands for an enumeration, x-lines for flatten."""
+    """Input above a fixed cap: bands for an enumeration or a pencil, x-lines
+    for flatten."""
 
 
 class StoreMismatch(FlatBasketError):

@@ -10,11 +10,15 @@ taken by two mutually checking exact algorithms:
   block: a constant +-1 when there is one, else an entry of least degree.
   Two unit pivots in a row make the step a plain a - a_ik * a_kj, with no
   multiply and no division;
-* ``eval_interp``: det(V - t V^T) = (-t)^n det(V - t^-1 V^T) for any square
-  V, so c_(n-k) = (-1)^n c_k and only c_0..c_(n//2) are unknown.  They are
-  solved from n//2 + 1 exact integer determinants at small integer points;
-  the solve must come out integral, and :class:`MethodDisagreement` is
-  raised when it does not.
+* ``eval_interp``: one exact integer determinant at t = 2^B (Kronecker
+  substitution).  Hadamard's inequality on |t| = 1 and Cauchy's estimate
+  bound every coefficient by sqrt(H), with H read off the entries, so B
+  bits per coefficient leave room for the n + 1 balanced base-2^B digits
+  c_0..c_n.  A digit left above them, or a break of c_(n-k) = (-1)^n c_k
+  (det(V - t V^T) = (-t)^n det(V - t^-1 V^T) for any square V), raises
+  :class:`MethodDisagreement`.
+
+:func:`alexander` takes at most ``PENCIL_CAP`` bands.
 
 The signature of V + V^T comes from one fraction-free symmetric elimination
 (Sylvester's law of inertia): the signs of successive leading principal
@@ -31,12 +35,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from math import gcd
 
 from .codes import FlatBasketCode, surface_stats
-from .errors import MalformedCode, MethodDisagreement, NotAKnot, UnexpectedResidue, _excerpt
+from .errors import (
+    CapExceeded,
+    MalformedCode,
+    MethodDisagreement,
+    NotAKnot,
+    UnexpectedResidue,
+    _excerpt,
+)
 from .seifert import SeifertMatrix, _symmetrized_rows, seifert_matrix
 
 __all__ = [
@@ -414,80 +422,59 @@ def _pencil_det_fraction_free(rows: tuple[tuple[int, ...], ...]) -> IntPolynomia
     return IntPolynomial(tuple(_det_bareiss_poly(pencil)))
 
 
-@lru_cache(maxsize=None)
-def _half_interp(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]:
-    """Points and integer weights recovering c_0..c_{n//2} of det(V - t V^T).
+def _hadamard_square(rows: tuple[tuple[int, ...], ...]) -> int:
+    """H = prod_i s_i with s_i = sum_j l1(M_ij)^2 for M(t) = V - t V^T.
 
-    With c_{n-k} = (-1)^n c_k the pencil determinant is
-    sum_k c_k * (t^k + (-1)^n t^(n-k)) over k < n/2, plus c_m t^m when
-    n = 2m.  Points are taken greedily from 0, 1, -1, 2, -2, ..., skipping
-    any whose row of basis values depends on the rows already taken (x = 1
-    for odd n).  Returns ``(xs, W, D)`` with
-    c_k = sum_i W[k][i] * det(V - xs[i] V^T) / D exactly.
+    l1(M_ij) = |v_ij| + |v_ji| is the sum of the absolute coefficients of
+    the entry (2|v_ii| on the diagonal).  On |t| = 1 every |M_ij(t)| is at
+    most l1(M_ij), so Hadamard's inequality gives |det M(t)| <= sqrt(H)
+    there, and Cauchy's estimate bounds every coefficient of det M(t) by
+    sqrt(H).  H = 0 exactly when some row of M(t) is zero.
     """
-    size = n // 2 + 1
-    sign = -1 if n % 2 else 1
-    xs: list[int] = []
-    # Gauss-Jordan on [basis row | unit row of its point], one point at a
-    # time; once every column has a pivot, the right halves form the inverse.
-    pivots: list[tuple[int, list[Fraction]]] = []
-    x = 0
-    while len(xs) < size:
-        row = [
-            Fraction(x**k if 2 * k == n else x**k + sign * x ** (n - k))
-            for k in range(size)
-        ] + [Fraction(int(i == len(xs))) for i in range(size)]
-        for col, prow in pivots:
-            if row[col]:
-                f = row[col]
-                row = [a - f * b for a, b in zip(row, prow)]
-        col = next((c for c in range(size) if row[c]), None)
-        if col is not None:
-            lead = row[col]
-            row = [a / lead for a in row]
-            for idx, (pcol, prow) in enumerate(pivots):
-                if prow[col]:
-                    f = prow[col]
-                    pivots[idx] = (pcol, [a - f * b for a, b in zip(prow, row)])
-            pivots.append((col, row))
-            xs.append(x)
-        x = -x if x > 0 else 1 - x
-    inverse = [row[size:] for _, row in sorted(pivots, key=lambda p: p[0])]
-    denom = 1
-    for row in inverse:
-        for f in row:
-            denom = denom // gcd(denom, f.denominator) * f.denominator
-    weights = tuple(tuple(int(f * denom) for f in row) for row in inverse)
-    return tuple(xs), weights, denom
+    h = 1
+    for i, row in enumerate(rows):
+        s = 0
+        for j, v in enumerate(row):
+            l1 = abs(v) + abs(rows[j][i])
+            s += l1 * l1
+        h *= s
+    return h
 
 
 def _pencil_det_eval_interp(rows: tuple[tuple[int, ...], ...]) -> IntPolynomial:
-    """det(V - t V^T) from n//2 + 1 integer determinants.
+    """det(V - t V^T) from one integer determinant at t = 2^B.
 
-    det(V - t V^T) = (-t)^n det(V - t^-1 V^T) for every square V, so
-    c_{n-k} = (-1)^n c_k and the lower half of the coefficients fixes the
-    rest.  The solve must come out integral; :class:`MethodDisagreement` is
-    raised when it does not.  The point x = 0 is V itself, whose determinant
-    is 0 when V is strictly lower triangular, as every code's V is; that is
-    checked on the rows, and any other V is eliminated at every point.
+    Every coefficient c_k has |c_k| <= sqrt(H) < 2^(B - 1) for
+    B = ceil(bitlen(H) / 2) + 1 (see :func:`_hadamard_square`), so the
+    determinant at t = 2^B is sum_k c_k 2^(Bk) and its n + 1 balanced
+    base-2^B digits are c_0..c_n (Kronecker substitution).  Anything left
+    after them, or a break of c_(n-k) = (-1)^n c_k, which holds because
+    det(V - t V^T) = (-t)^n det(V - t^-1 V^T), raises
+    :class:`MethodDisagreement`.
     """
     n = len(rows)
-    xs, weights, denom = _half_interp(n)
-    lower = n > 0 and not any(any(row[i:]) for i, row in enumerate(rows))
-    ys = [
-        0 if x == 0 and lower else _det_bareiss_int(
-            [[rows[i][j] - x * rows[j][i] for j in range(n)] for i in range(n)]
-        )
-        for x in xs
-    ]
-    coeffs = [0] * (n + 1)
+    h = _hadamard_square(rows)
+    if not h:
+        return _ZERO
+    bits = (h.bit_length() + 1) // 2 + 1
+    x = 1 << bits
+    value = _det_bareiss_int(
+        [[rows[i][j] - x * rows[j][i] for j in range(n)] for i in range(n)]
+    )
+    mask = x - 1
+    half = x >> 1
+    coeffs = []
+    for _ in range(n + 1):
+        digit = value & mask
+        if digit >= half:
+            digit -= x
+        coeffs.append(digit)
+        value = (value - digit) >> bits
+    if value:
+        raise MethodDisagreement("pencil value has digits above degree n")
     sign = -1 if n % 2 else 1
-    for k, wrow in enumerate(weights):
-        c, r = divmod(sum(w * y for w, y in zip(wrow, ys)), denom)
-        if r:
-            raise MethodDisagreement("interpolation produced a non-integer")
-        coeffs[k] = c
-        coeffs[n - k] = sign * c
+    if any(coeffs[n - k] != sign * c for k, c in enumerate(coeffs)):
+        raise MethodDisagreement("pencil coefficients break c_(n-k) = (-1)^n c_k")
     return IntPolynomial(tuple(coeffs))
 
 
@@ -509,6 +496,13 @@ def pencil_determinant(
 # ---------------------------------------------------------------------------
 # the Alexander polynomial and friends
 # ---------------------------------------------------------------------------
+
+# Most bands :func:`alexander` takes.  At 48 bands each pencil takes well
+# under a second; above about 56 the one integer determinant of
+# ``eval_interp`` is slower than the Z[t] elimination, and both keep climbing
+# (80 bands: 7-9 s each).
+PENCIL_CAP = 48
+
 
 @dataclass(frozen=True)
 class AlexanderPolynomial:
@@ -559,7 +553,10 @@ def _alexander_of_matrix(
     code: FlatBasketCode, matrix: SeifertMatrix, method: str, checked: bool
 ) -> AlexanderPolynomial:
     """:func:`alexander` from the code's Seifert matrix, for callers that
-    also need the matrix for the signature."""
+    also need the matrix for the signature.  Raises :class:`CapExceeded`
+    above ``PENCIL_CAP`` bands, before any pencil."""
+    if matrix.n > PENCIL_CAP:
+        raise CapExceeded(f"{matrix.n} bands exceeds the pencil cap {PENCIL_CAP}")
     raw = pencil_determinant(matrix, method)
     if checked:
         other = "eval_interp" if method == "fraction_free" else "fraction_free"

@@ -5,7 +5,9 @@ import hashlib
 import json
 import time
 
+from flatbasket import invariants
 from flatbasket.cli import build_parser, cli_dispatch
+from flatbasket.invariants import PENCIL_CAP
 from flatbasket.pushdown import FLATTEN_CAP
 
 
@@ -260,6 +262,29 @@ def test_flatten_cap_is_fixed(tmp_path, capsys):
         f"error: diagram with {FLATTEN_CAP + 1} x-lines exceeds the flatten cap"
         f" {FLATTEN_CAP}\n"
     )
+
+
+def _all_crossing(bands: int) -> str:
+    """1..n,1..n: every chord pair interleaves; a knot for even n."""
+    return ",".join(map(str, list(range(1, bands + 1)) * 2))
+
+
+def test_pencil_cap_is_fixed(monkeypatch, capsys):
+    assert PENCIL_CAP == 48
+    status, out, _ = run(capsys, "invariants", "--json", "--code", _all_crossing(PENCIL_CAP))
+    assert status == 0 and json.loads(out)["determinant"] == PENCIL_CAP - 1
+
+    # the cap is checked before any pencil determinant
+    def refuse(rows):
+        raise AssertionError("a pencil ran above the cap")
+
+    monkeypatch.setattr(invariants, "_det_bareiss_int", refuse)
+    monkeypatch.setattr(invariants, "_det_bareiss_poly", refuse)
+    over = _all_crossing(PENCIL_CAP + 2)
+    for argv in (("alexander",), ("invariants",), ("bound", "--genus", "1")):
+        status, out, err = run(capsys, *argv, "--code", over)
+        assert (status, out) == (1, "")
+        assert err == f"error: {PENCIL_CAP + 2} bands exceeds the pencil cap {PENCIL_CAP}\n"
 
 
 def test_flatten_errors_quote_drawing_coordinates(tmp_path, capsys):

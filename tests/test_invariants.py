@@ -1,7 +1,7 @@
 """Exact polynomials, determinants, and the derived knot invariants.
 
 The determinant oracle is a naive permutation expansion (conftest), computed
-independently of the elimination and interpolation code under test.
+independently of the elimination and evaluation code under test.
 """
 
 import random
@@ -133,12 +133,24 @@ def test_methods_agree_random():
         )
 
 
+def _hadamard_square(rows) -> int:
+    """prod_i sum_j (|v_ij| + |v_ji|)^2, the square of the Hadamard bound on
+    |det(V - t V^T)| over |t| = 1, hence on every coefficient."""
+    h = 1
+    for i in range(len(rows)):
+        h *= sum((abs(rows[i][j]) + abs(rows[j][i])) ** 2 for j in range(len(rows)))
+    return h
+
+
 def _methods_agree(matrices) -> int:
+    """Both pencil methods agree, and no coefficient exceeds the bound."""
     count = 0
     for v in matrices:
-        assert pencil_determinant(v, "fraction_free") == pencil_determinant(
-            v, "eval_interp"
-        ), v
+        ff = pencil_determinant(v, "fraction_free")
+        assert ff == pencil_determinant(v, "eval_interp"), v
+        h = _hadamard_square(v.rows)
+        assert h == invariants._hadamard_square(v.rows)
+        assert max((c * c for c in ff.coeffs), default=0) <= h, v
         count += 1
     return count
 
@@ -173,18 +185,26 @@ def test_methods_agree_on_seeded_24_band_knots():
     assert _methods_agree(seifert_matrix(code) for code in codes) == 10
 
 
-def test_eval_interp_skips_the_zero_point_only_for_a_triangular_v(monkeypatch):
-    # V at x = 0 is solved only when V is not strictly lower triangular
+def _counting_int_dets(monkeypatch, offset=lambda: 0):
+    """Record the size of each ``_det_bareiss_int`` call and add
+    ``offset()`` to every determinant it returns."""
     calls = []
     real = invariants._det_bareiss_int
 
     def counting(rows):
         calls.append(len(rows))
-        return real(rows)
+        return real(rows) + offset()
 
     monkeypatch.setattr(invariants, "_det_bareiss_int", counting)
+    return calls
+
+
+def test_eval_interp_takes_one_integer_determinant(monkeypatch):
+    # one determinant at t = 2^B for triangular, transposed and dense V;
+    # none when a zero row of V - t V^T makes the pencil zero
+    calls = _counting_int_dets(monkeypatch)
     rng = random.Random(8)
-    full = 0
+    taken = zero = 0
     for n in range(1, 8):
         v = seifert_matrix(random_code(rng, n))
         transposed = SeifertMatrix(tuple(zip(*v.rows)))
@@ -192,15 +212,35 @@ def test_eval_interp_skips_the_zero_point_only_for_a_triangular_v(monkeypatch):
             tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n))
         )
         for matrix in (v, transposed, dense):
-            upper = any(matrix.rows[i][j] for i in range(n) for j in range(i, n))
             calls.clear()
-            assert pencil_determinant(matrix, "eval_interp").coeffs == leibniz_pencil_det(
-                matrix
-            )
-            assert len(calls) == (n // 2 + 1 if upper else n // 2), (matrix, calls)
-            full += upper
-        assert not any(v.rows[i][j] for i in range(n) for j in range(i, n))
-    assert full >= 10
+            expected = leibniz_pencil_det(matrix)
+            assert pencil_determinant(matrix, "eval_interp").coeffs == expected
+            if invariants._hadamard_square(matrix.rows):
+                assert calls == [n], (matrix, calls)
+                taken += 1
+            else:
+                assert calls == [] and expected == (), (matrix, calls)
+                zero += 1
+    assert taken >= 10 and zero >= 5
+
+
+def test_eval_interp_checks_symmetry(monkeypatch, trefoil_code):
+    # one unit more at t = 2^B moves c_0 alone, which breaks c_n = (-1)^n c_0
+    _counting_int_dets(monkeypatch, lambda: 1)
+    for matrix in (seifert_matrix(trefoil_code), SeifertMatrix(((1, 2), (3, 4)))):
+        with pytest.raises(MethodDisagreement, match="c_\\(n-k\\)"):
+            pencil_determinant(matrix, "eval_interp")
+
+
+def test_eval_interp_checks_leftover_digits(monkeypatch, trefoil_code):
+    # 2^(B(n+1)) more leaves c_0..c_n as they are and one digit above them
+    extra = {}
+    _counting_int_dets(monkeypatch, lambda: extra["top"])
+    for matrix in (seifert_matrix(trefoil_code), SeifertMatrix(((1, 2), (3, 4)))):
+        bits = (invariants._hadamard_square(matrix.rows).bit_length() + 1) // 2 + 1
+        extra["top"] = 1 << (bits * (matrix.n + 1))
+        with pytest.raises(MethodDisagreement, match="above degree n"):
+            pencil_determinant(matrix, "eval_interp")
 
 
 def test_pencil_rejects_unknown_method(trefoil_code):

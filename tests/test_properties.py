@@ -5,11 +5,12 @@ conftest, on Seifert matrices of generated codes and on generated integer
 matrices that are not triangular, as flattened diagrams can produce.  The
 matrix families are chosen to reach each path of the pivoted Z[t] Bareiss
 elimination: unit pivots with row and column swaps and row negation, pivots
-that are never units, and a zero trailing block.  Flattening is compared
-with the independent boundary-trace oracle on generated diagrams, and
-validation with the reference crossing check on diagrams drawn from a small
-grid.  The parsers are fuzzed with text that mixes their syntax with
-digits they must refuse.
+that are never units, and a zero trailing block.  Entries up to 1000 make
+the one evaluation point 2^B of ``eval_interp`` large, and a zero row makes
+its Hadamard bound zero.  Flattening is compared with the independent
+boundary-trace oracle on generated diagrams, and validation with the
+reference crossing check on diagrams drawn from a small grid.  The parsers
+are fuzzed with text that mixes their syntax with digits they must refuse.
 """
 
 from hypothesis import given, settings
@@ -107,6 +108,30 @@ def test_pencil_methods_match_leibniz_without_unit_entries(v):
 @given(square_lists(st.sampled_from((1, -1, 0)), min_size=1).map(_matrix))
 def test_pencil_methods_match_leibniz_on_dense_sign_matrices(v):
     _methods_match_leibniz(v)
+
+
+@st.composite
+def zero_row_matrices(draw):
+    """V with row and column k zero, so V - t V^T has a zero row and the
+    pencil is zero without any determinant."""
+    rows = draw(square_lists(st.integers(-1000, 1000), min_size=1, max_size=5))
+    k = draw(st.integers(0, len(rows) - 1))
+    for row in rows:
+        row[k] = 0
+    rows[k] = [0] * len(rows)
+    return _matrix(rows)
+
+
+@PROPERTY
+@given(square_lists(st.integers(-1000, 1000), min_size=0, max_size=5).map(_matrix))
+def test_pencil_methods_match_leibniz_on_large_entries(v):
+    _methods_match_leibniz(v)
+
+
+@PROPERTY
+@given(zero_row_matrices())
+def test_pencil_methods_vanish_on_a_zero_row(v):
+    assert _methods_match_leibniz(v) == ()
 
 
 @PROPERTY
