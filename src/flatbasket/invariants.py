@@ -7,9 +7,12 @@ taken by two mutually checking exact algorithms:
 * ``fraction_free``: one-step fraction-free (Bareiss) elimination over Z[t]
   on plain coefficient lists, where every division is exact by
   construction and checked.  Each pivot comes from the whole trailing
-  block: a constant +-1 when there is one, else an entry of least degree.
-  Two unit pivots in a row make the step a plain a - a_ik * a_kj, with no
-  multiply and no division;
+  block: a constant +-1 when there is one, else an entry of least degree,
+  and within that tier the entry of least Markowitz cost
+  (r_i - 1)(c_j - 1), from row and column nonzero counts that are taken
+  once and kept up to date as entries fill in or cancel.  Two unit pivots
+  in a row make the step a plain a - a_ik * a_kj, with no multiply and no
+  division;
 * ``eval_interp``: one exact integer determinant at t = 2^B (Kronecker
   substitution).  Hadamard's inequality on |t| = 1 and Cauchy's estimate
   bound every coefficient by sqrt(H), with H read off the entries, so B
@@ -140,8 +143,11 @@ class IntPolynomial:
 
     def __post_init__(self):
         coeffs = tuple(self.coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
+        if coeffs and coeffs[-1] == 0:
+            end = len(coeffs) - 1
+            while end and coeffs[end - 1] == 0:
+                end -= 1
+            coeffs = coeffs[:end]
         object.__setattr__(self, "coeffs", coeffs)
 
     # -- structure ----------------------------------------------------------
@@ -233,8 +239,8 @@ class IntPolynomial:
 
 _ZERO = IntPolynomial(())
 
-# Largest exponent parse_polynomial accepts; the dense coefficient list is
-# allocated up to it.
+# Largest exponent parse_polynomial accepts, in a term or as the length of a
+# coefficient list less one; the dense coefficient list is allocated up to it.
 MAX_EXPONENT = 10_000
 
 _TERM = re.compile(
@@ -249,7 +255,8 @@ def parse_polynomial(text: str) -> IntPolynomial:
     """Parse ``t^2 - t + 1`` style text, or an ascending coefficient list.
 
     A plain comma/space separated list of integers is read as coefficients
-    of t^0, t^1, ... (the JSON wire convention).
+    of t^0, t^1, ... (the JSON wire convention), at most
+    ``MAX_EXPONENT + 1`` of them.
     """
     s = text.strip()
     if not s:
@@ -259,6 +266,8 @@ def parse_polynomial(text: str) -> IntPolynomial:
         for tok in re.split(r"[,\s]+", s):
             if not tok:
                 continue
+            if len(values) > MAX_EXPONENT:
+                raise MalformedCode(f"more than {MAX_EXPONENT + 1} coefficients")
             if not _COEFF.fullmatch(tok):
                 raise MalformedCode(f"bad coefficient {_excerpt(tok)}")
             try:
@@ -334,22 +343,36 @@ def _det_bareiss_int(rows: list[list[int]]) -> int:
     return sign * rows[n - 1][n - 1]
 
 
-def _pivot_position(rows: list[list[list[int]]], k: int) -> tuple[int, int] | None:
+def _pivot_position(
+    rows: list[list[list[int]]], k: int, row_nz: list[int], col_nz: list[int]
+) -> tuple[int, int] | None:
     """Position of the pivot for step k in the block ``rows[k:][k:]``.
 
-    The first constant +-1 in row-major order, else the first nonzero entry
-    of least degree; None when the block is zero.
+    A constant +-1 when there is one, else a nonzero entry of least length;
+    within that tier, the entry of least Markowitz cost
+    (row_nz[i] - 1) * (col_nz[j] - 1), the most fill its elimination can
+    make, with ``row_nz`` and ``col_nz`` the nonzero counts of the rows and
+    columns of the block.  Ties go to the first in row-major order, and the
+    scan stops at a +-1 of cost 0.  None when the block is zero.
     """
     best = None
-    best_len = 0
-    for i in range(k, len(rows)):
+    best_tier = best_cost = 0
+    n = len(rows)
+    for i in range(k, n):
         row = rows[i]
-        for j in range(k, len(row)):
+        r = row_nz[i] - 1
+        for j in range(k, n):
             e = row[j]
-            if e and (best is None or len(e) < best_len):
-                if len(e) == 1 and (e[0] == 1 or e[0] == -1):
+            if not e:
+                continue
+            tier = 0 if len(e) == 1 and (e[0] == 1 or e[0] == -1) else len(e)
+            if best is not None and tier > best_tier:
+                continue
+            cost = r * (col_nz[j] - 1)
+            if best is None or tier < best_tier or cost < best_cost:
+                if not tier and not cost:
                     return i, j
-                best, best_len = (i, j), len(e)
+                best, best_tier, best_cost = (i, j), tier, cost
     return best
 
 
@@ -358,8 +381,12 @@ def _det_bareiss_poly(rows: list[list[list[int]]]) -> list[int]:
 
     Entries and the result are trimmed coefficient lists; ``rows`` is
     overwritten.  Each step takes its pivot from the whole trailing block
-    (see :func:`_pivot_position`), swapping it into place by a row and a
-    column swap, each of which flips the sign.  A pivot with a negative
+    by least fill (see :func:`_pivot_position`), swapping it into place by
+    a row and a column swap, each of which flips the sign.  The nonzero
+    counts of the block's rows and columns are taken once and then kept up
+    to date: swapped with their row or column, decremented when the pivot
+    row and column leave the block, and moved by one whenever an update
+    turns an entry from zero to nonzero or back.  A pivot with a negative
     leading coefficient has its row negated, flipping the sign again, so a
     unit pivot is always ``[1]``.  The update of entry (i, j) is
     (a_ij * pivot - a_ik * a_kj) / prev, with prev the previous pivot;
@@ -371,32 +398,41 @@ def _det_bareiss_poly(rows: list[list[list[int]]]) -> list[int]:
     n = len(rows)
     if n == 0:
         return [1]
+    row_nz = [sum(1 for e in row if e) for row in rows]
+    col_nz = [sum(1 for e in col if e) for col in zip(*rows)]
     sign = 1
     prev = [1]
     for k in range(n - 1):
-        pos = _pivot_position(rows, k)
+        pos = _pivot_position(rows, k, row_nz, col_nz)
         if pos is None:
             return []
         p, q = pos
         if p != k:
             rows[k], rows[p] = rows[p], rows[k]
+            row_nz[k], row_nz[p] = row_nz[p], row_nz[k]
             sign = -sign
         if q != k:
             for row in rows[k:]:
                 row[k], row[q] = row[q], row[k]
+            col_nz[k], col_nz[q] = col_nz[q], col_nz[k]
             sign = -sign
         rk = rows[k]
         if rk[k][-1] < 0:
             rk[k:] = [[-c for c in e] for e in rk[k:]]
             sign = -sign
         pivot = rk[k]
+        for j in range(k + 1, n):
+            if rk[j]:
+                col_nz[j] -= 1
         unit_pivot = pivot == [1]
         unit_prev = prev == [1]
         same = pivot == prev
         for i in range(k + 1, n):
             ri = rows[i]
             rik = ri[k]
-            if not rik and same:
+            if rik:
+                row_nz[i] -= 1
+            elif same:
                 continue
             for j in range(k + 1, n):
                 a = ri[j]
@@ -406,7 +442,12 @@ def _det_bareiss_poly(rows: list[list[list[int]]]) -> list[int]:
                 num = a if unit_pivot else _poly_mul(a, pivot)
                 if b:
                     num = _poly_sub(num, _poly_mul(rik, b))
-                ri[j] = num if unit_prev else _poly_exact_div(num, prev)
+                new = num if unit_prev else _poly_exact_div(num, prev)
+                if (not a) != (not new):
+                    step = 1 if new else -1
+                    row_nz[i] += step
+                    col_nz[j] += step
+                ri[j] = new
         prev = pivot
     det = rows[n - 1][n - 1]
     return [-c for c in det] if sign < 0 else det
@@ -414,10 +455,9 @@ def _det_bareiss_poly(rows: list[list[list[int]]]) -> list[int]:
 
 def _pencil_det_fraction_free(rows: tuple[tuple[int, ...], ...]) -> IntPolynomial:
     """det(V - t V^T) by Bareiss elimination over Z[t]."""
-    n = len(rows)
     pencil = [
-        [_poly_sub((rows[i][j],), (0, rows[j][i])) for j in range(n)]
-        for i in range(n)
+        [[v, -w] if w else [v] if v else [] for v, w in zip(row, col)]
+        for row, col in zip(rows, zip(*rows))
     ]
     return IntPolynomial(tuple(_det_bareiss_poly(pencil)))
 
@@ -498,9 +538,9 @@ def pencil_determinant(
 # ---------------------------------------------------------------------------
 
 # Most bands :func:`alexander` takes.  At 48 bands each pencil takes well
-# under a second; above about 56 the one integer determinant of
-# ``eval_interp`` is slower than the Z[t] elimination, and both keep climbing
-# (80 bands: 7-9 s each).
+# under a second.  ``eval_interp``'s one integer determinant is then the
+# slower method and grows fastest (80 bands: 8-10 s, against 0.06-2.9 s for
+# the Z[t] elimination), so a higher cap needs a faster integer determinant.
 PENCIL_CAP = 48
 
 

@@ -95,6 +95,14 @@ def test_overlong_numbers_are_domain_errors(capsys):
         assert err.startswith("error: ") and len(err) < 200
 
 
+def test_long_coefficient_lists_are_domain_errors(capsys):
+    # the degree cap of a t^k term holds for a coefficient list too
+    target = "1," + "0," * 40_000 + "0"
+    status, out, err = run(capsys, "search", "-n", "2", "--target", target)
+    assert (status, out) == (1, "")
+    assert err == f"error: more than {invariants.MAX_EXPONENT + 1} coefficients\n"
+
+
 def test_polynomial_errors_name_a_short_excerpt(capsys):
     huge = "9" * 5000
     for target in (f"1,{huge}", f"1,{huge}x", f"t + 1 {huge}", f"t + 1 + {huge}x"):

@@ -44,6 +44,12 @@ def test_polynomial_trimming_and_degree():
     assert IntPolynomial((0, 0)).is_zero
 
 
+def test_polynomial_trimming_is_linear():
+    # one slice at the last nonzero coefficient, not one slice per zero
+    assert IntPolynomial((1,) + (0,) * 200_000).coeffs == (1,)
+    assert IntPolynomial((0,) * 200_000).is_zero
+
+
 def test_polynomial_arithmetic():
     a = IntPolynomial((1, 1))        # 1 + t
     b = IntPolynomial((-1, 1))       # -1 + t
@@ -95,6 +101,16 @@ def test_parse_polynomial_bounds_exponents_and_digits():
         with pytest.raises(MalformedCode):
             parse_polynomial(text)
     assert parse_polynomial("+3,-1") == IntPolynomial((3, -1))
+
+
+def test_parse_polynomial_caps_coefficient_lists():
+    # the same degree cap as a t^k term: at most MAX_EXPONENT + 1 coefficients
+    top = parse_polynomial(",".join(["0"] * MAX_EXPONENT + ["1"]))
+    assert top.degree == MAX_EXPONENT
+    assert parse_polynomial("1," + "0," * (MAX_EXPONENT - 1) + "0").coeffs == (1,)
+    for text in ("1," + "0," * MAX_EXPONENT + "0", "1 " * 40_000):
+        with pytest.raises(MalformedCode, match=f"more than {MAX_EXPONENT + 1} coefficients"):
+            parse_polynomial(text)
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +191,102 @@ def test_methods_agree_on_table_codes_and_corpus_diagrams():
     ) == len(diagrams)
 
 
-def test_methods_agree_on_seeded_24_band_knots():
+def _seeded_24_band_knots() -> list:
     rng = random.Random(24)
     codes = []
     while len(codes) < 10:
         code = random_code(rng, 24)
         if surface_stats(code).boundary == 1:
             codes.append(code)
+    return codes
+
+
+def test_methods_agree_on_seeded_24_band_knots():
+    codes = _seeded_24_band_knots()
     assert _methods_agree(seifert_matrix(code) for code in codes) == 10
+
+
+def test_fraction_free_products_on_seeded_24_band_knots(monkeypatch):
+    # least-fill pivots: 5,854 products of Z[t] entries; the first +-1 in
+    # row-major order took 12,698
+    calls = []
+    real = invariants._poly_mul
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(invariants, "_poly_mul", counting)
+    for code in _seeded_24_band_knots():
+        pencil_determinant(seifert_matrix(code), "fraction_free")
+    assert len(calls) <= 7_000, len(calls)
+
+
+def _nonzero_counts(pencil):
+    rows = [sum(1 for e in row if e) for row in pencil]
+    cols = [sum(1 for e in col if e) for col in zip(*pencil)]
+    return rows, cols
+
+
+def test_nonzero_counts_match_a_recount_at_every_step(monkeypatch):
+    # the counts kept up to date by the elimination are those of the block
+    steps = []
+    real = invariants._pivot_position
+
+    def recounting(rows, k, row_nz, col_nz):
+        block = [row[k:] for row in rows[k:]]
+        assert _nonzero_counts(block) == (row_nz[k:], col_nz[k:]), k
+        steps.append(k)
+        return real(rows, k, row_nz, col_nz)
+
+    monkeypatch.setattr(invariants, "_pivot_position", recounting)
+    rng = random.Random(14)
+    matrices = [seifert_matrix(code) for code in _seeded_24_band_knots()[:3]]
+    matrices += [
+        SeifertMatrix(tuple(tuple(rng.choice((0, 0, 1, -1)) for _ in range(n)) for _ in range(n)))
+        for n in range(2, 8)
+        for _ in range(30)
+    ]
+    for v in matrices:
+        steps.clear()
+        det = pencil_determinant(v, "fraction_free")
+        assert det == pencil_determinant(v, "eval_interp")
+        assert steps and steps == list(range(len(steps)))
+        assert det.is_zero or len(steps) == v.n - 1
+
+
+def test_pivot_takes_the_least_fill_unit():
+    # M = V - t V^T has two +-1 entries.  The first in row-major order,
+    # M_12 = [1], sits in a row of 3 and a column of 4 nonzero entries:
+    # cost (3 - 1)(4 - 1) = 6.  M_32 = [1] is alone in its row, cost 0.
+    v = SeifertMatrix(((0, 1, 1, 0), (1, 1, 1, 0), (1, 0, -1, 0), (0, 0, 1, 0)))
+    pencil = [
+        [[v.rows[i][j], -v.rows[j][i]] if v.rows[j][i] else [v.rows[i][j]]
+         if v.rows[i][j] else [] for j in range(4)]
+        for i in range(4)
+    ]
+    units = [
+        (i, j) for i in range(4) for j in range(4) if pencil[i][j] in ([1], [-1])
+    ]
+    assert units == [(1, 2), (3, 2)]
+    rows, cols = _nonzero_counts(pencil)
+    assert (rows[1], cols[2], rows[3]) == (3, 4, 1)
+    assert invariants._pivot_position(pencil, 0, rows, cols) == (3, 2)
+    assert pencil_determinant(v, "fraction_free").coeffs == leibniz_pencil_det(v)
+
+
+def test_pivot_tiers_and_ties():
+    # a unit of cost 1 beats a non-unit of cost 0, and the first of equal
+    # costs in row-major order wins
+    pencil = [[[2], [], []], [[], [1], [1]], [[], [-1], [1]]]
+    rows, cols = _nonzero_counts(pencil)
+    assert invariants._pivot_position(pencil, 0, rows, cols) == (1, 1)
+    # without units the shortest entries, then the least cost among them
+    pencil = [[[1, 1], [], []], [[], [3], [5]], [[], [7], []]]
+    rows, cols = _nonzero_counts(pencil)
+    assert invariants._pivot_position(pencil, 0, rows, cols) == (1, 2)
+    # only the trailing block from step k on counts
+    assert invariants._pivot_position(pencil, 2, rows, cols) is None
 
 
 def _counting_int_dets(monkeypatch, offset=lambda: 0):

@@ -140,6 +140,31 @@ def test_pencil_methods_vanish_on_repeated_rows(v):
     assert _methods_match_leibniz(v) == ()
 
 
+@st.composite
+def permuted_matrices(draw):
+    """V with n <= 6, a code's Seifert matrix or a matrix with many zero
+    and +-1 entries, and P V P^T for a permutation P of its indices."""
+    rows = draw(
+        st.one_of(
+            codes(6).map(lambda code: seifert_matrix(code).rows),
+            square_lists(st.sampled_from((0, 0, 1, -1, 2, -3)), min_size=1, max_size=6),
+        )
+    )
+    perm = draw(st.permutations(range(len(rows))))
+    return _matrix(rows), _matrix([[rows[a][b] for b in perm] for a in perm])
+
+
+@PROPERTY
+@given(permuted_matrices())
+def test_fraction_free_pencil_is_invariant_under_simultaneous_permutation(pair):
+    # P (V - t V^T) P^T has the same determinant; the least-fill pivots of
+    # the two eliminations take different paths
+    v, permuted = pair
+    expected = leibniz_pencil_det(v)
+    assert pencil_determinant(v, "fraction_free").coeffs == expected
+    assert pencil_determinant(permuted, "fraction_free").coeffs == expected
+
+
 @PROPERTY
 @given(codes(7), st.integers(0, 13))
 def test_alexander_invariant_under_rotation_and_mirror(code, shift):
