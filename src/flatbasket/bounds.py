@@ -21,9 +21,9 @@ __all__ = ["FpbkBound", "fpbk_lower_bound"]
 class FpbkBound:
     """Partial bounds and their maximum.
 
-    ``genus_bound`` is present only when a genus was supplied; when it is
-    absent the overall value still honours the implied floor genus >= span/2,
-    which never exceeds the degree bound.
+    ``genus_bound`` is present only when a genus was supplied.  The floor
+    2g + 2 >= span + 2 implied by genus >= span/2 never exceeds the degree
+    bound (span + 2 or span + 4), so ``overall`` needs no term for it.
     """
 
     degree_bound: int
@@ -54,8 +54,7 @@ def fpbk_lower_bound(
     monic = abs(delta.leading) == 1
     degree_bound = span + (2 if monic else 4)
     genus_bound = 2 * genus + 2 if genus is not None else None
-    implied_floor = span + 2  # from genus >= span/2, always true
-    overall = max(degree_bound, implied_floor, genus_bound or 0)
+    overall = max(degree_bound, genus_bound or 0)
     return FpbkBound(
         degree_bound=degree_bound,
         genus_bound=genus_bound,

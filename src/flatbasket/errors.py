@@ -2,7 +2,11 @@
 
 Every domain error raised by the library derives from ``FlatBasketError`` so
 that callers (and the CLI) can distinguish bad input from genuine bugs.
+Every fixed cap raises ``CapExceeded`` and every failed internal check
+``InvariantViolation``.
 """
+
+from pathlib import Path
 
 
 class FlatBasketError(Exception):
@@ -16,8 +20,22 @@ def _excerpt(text: str, width: int = 24) -> str:
     return f"{text[:width]!r}... ({len(text)} characters)"
 
 
+def _read_text(path: str | Path, error: type[FlatBasketError]) -> str:
+    """UTF-8 text of the file at ``path``; an undecodable byte raises ``error``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: undecodable byte at offset {exc.start}") from exc
+
+
 class InvariantViolation(FlatBasketError):
-    """A mathematical invariant checked at run time failed (internal bug)."""
+    """A mathematical invariant checked at run time failed, such as two exact
+    methods disagreeing or an even knot determinant (internal bug)."""
+
+
+class CapExceeded(FlatBasketError):
+    """Input above a fixed cap: bands for an enumeration, an orbit or a
+    pencil, x-lines for flatten."""
 
 
 # --- code parsing and validation -------------------------------------------
@@ -40,16 +58,8 @@ class InvalidPermutation(FlatBasketError):
 
 # --- invariants -------------------------------------------------------------
 
-class MethodDisagreement(FlatBasketError):
-    """The two exact determinant algorithms disagreed (internal bug)."""
-
-
 class NotAKnot(FlatBasketError):
     """Operation requires a single boundary component."""
-
-
-class UnexpectedResidue(FlatBasketError):
-    """Knot determinant was even, which is impossible (internal bug)."""
 
 
 # --- bounds -------------------------------------------------------------------
@@ -60,12 +70,6 @@ class TrivialKnotInput(FlatBasketError):
 
 class GenusContradiction(FlatBasketError):
     """Supplied genus is smaller than half the polynomial span."""
-
-
-# --- pass classification ------------------------------------------------------
-
-class OrbitTooLarge(FlatBasketError):
-    """Band count exceeds the fixed cap for orbit enumeration."""
 
 
 # --- rectilinear diagrams ------------------------------------------------------
@@ -92,11 +96,6 @@ class SiteNotEligible(FlatBasketError):
 
 # --- search ---------------------------------------------------------------------
 
-class CapExceeded(FlatBasketError):
-    """Input above a fixed cap: bands for an enumeration or a pencil, x-lines
-    for flatten."""
-
-
 class StoreMismatch(FlatBasketError):
     """An existing result store disagrees with freshly computed records."""
 
@@ -104,7 +103,7 @@ class StoreMismatch(FlatBasketError):
 # --- tables and CLI ---------------------------------------------------------------
 
 class ParseError(FlatBasketError):
-    """A bundled data file could not be parsed; message identifies the row."""
+    """A table or reference file is undecodable or malformed; the message says where."""
 
 
 class MissingReference(FlatBasketError):

@@ -19,9 +19,12 @@ taken by two mutually checking exact algorithms:
   bits per coefficient leave room for the n + 1 balanced base-2^B digits
   c_0..c_n.  A digit left above them, or a break of c_(n-k) = (-1)^n c_k
   (det(V - t V^T) = (-t)^n det(V - t^-1 V^T) for any square V), raises
-  :class:`MethodDisagreement`.
+  :class:`InvariantViolation`.
 
-:func:`alexander` takes at most ``PENCIL_CAP`` bands.
+:func:`alexander` and :func:`knot_determinant` (so :func:`arf` and
+``passclass.pass_class``) take at most ``PENCIL_CAP`` bands; a larger code
+raises :class:`CapExceeded`.  Every failed internal check, a disagreement
+of the two methods included, raises :class:`InvariantViolation`.
 
 The signature of V + V^T comes from one fraction-free symmetric elimination
 (Sylvester's law of inertia): the signs of successive leading principal
@@ -40,14 +43,7 @@ import re
 from dataclasses import dataclass
 
 from .codes import FlatBasketCode, surface_stats
-from .errors import (
-    CapExceeded,
-    MalformedCode,
-    MethodDisagreement,
-    NotAKnot,
-    UnexpectedResidue,
-    _excerpt,
-)
+from .errors import CapExceeded, InvariantViolation, MalformedCode, NotAKnot, _excerpt
 from .seifert import SeifertMatrix, _symmetrized_rows, seifert_matrix
 
 __all__ = [
@@ -490,7 +486,7 @@ def _pencil_det_eval_interp(rows: tuple[tuple[int, ...], ...]) -> IntPolynomial:
     base-2^B digits are c_0..c_n (Kronecker substitution).  Anything left
     after them, or a break of c_(n-k) = (-1)^n c_k, which holds because
     det(V - t V^T) = (-t)^n det(V - t^-1 V^T), raises
-    :class:`MethodDisagreement`.
+    :class:`InvariantViolation`.
     """
     n = len(rows)
     h = _hadamard_square(rows)
@@ -511,10 +507,10 @@ def _pencil_det_eval_interp(rows: tuple[tuple[int, ...], ...]) -> IntPolynomial:
         coeffs.append(digit)
         value = (value - digit) >> bits
     if value:
-        raise MethodDisagreement("pencil value has digits above degree n")
+        raise InvariantViolation("pencil value has digits above degree n")
     sign = -1 if n % 2 else 1
     if any(coeffs[n - k] != sign * c for k, c in enumerate(coeffs)):
-        raise MethodDisagreement("pencil coefficients break c_(n-k) = (-1)^n c_k")
+        raise InvariantViolation("pencil coefficients break c_(n-k) = (-1)^n c_k")
     return IntPolynomial(tuple(coeffs))
 
 
@@ -584,7 +580,7 @@ def alexander(
     """Alexander polynomial of the boundary link of the code's basket.
 
     With ``checked=True`` both determinant algorithms run and any mismatch
-    raises :class:`MethodDisagreement` (an arithmetic bug, not bad input).
+    raises :class:`InvariantViolation` (an arithmetic bug, not bad input).
     """
     return _alexander_of_matrix(code, seifert_matrix(code), method, checked)
 
@@ -602,7 +598,7 @@ def _alexander_of_matrix(
         other = "eval_interp" if method == "fraction_free" else "fraction_free"
         again = pencil_determinant(matrix, other)
         if again != raw:
-            raise MethodDisagreement(
+            raise InvariantViolation(
                 f"determinant methods disagree on {code}: {raw} vs {again}"
             )
     return normalize_alexander(raw)
@@ -614,10 +610,13 @@ def determinant_from_alexander(delta: AlexanderPolynomial) -> int:
 
 
 def knot_determinant(code: FlatBasketCode) -> int:
-    """|Delta(-1)| for a knot code."""
+    """|Delta(-1)| for a knot code of at most ``PENCIL_CAP`` bands; the cap
+    is checked before any elimination."""
     stats = surface_stats(code)
     if stats.boundary != 1:
         raise NotAKnot(f"{code} bounds {stats.boundary} components")
+    if code.n > PENCIL_CAP:
+        raise CapExceeded(f"{code.n} bands exceeds the pencil cap {PENCIL_CAP}")
     return _knot_determinant_of_rows(seifert_matrix(code).rows)
 
 
@@ -643,7 +642,7 @@ def arf_from_determinant(det: int) -> int:
         return 0
     if residue in (3, 5):
         return 1
-    raise UnexpectedResidue(f"knot determinant {det} is even")
+    raise InvariantViolation(f"knot determinant {det} is even")
 
 
 def signature(code: FlatBasketCode) -> int:
@@ -663,7 +662,7 @@ def _signature_of_rows(rows) -> int:
     a_ii = 2 a_ij: the integer form of a 2x2 Bunch-Kaufman pivot.  It
     commutes with the elimination, so every division stays exact; each
     remainder is checked and a nonzero one raises
-    :class:`MethodDisagreement`.  Elimination stops when the remaining block
+    :class:`InvariantViolation`.  Elimination stops when the remaining block
     is zero, as it is for the singular S of a link.
     """
     n = len(rows)
@@ -699,7 +698,7 @@ def _signature_of_rows(rows) -> int:
             for j in range(i, n):
                 q, r = divmod(ri[j] * pivot - rik * rk[j], prev)
                 if r:
-                    raise MethodDisagreement("inexact symmetric elimination step")
+                    raise InvariantViolation("inexact symmetric elimination step")
                 ri[j] = a[j][i] = q
         prev = pivot
     return total

@@ -29,9 +29,9 @@ from .codes import (
     canonical_word,
     surface_stats,
 )
-from .errors import NotAKnot, OrbitTooLarge
-from .invariants import _knot_determinant_of_rows, arf_from_determinant
-from .seifert import _orientation_key, _seifert_rows, seifert_matrix
+from .errors import CapExceeded, NotAKnot
+from .invariants import _knot_determinant_of_rows, arf, arf_from_determinant
+from .seifert import _orientation_key, _seifert_rows
 
 __all__ = ["PassClass", "OrbitReport", "pass_class", "labeling_orbit", "orbit_invariant_check"]
 
@@ -62,19 +62,21 @@ class OrbitReport:
 
 
 def pass_class(code: FlatBasketCode) -> PassClass:
-    """Classify the boundary link of the code's basket up to pass moves."""
-    stats = surface_stats(code)
-    if stats.boundary == 1:
-        det = _knot_determinant_of_rows(seifert_matrix(code).rows)
-        family = "II" if arf_from_determinant(det) else "I"
-        return PassClass(family=family, components=1, certainty="exact")
-    return PassClass(family=None, components=stats.boundary, certainty="partial")
+    """Classify the boundary link of the code's basket up to pass moves; a
+    knot's family is its :func:`arf`, which walks the boundary once and takes
+    at most ``PENCIL_CAP`` bands."""
+    try:
+        family = "II" if arf(code) else "I"
+    except NotAKnot:
+        stats = surface_stats(code)
+        return PassClass(family=None, components=stats.boundary, certainty="partial")
+    return PassClass(family=family, components=1, certainty="exact")
 
 
 def _orbit_words(diagram: UnderlyingDiagram):
     """The n! labeled words of the diagram; the cap is checked before any."""
     if diagram.n > ORBIT_CAP:
-        raise OrbitTooLarge(f"{diagram.n} bands exceeds the orbit cap {ORBIT_CAP}")
+        raise CapExceeded(f"{diagram.n} bands exceeds the orbit cap {ORBIT_CAP}")
     return map(itemgetter(*diagram.chord_at), permutations(range(1, diagram.n + 1)))
 
 

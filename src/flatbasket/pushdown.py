@@ -53,6 +53,7 @@ from .errors import (
     MalformedDiagram,
     SiteNotEligible,
     _excerpt,
+    _read_text,
 )
 
 __all__ = [
@@ -207,11 +208,7 @@ def parse_diagram(text: str) -> RectilinearDiagram:
 
 
 def load_diagram(path: str | Path) -> RectilinearDiagram:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedDiagram(f"{path}: undecodable byte at offset {exc.start}") from exc
-    return parse_diagram(text)
+    return parse_diagram(_read_text(path, MalformedDiagram))
 
 
 def _coord(value: Fraction) -> str:

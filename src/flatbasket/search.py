@@ -13,7 +13,7 @@ those pairs, and Delta and the signature depend on that orientation alone,
 so within a matching they are computed once per orientation key: the
 89,160 six-band knot codes have 23,202 keys.  ``census`` computes Delta
 only.  Both take at most ``CENSUS_CAP`` bands; serial ``search -n 6
---knots-only`` takes 6.4-7.7 s and ``census -n 6`` 3.8-4.2 s on one
+--knots-only`` takes 6.0-7.7 s and ``census -n 6`` 2.4-3.0 s on one
 core of a shared 2-core Linux VM.
 
 Work is partitioned by matching across processes; the merged result is
@@ -38,7 +38,7 @@ from .codes import (
     canonical_word,
     surface_genus,
 )
-from .errors import CapExceeded, InvariantViolation, StoreMismatch
+from .errors import CapExceeded, InvariantViolation, StoreMismatch, _read_text
 from .invariants import (
     AlexanderPolynomial,
     IntPolynomial,
@@ -340,12 +340,12 @@ def write_store(path: str | Path, records: list[SearchRecord]) -> tuple[int, int
     path = Path(path)
     existing: dict[str, str] = {}
     if path.exists():
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        for lineno, line in enumerate(_read_text(path, StoreMismatch).splitlines(), 1):
             if not line.strip():
                 continue
             try:
                 entry = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # nesting too deep
                 raise StoreMismatch(f"{path}:{lineno}: unreadable store line") from exc
             if not isinstance(entry, dict) or not isinstance(entry.get("code"), str):
                 raise StoreMismatch(

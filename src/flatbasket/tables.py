@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .bounds import fpbk_lower_bound
 from .codes import FlatBasketCode, parse_code, surface_stats
-from .errors import FlatBasketError, MissingReference, ParseError, _excerpt
+from .errors import FlatBasketError, MissingReference, ParseError, _excerpt, _read_text
 from .invariants import IntPolynomial, alexander, normalize_alexander, parse_polynomial
 
 __all__ = [
@@ -99,8 +99,9 @@ class TableReport:
 
 def _data_text(path: str | Path | None, bundled: str) -> str:
     """Text of ``path``, or of the bundled data file when no path is given."""
-    source = Path(path) if path else resources.files("flatbasket") / "data" / bundled
-    return source.read_text(encoding="utf-8")
+    if path:
+        return _read_text(path, ParseError)
+    return (resources.files("flatbasket") / "data" / bundled).read_text(encoding="utf-8")
 
 
 # ASCII only: ``\d`` and ``int`` also read other scripts' digits and ``_``.

@@ -242,6 +242,20 @@ def test_flatten_rejects_non_rational_coordinates(tmp_path, capsys):
     assert status == 1 and out == "" and "undecodable byte" in err
 
 
+def test_undecodable_input_files_are_domain_errors(tmp_path, capsys):
+    bad = tmp_path / "utf16.txt"
+    bad.write_bytes(b"\xff\xfe1\x00,\x002\x00\n\x00")
+    for argv in (
+        ("flatten", "--diagram", str(bad)),
+        ("search", "-n", "2", "--store", str(bad)),
+        ("verify-table", "--table", str(bad)),
+        ("verify-table", "--references", str(bad)),
+    ):
+        status, out, err = run(capsys, *argv)
+        assert (status, out) == (1, ""), argv
+        assert err == f"error: {bad}: undecodable byte at offset 0\n", argv
+
+
 def _staircases(bands: int, xlines: int) -> str:
     """Side-by-side rising staircases on distinct columns and heights."""
     rows = []
@@ -281,6 +295,8 @@ def test_pencil_cap_is_fixed(monkeypatch, capsys):
     assert PENCIL_CAP == 48
     status, out, _ = run(capsys, "invariants", "--json", "--code", _all_crossing(PENCIL_CAP))
     assert status == 0 and json.loads(out)["determinant"] == PENCIL_CAP - 1
+    status, out, _ = run(capsys, "passclass", "--json", "--code", _all_crossing(PENCIL_CAP))
+    assert status == 0 and json.loads(out)["family"] == "I"
 
     # the cap is checked before any pencil determinant
     def refuse(rows):
@@ -289,7 +305,9 @@ def test_pencil_cap_is_fixed(monkeypatch, capsys):
     monkeypatch.setattr(invariants, "_det_bareiss_int", refuse)
     monkeypatch.setattr(invariants, "_det_bareiss_poly", refuse)
     over = _all_crossing(PENCIL_CAP + 2)
-    for argv in (("alexander",), ("invariants",), ("bound", "--genus", "1")):
+    for argv in (
+        ("alexander",), ("invariants",), ("bound", "--genus", "1"), ("passclass",)
+    ):
         status, out, err = run(capsys, *argv, "--code", over)
         assert (status, out) == (1, "")
         assert err == f"error: {PENCIL_CAP + 2} bands exceeds the pencil cap {PENCIL_CAP}\n"
@@ -357,6 +375,11 @@ def test_search_store_with_a_non_object_line_is_an_error(tmp_path, capsys):
         status, out, err = run(capsys, "search", "-n", "2", "--store", str(store))
         assert status == 1 and err.startswith("error: ") and ":1: " in err, err
         assert store.read_text() == line + "\n"
+    # JSON nested past the decoder's recursion limit
+    store.write_text("[" * 100_000 + "\n")
+    status, out, err = run(capsys, "search", "-n", "2", "--store", str(store))
+    assert (status, out) == (1, "")
+    assert err == f"error: {store}:1: unreadable store line\n"
 
 
 def test_census_six_bands_output_is_pinned(capsys):

@@ -23,7 +23,7 @@ from flatbasket import (
     surface_stats,
 )
 from flatbasket import invariants
-from flatbasket.errors import MalformedCode, MethodDisagreement, NotAKnot
+from flatbasket.errors import InvariantViolation, MalformedCode, NotAKnot
 from flatbasket.invariants import MAX_EXPONENT, determinant_from_alexander
 from flatbasket.pushdown import diagram_seifert_matrix, parse_diagram
 from flatbasket.search import enumerate_codes, enumerate_matchings
@@ -67,6 +67,9 @@ def test_polynomial_exact_division_rejects_inexact():
         IntPolynomial((1, 1)).exact_div(IntPolynomial((2,)))
     with pytest.raises(ArithmeticError):
         IntPolynomial((1, 0, 1)).exact_div(IntPolynomial((1, 1)))
+    # a multi-term divisor whose top coefficient leaves a remainder
+    with pytest.raises(ArithmeticError):
+        IntPolynomial((1, 1)).exact_div(IntPolynomial((1, 2)))
 
 
 def test_polynomial_str():
@@ -332,7 +335,7 @@ def test_eval_interp_checks_symmetry(monkeypatch, trefoil_code):
     # one unit more at t = 2^B moves c_0 alone, which breaks c_n = (-1)^n c_0
     _counting_int_dets(monkeypatch, lambda: 1)
     for matrix in (seifert_matrix(trefoil_code), SeifertMatrix(((1, 2), (3, 4)))):
-        with pytest.raises(MethodDisagreement, match="c_\\(n-k\\)"):
+        with pytest.raises(InvariantViolation, match="c_\\(n-k\\)"):
             pencil_determinant(matrix, "eval_interp")
 
 
@@ -343,7 +346,7 @@ def test_eval_interp_checks_leftover_digits(monkeypatch, trefoil_code):
     for matrix in (seifert_matrix(trefoil_code), SeifertMatrix(((1, 2), (3, 4)))):
         bits = (invariants._hadamard_square(matrix.rows).bit_length() + 1) // 2 + 1
         extra["top"] = 1 << (bits * (matrix.n + 1))
-        with pytest.raises(MethodDisagreement, match="above degree n"):
+        with pytest.raises(InvariantViolation, match="above degree n"):
             pencil_determinant(matrix, "eval_interp")
 
 
@@ -413,6 +416,21 @@ def test_arf_examples(trefoil_code, figure_eight_code):
         arf(parse_code("1,1,2,2"))
 
 
+def test_even_knot_determinant_is_an_invariant_violation():
+    for det in (0, 2, 4, 6, 8):
+        with pytest.raises(InvariantViolation, match=f"knot determinant {det} is even"):
+            invariants.arf_from_determinant(det)
+
+
+def test_checked_alexander_raises_when_methods_disagree(monkeypatch, trefoil_code):
+    # an eval_interp that answers 1 whatever the matrix
+    one = IntPolynomial((1,))
+    monkeypatch.setattr(invariants, "_pencil_det_eval_interp", lambda rows: one)
+    assert str(alexander(trefoil_code)) == "t^2 - t + 1"
+    with pytest.raises(InvariantViolation, match="determinant methods disagree on"):
+        alexander(trefoil_code, checked=True)
+
+
 def test_signature_examples(trefoil_code):
     assert signature(parse_code("1,1,2,2")) == 0
     assert signature(parse_code("1,2,1,2")) == 0
@@ -478,7 +496,7 @@ def test_signature_inexact_division_raises(monkeypatch):
 
     monkeypatch.setattr(invariants, "divmod", lossy_divmod, raising=False)
     # the trefoil's S = V + V^T needs a pivot other than +-1
-    with pytest.raises(MethodDisagreement):
+    with pytest.raises(InvariantViolation, match="inexact symmetric elimination"):
         signature(parse_code("1,2,3,4,1,2,3,4"))
 
 

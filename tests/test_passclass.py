@@ -5,8 +5,13 @@ from itertools import islice, permutations
 import pytest
 
 from flatbasket import parse_code, parse_matching, underlying
-from flatbasket.errors import NotAKnot, OrbitTooLarge
-from flatbasket.invariants import alexander, arf_from_determinant, determinant_from_alexander
+from flatbasket.errors import CapExceeded, NotAKnot
+from flatbasket.invariants import (
+    PENCIL_CAP,
+    alexander,
+    arf_from_determinant,
+    determinant_from_alexander,
+)
 from flatbasket.passclass import (
     OrbitReport,
     labeling_orbit,
@@ -59,6 +64,16 @@ def test_trefoil_orbit_all_knots(trefoil_code):
     assert any(code.word == (1, 2, 3, 4, 1, 2, 3, 4) for code in orbit)
 
 
+def test_pass_class_caps_knots_only():
+    over = PENCIL_CAP + 2
+    knot = parse_code(",".join(map(str, list(range(1, over + 1)) * 2)))
+    with pytest.raises(CapExceeded, match=f"{over} bands exceeds the pencil cap {PENCIL_CAP}"):
+        pass_class(knot)
+    # a link's class needs no determinant, so no cap
+    link = pass_class(parse_code(",".join(f"{k},{k}" for k in range(1, over + 1))))
+    assert (link.family, link.components, link.certainty) == (None, over + 1, "partial")
+
+
 def test_orbit_elements_share_drawn_diagram():
     matching = parse_matching("1,2,2,3,1,3")
     m = len(matching.pairing)
@@ -72,11 +87,11 @@ def test_orbit_elements_share_drawn_diagram():
 
 def test_orbit_cap():
     matching = underlying(parse_code("1,2,3,4,5,6,7,8,9,1,2,3,4,5,6,7,8,9"))
-    with pytest.raises(OrbitTooLarge):
+    with pytest.raises(CapExceeded, match="orbit cap 8"):
         labeling_orbit(matching)
     # a ten-band knot diagram passes the knot check and stops at the cap
     knot = parse_matching(",".join(map(str, list(range(1, 11)) * 2)))
-    with pytest.raises(OrbitTooLarge, match="orbit cap 8"):
+    with pytest.raises(CapExceeded, match="orbit cap 8"):
         orbit_invariant_check(knot)
 
 

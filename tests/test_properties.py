@@ -10,8 +10,14 @@ the one evaluation point 2^B of ``eval_interp`` large, and a zero row makes
 its Hadamard bound zero.  Flattening is compared with the independent
 boundary-trace oracle on generated diagrams, and validation with the
 reference crossing check on diagrams drawn from a small grid.  The parsers
-are fuzzed with text that mixes their syntax with digits they must refuse.
+are fuzzed with text that mixes their syntax with digits they must refuse,
+and the CLI with input files of random bytes.
 """
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +26,7 @@ from fractions import Fraction
 
 from flatbasket import alexander, parse_code, parse_matching, parse_polynomial
 from flatbasket import pencil_determinant, pushdown, seifert_matrix
+from flatbasket.cli import cli_dispatch
 from flatbasket.codes import FlatBasketCode, boundary_components, rotated, underlying
 from flatbasket.errors import FlatBasketError
 from flatbasket.pushdown import (
@@ -253,3 +260,32 @@ def test_parsers_return_or_raise_domain_errors(text):
 @given(st.randoms(use_true_random=False))
 def test_validated_diagrams_pass_the_crossing_reference(rng):
     checked_touch(grid_staircases(rng, [Fraction(k, 2) for k in range(1, 7)]))
+
+
+# raw bytes, mostly not UTF-8, and UTF-8 text in the syntax of the four files
+FILE_BYTES = st.one_of(
+    st.binary(max_size=48),
+    st.text(alphabet="0123456789,;/()-t^{}[]\":# \t\n\u00e9\u0661", max_size=48).map(
+        str.encode
+    ),
+)
+
+
+@settings(FUZZ, max_examples=100)
+@given(FILE_BYTES)
+def test_cli_input_files_end_in_exit_0_or_1(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_bytes(data)
+        # the search last: it appends to the file as a store
+        for argv in (
+            ["flatten", "--diagram", str(path)],
+            ["verify-table", "--table", str(path)],
+            ["verify-table", "--references", str(path)],
+            ["search", "-n", "2", "--store", str(path)],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = cli_dispatch(argv)
+            assert status in (0, 1), (argv, data)
+            assert "Traceback" not in err.getvalue(), (argv, data)

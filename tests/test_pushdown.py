@@ -205,6 +205,12 @@ def test_parse_and_format_round_trip():
     assert again == diagram
 
 
+def test_constructor_turns_int_vertices_into_fractions():
+    diagram = RectilinearDiagram((((1, 0), (1, 1), (2, 1), (2, 0)),))
+    assert diagram == parse_diagram("1,0; 1,1; 2,1; 2,0")
+    assert all(type(c) is Fraction for v in diagram.bands[0] for c in v)
+
+
 def test_parse_reads_ascii_integers_and_fractions():
     diagram = parse_diagram("-1/2,0; -1/2,+3; 7/3,3; 7/3,0")
     assert diagram.bands[0][2] == (Fraction(7, 3), Fraction(3))
@@ -292,6 +298,20 @@ def test_push_down_rejects_interval_spanning_occupied_columns():
     clean = push_down(diagram, 119, (Fraction(16), Fraction(18)))
     assert clean.band_count == 4
     assert diagram_boundary_components(clean) == diagram_boundary_components(diagram)
+
+
+def test_push_down_rejects_explicit_intervals_off_the_site():
+    spanning = "156,0; 156,119; 16,119; 16,160; 20,160; 20,0\n14,0; 14,16; 123,16; 123,0"
+    for text, height, interval, message in (
+        # reaching past the x-line's left end
+        (VALLEY, 1, (0, Fraction(5, 2)), r"interval \[0,5/2\] is not inside"),
+        # pinned to the right junction, where the band descends to its foot
+        ("1,0; 1,5; 2,5; 2,2; 5,2; 5,0", 2, (4, 5), "descending junction"),
+        # cut at column 20, which the band's last y-line occupies
+        (spanning, 119, (16, 20), "cut column 20 is already occupied"),
+    ):
+        with pytest.raises(SiteNotEligible, match=message):
+            push_down(parse_diagram(text), height, interval)
 
 
 def test_push_down_rejects_descending_junction_cut():
