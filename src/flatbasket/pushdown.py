@@ -22,26 +22,31 @@ New feet go at fresh columns, midway to the nearest occupied column or one
 unit beyond the outermost one; only the left-to-right order of feet matters
 for the resulting code.
 
-:func:`flatten_trace` walks every diagram once: one pass validates it and
-lists its x-lines and occupied columns, so a flatten with s push-downs makes
-2 + s walks (the input, its grid copy and each result).  After the
-``Fraction`` input's walk it works on one integer grid: every coordinate v
-becomes v * S with S = D * 2**(3A), where D is the lcm of the input's
-denominators and A its number of ascending ends.  A flatten makes at most A
-push-downs (each removes an ascending end) and each takes at most three
-midpoints (the cut and the two connector feet), so every midpoint lands on
-the grid; each halving is still checked.  The surgery is the same code on
-either number type, Fractions with unit 1 or grid integers with unit S, and
-only the values a :class:`FlattenResult` reports go back to Fractions.
+:func:`flatten_trace` walks two diagrams whole, the input and its grid
+copy.  A push-down walks nothing whole: it checks the two pieces and the
+connector it makes against the rest and updates the walk in place, so a
+step costs what the surgery changes.
+
+After the ``Fraction`` input's walk, flattening works on one integer grid:
+every coordinate v becomes v * S with S = D * 2**(3A), where D is the lcm of
+the input's denominators and A its number of ascending ends.  A flatten
+makes at most A push-downs (each removes an ascending end) and each takes at
+most three midpoints (the cut and the two connector feet), so every midpoint
+lands on the grid; each halving is still checked.  The surgery is the same
+code on either number type, Fractions with unit 1 or grid integers with unit
+S, and only the values a :class:`FlattenResult` reports go back to
+Fractions.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .codes import FlatBasketCode, boundary_components, underlying
 from .errors import (
@@ -128,8 +133,7 @@ class XLineClass:
         return self.left == "descends" and self.right == "descends"
 
 
-@dataclass(frozen=True)
-class _XLine:
+class _XLine(NamedTuple):
     band: int
     seg: int          # segment index within the band path
     y: Fraction
@@ -174,7 +178,7 @@ def _rational(text: str, lineno: int) -> Fraction:
     text = text.strip()
     try:
         if _RATIONAL.fullmatch(text):
-            return Fraction(text)
+            return Fraction(text) if "/" in text else Fraction(int(text))
     except ZeroDivisionError:
         pass
     raise MalformedDiagram(f"line {lineno}: bad coordinate {_excerpt(text)}")
@@ -251,63 +255,124 @@ def validate_diagram(diagram: RectilinearDiagram) -> None:
     _walk(diagram)
 
 
-def _walk(diagram: RectilinearDiagram) -> tuple[list[_XLine], set]:
-    """The checks of :func:`validate_diagram`, in one pass that also returns
-    the diagram's x-lines (in band and path order) and its occupied columns
-    (y-line columns and connector feet)."""
-    heights: set = set()
-    columns: set = set()
-    lines: list[_XLine] = []
+class _Walk:
+    """What a walk finds in a valid diagram, kept up to date across
+    push-downs by :func:`_push`:
+
+    - ``lines``, the x-lines in band and path order, and ``heights``, theirs;
+    - ``columns``, the occupied columns (y-line columns and connector feet),
+      also in ascending order as ``sorted_columns``;
+    - ``ascending``, the number of ascending x-line ends;
+    - ``feet``, the foot columns in baseline order, and ``partner``, which
+      maps each foot to the other foot of its band or connector.
+    """
+
+    __slots__ = (
+        "lines", "heights", "columns", "sorted_columns", "ascending", "feet", "partner"
+    )
+
+    def boundary(self) -> int:
+        """Boundary components: the cycles of successor-after-partner on
+        the feet, as :func:`codes.boundary_components` counts them on the
+        foot word."""
+        feet = self.feet
+        m = len(feet)
+        # the position of the foot that follows each foot along the disk
+        following = dict(zip(feet, range(1, m)))
+        following[feet[-1]] = 0
+        after = list(map(following.__getitem__, map(self.partner.__getitem__, feet)))
+        seen = bytearray(m)
+        cycles = 0
+        for start in range(m):
+            if seen[start]:
+                continue
+            cycles += 1
+            i = start
+            while not seen[i]:
+                seen[i] = 1
+                i = after[i]
+        return cycles
+
+
+def _walk(diagram: RectilinearDiagram) -> _Walk:
+    """The checks of :func:`validate_diagram`: :func:`_band_step` on every
+    band, in order, then :func:`_connector_step` on every connector."""
+    walk = _Walk()
+    walk.heights, walk.columns, walk.lines = set(), set(), []
+    walk.partner = {}
     for bi, band in enumerate(diagram.bands):
-        if len(band) < 4:
-            raise MalformedDiagram(f"band {bi} has fewer than 4 vertices")
-        prev_vertical = None
-        for k, a, b, vertical in _segments(band):
-            if a == b or (a[0] != b[0] and a[1] != b[1]):
-                raise MalformedDiagram(
-                    f"band {bi} segment {k} is not axis-parallel and nonzero"
-                )
-            if prev_vertical is not None and vertical == prev_vertical:
-                raise MalformedDiagram(f"band {bi} does not alternate at segment {k}")
-            prev_vertical = vertical
-            if vertical:
-                if a[0] in columns:
-                    raise DuplicateColumn(f"two y-lines share column x={a[0]}")
-                columns.add(a[0])
-            else:
-                if a[1] in heights:
-                    raise DuplicateHeight(f"two x-lines share height y={a[1]}")
-                heights.add(a[1])
-        if band[0][0] != band[1][0] or band[-1][0] != band[-2][0]:
-            raise MalformedDiagram(f"band {bi} must start and end vertically")
-        if band[0][1] != 0 or band[-1][1] != 0:
-            raise FootOrderViolation(f"band {bi} feet must lie on the baseline")
-        if any(v[1] <= 0 for v in band[1:-1]):
+        walk.lines += _band_step(bi, band, walk.heights, walk.columns)
+        first, last = band[0][0], band[-1][0]
+        walk.partner[first], walk.partner[last] = last, first
+    for connector in diagram.connectors:
+        _connector_step(connector, walk.columns)
+        walk.partner[connector.left] = connector.right
+        walk.partner[connector.right] = connector.left
+    walk.sorted_columns = sorted(walk.columns)
+    walk.ascending = _ascending_count(walk.lines)
+    walk.feet = sorted(walk.partner)
+    return walk
+
+
+def _band_step(bi: int, band: tuple, heights: set, columns: set) -> list[_XLine]:
+    """Check band ``bi`` against the heights and columns of the bands walked
+    before it, add its own to them, and return its x-lines in path order."""
+    if len(band) < 4:
+        raise MalformedDiagram(f"band {bi} has fewer than 4 vertices")
+    prev_vertical = None
+    for k, (a, b) in enumerate(zip(band, band[1:])):
+        vertical = a[0] == b[0]
+        # a zero segment repeats both coordinates, a slanted one neither
+        if vertical == (a[1] == b[1]):
+            raise MalformedDiagram(
+                f"band {bi} segment {k} is not axis-parallel and nonzero"
+            )
+        if vertical == prev_vertical:
+            raise MalformedDiagram(f"band {bi} does not alternate at segment {k}")
+        prev_vertical = vertical
+        if vertical:
+            if a[0] in columns:
+                raise DuplicateColumn(f"two y-lines share column x={a[0]}")
+            columns.add(a[0])
+        else:
+            if a[1] in heights:
+                raise DuplicateHeight(f"two x-lines share height y={a[1]}")
+            heights.add(a[1])
+    if band[0][0] != band[1][0] or band[-1][0] != band[-2][0]:
+        raise MalformedDiagram(f"band {bi} must start and end vertically")
+    if band[0][1] != 0 or band[-1][1] != 0:
+        raise FootOrderViolation(f"band {bi} feet must lie on the baseline")
+    # the path alternates and starts and ends vertically, so its interior
+    # vertices pair off into its x-lines, the odd segments, each between
+    # two y-lines
+    lines = []
+    for k in range(1, len(band) - 2, 2):
+        (x0, y), (x1, _) = band[k], band[k + 1]
+        if y <= 0:
             raise FootOrderViolation(
                 f"band {bi} interior vertices must have positive height"
             )
-        # the path alternates and starts and ends vertically, so its x-lines
-        # are the odd segments, each between two y-lines
-        for k in range(1, len(band) - 2, 2):
-            (x0, y), (x1, _) = band[k], band[k + 1]
-            entry_ascends, exit_ascends = band[k - 1][1] > y, band[k + 2][1] > y
-            if x0 < x1:
-                lines.append(_XLine(bi, k, y, x0, x1, entry_ascends, exit_ascends))
-            else:
-                lines.append(_XLine(bi, k, y, x1, x0, exit_ascends, entry_ascends))
-    for connector in diagram.connectors:
-        for x in (connector.left, connector.right):
-            if x in columns:
-                raise DuplicateColumn(f"connector foot collides with column x={x}")
-            columns.add(x)
-        if connector.left >= connector.right:
-            raise FootOrderViolation("connector feet must be ordered left < right")
-    return lines, columns
+        entry_ascends, exit_ascends = band[k - 1][1] > y, band[k + 2][1] > y
+        if x0 < x1:
+            lines.append(_XLine(bi, k, y, x0, x1, entry_ascends, exit_ascends))
+        else:
+            lines.append(_XLine(bi, k, y, x1, x0, exit_ascends, entry_ascends))
+    return lines
+
+
+def _connector_step(connector: Connector, columns: set) -> None:
+    """Check a connector's feet against the occupied ``columns`` and add
+    them."""
+    for x in (connector.left, connector.right):
+        if x in columns:
+            raise DuplicateColumn(f"connector foot collides with column x={x}")
+        columns.add(x)
+    if connector.left >= connector.right:
+        raise FootOrderViolation("connector feet must be ordered left < right")
 
 
 def classify_xlines(diagram: RectilinearDiagram) -> tuple[XLineClass, ...]:
     """Adjacency classes of all x-lines, ordered by height."""
-    lines, _ = _walk(diagram)
     out = [
         XLineClass(
             band=line.band,
@@ -315,7 +380,7 @@ def classify_xlines(diagram: RectilinearDiagram) -> tuple[XLineClass, ...]:
             left="ascends" if line.left_ascends else "descends",
             right="ascends" if line.right_ascends else "descends",
         )
-        for line in lines
+        for line in _walk(diagram).lines
     ]
     out.sort(key=lambda c: c.height)
     return tuple(out)
@@ -367,16 +432,17 @@ def _half(v):
     return v // 2
 
 
-def _fresh_left(occupied: set, x, unit):
-    """A free column left of ``x``: midway to the nearest occupied one, or
-    ``unit`` (1 in drawing coordinates, S on the flatten grid) beyond it."""
-    below = [c for c in occupied if c < x]
-    return _half(max(below) + x) if below else x - unit
+def _fresh_left(occupied: list, x, unit):
+    """A free column left of ``x``: midway to the nearest one in the sorted
+    ``occupied`` columns, or ``unit`` (1 in drawing coordinates, S on the
+    flatten grid) beyond it."""
+    i = bisect_left(occupied, x)
+    return _half(occupied[i - 1] + x) if i else x - unit
 
 
-def _fresh_right(occupied: set, x, unit):
-    above = [c for c in occupied if c > x]
-    return _half(x + min(above)) if above else x + unit
+def _fresh_right(occupied: list, x, unit):
+    i = bisect_right(occupied, x)
+    return _half(x + occupied[i]) if i < len(occupied) else x + unit
 
 
 def _find_xline(lines: list[_XLine], height) -> _XLine:
@@ -387,22 +453,24 @@ def _find_xline(lines: list[_XLine], height) -> _XLine:
     raise SiteNotEligible(f"no x-line at height {height}")
 
 
-def _site_for(line: _XLine, occupied: set[Fraction]) -> tuple[Fraction, Fraction]:
-    """Default push interval for a non-flat x-line.
+def _site_for(line: _XLine, occupied: list) -> tuple[Fraction, Fraction]:
+    """Default push interval for a non-flat x-line; ``occupied`` is the
+    sorted list of occupied columns.
 
     A clean valley (both ends ascending, nothing in between) goes in one
     piece; otherwise the stub next to an ascending end, stopping before the
     first occupied column, so the pushed interval never spans crossings or
     feet of other bands.
     """
-    inside = sorted(c for c in occupied if line.x_left < c < line.x_right)
-    if line.left_ascends and line.right_ascends and not inside:
+    lo = bisect_right(occupied, line.x_left)
+    hi = bisect_left(occupied, line.x_right)
+    if line.left_ascends and line.right_ascends and lo == hi:
         return line.x_left, line.x_right
     if line.left_ascends:
-        stop = inside[0] if inside else line.x_right
+        stop = occupied[lo] if lo < hi else line.x_right
         return line.x_left, _half(line.x_left + stop)
     if line.right_ascends:
-        stop = inside[-1] if inside else line.x_left
+        stop = occupied[hi - 1] if lo < hi else line.x_left
         return _half(stop + line.x_right), line.x_right
     raise SiteNotEligible(
         f"x-line at height {line.y} has no ascending adjacency"
@@ -418,14 +486,14 @@ def push_down(
     :func:`flatten`; an explicit interval must touch an ascending end of the
     x-line.  The result has one more front band and one more connector.
 
-    The input is validated here, before the eligibility checks.  The
-    surgery itself (shared with :func:`flatten_trace`, which runs it on its
-    integer grid) assumes a validated input and validates its result once.
+    The input is validated here by one walk, before the eligibility checks.
+    The surgery itself (shared with :func:`flatten_trace`, which runs it on
+    its integer grid) then checks only what it makes.
     """
-    lines, occupied = _walk(diagram)
-    line = _find_xline(lines, height)
+    walk = _walk(diagram)
+    line = _find_xline(walk.lines, height)
     if interval is None:
-        u, w = _site_for(line, occupied)
+        u, w = _site_for(line, walk.sorted_columns)
     else:
         u, w = Fraction(interval[0]), Fraction(interval[1])
         if not (line.x_left <= u < w <= line.x_right):
@@ -444,17 +512,15 @@ def push_down(
                 "pushed interval must reach an ascending end of the x-line"
             )
         for cut, junction in ((u, u == line.x_left), (w, w == line.x_right)):
-            if not junction and cut in occupied:
+            if not junction and cut in walk.columns:
                 raise SiteNotEligible(f"cut column {cut} is already occupied")
         # an interval spanning a crossing or a foot would strand feet between
         # the connector's, splitting the boundary instead of preserving it
-        if any(u < col < w for col in occupied):
+        if any(u < col < w for col in walk.columns):
             raise SiteNotEligible(
                 "pushed interval may not span occupied columns"
             )
-    return _push(
-        diagram, line, u, w, diagram_boundary_components(diagram), occupied, 1
-    )[0]
+    return _push(diagram, walk, line, u, w, walk.boundary(), 1)
 
 
 def _diagram(bands, connectors) -> RectilinearDiagram:
@@ -466,25 +532,32 @@ def _diagram(bands, connectors) -> RectilinearDiagram:
     return diagram
 
 
+def _band_of(line: _XLine) -> int:
+    return line.band
+
+
 def _push(
     diagram: RectilinearDiagram,
+    walk: _Walk,
     line: _XLine,
     u,
     w,
     boundary_before: int,
-    occupied: set,
     unit,
-) -> tuple[RectilinearDiagram, list[_XLine], set]:
-    """The surgery itself, on a validated ``diagram`` and an eligible
-    interval [u, w] of ``line``; ``boundary_before`` and ``occupied`` are
-    the diagram's boundary count and occupied columns, and ``unit`` is 1 in
-    drawing coordinates or S on the flatten grid.
+) -> RectilinearDiagram:
+    """The surgery itself, on a validated ``diagram`` whose walk is ``walk``
+    and an eligible interval [u, w] of ``line``; ``boundary_before`` is the
+    diagram's boundary count, and ``unit`` is 1 in drawing coordinates or S
+    on the flatten grid.
 
-    The result is validated here by one :func:`_walk`, whose x-lines and
-    occupied columns are returned with it, and its Euler characteristic and
-    boundary count are checked against the input's.
+    ``walk`` is updated for the result in place, by local work: the two
+    pieces and the connector go through :func:`_band_step` and
+    :func:`_connector_step`, with the errors a whole walk would raise.  The
+    Euler characteristic and boundary count are then checked against the
+    input's.
     """
-    band = diagram.bands[line.band]
+    bi = line.band
+    band = diagram.bands[bi]
     k = line.seg
     va, vb = band[k], band[k + 1]
     y = line.y
@@ -504,29 +577,56 @@ def _push(
         (piece_first, piece_second) if rightward else (piece_second, piece_first)
     )
 
-    occupied = occupied | {u, w}
+    lines, heights, columns, occupied = (
+        walk.lines, walk.heights, walk.columns, walk.sorted_columns
+    )
+    start = bisect_left(lines, bi, key=_band_of)
+    end = bisect_left(lines, bi + 1, lo=start, key=_band_of)
+    walk.ascending -= _ascending_count(lines[start:end])
+    heights.difference_update([v[1] for v in band[1:-1]])
+    columns.difference_update([v[0] for v in band])
+    pieces = _band_step(bi, piece_a, heights, columns)
+    pieces += _band_step(bi + 1, piece_b, heights, columns)
+    walk.ascending += _ascending_count(pieces)
+    # the pieces occupy the cut band's columns and the cut columns u and w
+    for cut in (u, w):
+        i = bisect_left(occupied, cut)
+        if i == len(occupied) or occupied[i] != cut:
+            occupied.insert(i, cut)
+
     connector = Connector(
         _fresh_left(occupied, u, unit), _fresh_right(occupied, w, unit)
     )
+    _connector_step(connector, columns)
+    insort(occupied, connector.left)
+    insort(occupied, connector.right)
 
-    bands = (
-        diagram.bands[: line.band]
-        + (piece_a, piece_b)
-        + diagram.bands[line.band + 1:]
-    )
+    lines[start:] = pieces + [
+        _XLine(later.band + 1, *later[1:]) for later in lines[end:]
+    ]
+    partner = walk.partner
+    first_foot, second_foot = piece_first[-1][0], piece_second[0][0]
+    partner[band[0][0]], partner[first_foot] = first_foot, band[0][0]
+    partner[band[-1][0]], partner[second_foot] = second_foot, band[-1][0]
+    partner[connector.left], partner[connector.right] = connector.right, connector.left
+    for foot in (first_foot, second_foot, connector.left, connector.right):
+        insort(walk.feet, foot)
+
+    bands = diagram.bands[:bi] + (piece_a, piece_b) + diagram.bands[bi + 1:]
     result = _diagram(bands, diagram.connectors + (connector,))
-    lines, occupied = _walk(result)
     if diagram_euler(result) != diagram_euler(diagram) - 2:
         raise InvariantViolation("push-down must add exactly two bands")
-    if diagram_boundary_components(result) != boundary_before:
+    if walk.boundary() != boundary_before:
         raise InvariantViolation("push-down must preserve the boundary count")
-    return result, lines, occupied
+    return result
 
 
-# Largest input x-line count that ``flatten`` accepts.  Each push-down
-# walks its whole result once, so cost grows steeply with size: 128 x-lines
-# (16 staircase bands of 8, 8 of 16, or 1 of 128) take 0.08-0.15 s on a
-# shared 2-core Linux VM.
+# Largest input x-line count that ``flatten`` accepts.  A push-down still
+# costs in proportion to the cut band's length (its pieces are re-checked
+# whole) and to the foot count (the boundary count).  128 x-lines (16
+# staircase bands of 8, 8 of 16, or 1 of 128) take 0.02-0.06 s on a shared
+# 2-core Linux VM; one band of 256 takes 0.15-0.25 s, more than 128 took
+# (0.09-0.18 s) when every step walked the whole diagram.
 FLATTEN_CAP = 128
 
 
@@ -551,33 +651,33 @@ def _mapped(diagram: RectilinearDiagram, f) -> RectilinearDiagram:
 def flatten_trace(diagram: RectilinearDiagram) -> FlattenResult:
     """Push down eligible sites (lowest first) until every x-line is flat.
 
-    Every diagram is walked exactly once by :func:`_walk`, which validates
-    it and lists its x-lines and occupied columns: the input here, in
-    drawing coordinates, its copy on the integer grid of :func:`_grid_unit`,
-    and each push-down's result inside the surgery.  So a flatten with s
-    steps makes 2 + s walks.  The ``FLATTEN_CAP`` check reads the input's
-    walk, and the steps and final diagram are reported in ``Fraction``
-    coordinates.
+    Two diagrams are walked whole by :func:`_walk`, which validates a
+    diagram and lists its x-lines and occupied columns: the input here, in
+    drawing coordinates, and its copy on the integer grid of
+    :func:`_grid_unit`.  Each push-down then updates that walk by local work
+    inside the surgery, so a flatten makes 2 walks whatever its number of
+    steps.  The ``FLATTEN_CAP`` check reads the input's walk, and the steps
+    and final diagram are reported in ``Fraction`` coordinates.
     """
-    lines, _ = _walk(diagram)
-    if len(lines) > FLATTEN_CAP:
+    walk = _walk(diagram)
+    if len(walk.lines) > FLATTEN_CAP:
         raise CapExceeded(
-            f"diagram with {len(lines)} x-lines exceeds the flatten cap {FLATTEN_CAP}"
+            f"diagram with {len(walk.lines)} x-lines exceeds the flatten cap {FLATTEN_CAP}"
         )
-    unit = _grid_unit(diagram, _ascending_count(lines))
+    unit = _grid_unit(diagram, walk.ascending)
     steps: list[PushStep] = []
     current = _mapped(diagram, lambda v: v.numerator * (unit // v.denominator))
-    lines, occupied = _walk(current)
+    walk = _walk(current)
     euler = diagram_euler(current)
-    boundary = diagram_boundary_components(current)
-    ascending = _ascending_count(lines)
+    boundary = walk.boundary()
     while True:
-        pending = [line for line in lines if line.left_ascends or line.right_ascends]
+        pending = [line for line in walk.lines if line.left_ascends or line.right_ascends]
         if not pending:
             break
         line = min(pending, key=lambda l: l.y)
-        u, w = _site_for(line, occupied)
-        current, lines, occupied = _push(current, line, u, w, boundary, occupied, unit)
+        u, w = _site_for(line, walk.sorted_columns)
+        ascending = walk.ascending
+        current = _push(current, walk, line, u, w, boundary, unit)
         # _push has checked the Euler drop and that the boundary count is kept
         step = PushStep(
             height=Fraction(line.y, unit),
@@ -587,14 +687,14 @@ def flatten_trace(diagram: RectilinearDiagram) -> FlattenResult:
             boundary_before=boundary,
             boundary_after=boundary,
             ascending_before=ascending,
-            ascending_after=_ascending_count(lines),
+            ascending_after=walk.ascending,
         )
         steps.append(step)
         if step.ascending_after >= step.ascending_before:
             raise InvariantViolation("push-down must remove an ascending end")
-        euler, ascending = step.euler_after, step.ascending_after
+        euler = step.euler_after
     return FlattenResult(
-        code=_read_off_code(current, lines),
+        code=_read_off_code(current, walk.lines),
         final=_mapped(current, lambda v: Fraction(v, unit)),
         steps=tuple(steps),
     )
@@ -612,8 +712,7 @@ def read_off_code(diagram: RectilinearDiagram) -> FlatBasketCode:
     validated here; :func:`flatten_trace` reads off its own final diagram,
     already walked, through the private step.
     """
-    lines, _ = _walk(diagram)
-    return _read_off_code(diagram, lines)
+    return _read_off_code(diagram, _walk(diagram).lines)
 
 
 def _read_off_code(diagram: RectilinearDiagram, lines: list[_XLine]) -> FlatBasketCode:

@@ -331,6 +331,18 @@ def record_to_json(record: SearchRecord) -> dict:
     }
 
 
+def _store_lines(path: Path) -> tuple[list[str], str]:
+    """The lines of the store at ``path`` (none if it does not exist) and
+    what to write before the first appended record: a newline when the last
+    line has none.  Every line must parse before anything is appended, so
+    such a last line is complete, and a record written straight after it
+    would be glued onto it."""
+    if not path.exists():
+        return [], ""
+    text = _read_text(path, StoreMismatch)
+    return text.splitlines(), "\n" if text and not text.endswith("\n") else ""
+
+
 def write_store(path: str | Path, records: list[SearchRecord]) -> tuple[int, int]:
     """Append records to a line store, verifying any that are already there.
 
@@ -339,19 +351,19 @@ def write_store(path: str | Path, records: list[SearchRecord]) -> tuple[int, int
     """
     path = Path(path)
     existing: dict[str, str] = {}
-    if path.exists():
-        for lineno, line in enumerate(_read_text(path, StoreMismatch).splitlines(), 1):
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # nesting too deep
-                raise StoreMismatch(f"{path}:{lineno}: unreadable store line") from exc
-            if not isinstance(entry, dict) or not isinstance(entry.get("code"), str):
-                raise StoreMismatch(
-                    f"{path}:{lineno}: store line is not an object with a string code"
-                )
-            existing[entry["code"]] = line
+    lines, separator = _store_lines(path)
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            entry = json.loads(line)
+        except (ValueError, RecursionError) as exc:  # nesting too deep
+            raise StoreMismatch(f"{path}:{lineno}: unreadable store line") from exc
+        if not isinstance(entry, dict) or not isinstance(entry.get("code"), str):
+            raise StoreMismatch(
+                f"{path}:{lineno}: store line is not an object with a string code"
+            )
+        existing[entry["code"]] = line
     appended = verified = 0
     with path.open("a") as handle:
         for record in records:
@@ -365,6 +377,7 @@ def write_store(path: str | Path, records: list[SearchRecord]) -> tuple[int, int
                     )
                 verified += 1
             else:
-                handle.write(line + "\n")
+                handle.write(separator + line + "\n")
+                separator = ""
                 appended += 1
     return appended, verified

@@ -382,6 +382,20 @@ def test_search_store_with_a_non_object_line_is_an_error(tmp_path, capsys):
     assert err == f"error: {store}:1: unreadable store line\n"
 
 
+def test_search_store_without_a_final_newline_takes_new_records(tmp_path, capsys):
+    # the last line has parsed, so it is complete: the first new record
+    # goes on a line of its own, and the next run reads every line back
+    store = tmp_path / "glued.jsonl"
+    store.write_text('{"code":"9,9"}')
+    status, _, err = run(capsys, "search", "-n", "2", "--store", str(store))
+    assert status == 0 and f"store {store}: 2 appended, 0 verified" in err
+    status, _, err = run(capsys, "search", "-n", "2", "--store", str(store))
+    assert status == 0 and f"store {store}: 0 appended, 2 verified" in err
+    lines = store.read_text().splitlines()
+    assert len(lines) == 3 and lines[0] == '{"code":"9,9"}'
+    assert store.read_text().endswith("}\n")
+
+
 def test_census_six_bands_output_is_pinned(capsys):
     # the whole n = 6 knot census, plain and --json, byte for byte
     digests = {

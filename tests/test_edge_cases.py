@@ -135,8 +135,10 @@ def test_invariant_checks_survive_optimized_mode(monkeypatch):
         (codes, "boundary_components", lambda d: 2,
          lambda: codes.surface_stats(parse_code("1,2,1,2"))),
         (pushdown, "diagram_euler", lambda d: 0, lambda: push_down(valley, 1)),
-        (pushdown, "diagram_boundary_components", lambda d: len(d.bands),
+        (pushdown._Walk, "boundary", lambda walk: len(walk.feet),
          lambda: push_down(valley, 1)),
+        (pushdown._Walk, "boundary", lambda walk: len(walk.feet),
+         lambda: flatten_trace(valley)),
         (pushdown, "_ascending_count", lambda d: 2, lambda: flatten_trace(valley)),
         # a grid too coarse for the connector's midpoint foot at x = 3/2
         (pushdown, "_grid_unit", lambda d, ascending: 1, lambda: flatten_trace(valley)),

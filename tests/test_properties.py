@@ -33,13 +33,20 @@ from flatbasket.pushdown import (
     RectilinearDiagram,
     diagram_boundary_components,
     flatten,
+    flatten_trace,
     validate_diagram,
 )
 from flatbasket.search import _mirror_word
 from flatbasket.seifert import SeifertMatrix
 from boundary_oracle import boundary_alexander
 from conftest import leibniz_pencil_det, replay_flatten
-from test_pushdown import checked_touch, grid_staircases, reference_walk
+from test_pushdown import (
+    checked_touch,
+    grid_staircases,
+    reference_walk,
+    walked_lines_and_columns,
+    whole_walk_oracle,
+)
 
 # derandomized and without an example database, so runs are reproducible
 # and leave no files behind
@@ -182,12 +189,13 @@ def test_alexander_invariant_under_rotation_and_mirror(code, shift):
 
 
 @st.composite
-def staircase_diagrams(draw, max_bands: int = 4, max_xlines: int = 3):
-    """Bands that alternate up and across, each with 1..max_xlines x-lines;
-    every column and every height is distinct, which makes the diagram
-    valid."""
+def staircase_diagrams(draw, max_bands: int = 4, max_xlines: int = 3, xlines=None):
+    """Bands that alternate up and across, each with 1..max_xlines x-lines
+    or with a count drawn from ``xlines``; every column and every height is
+    distinct, which makes the diagram valid."""
     bands = draw(st.integers(1, max_bands))
-    counts = draw(st.lists(st.integers(1, max_xlines), min_size=bands, max_size=bands))
+    xlines = st.integers(1, max_xlines) if xlines is None else xlines
+    counts = draw(st.lists(xlines, min_size=bands, max_size=bands))
     columns = iter(draw(st.permutations(range(1, sum(counts) + len(counts) + 1))))
     heights = iter(draw(st.permutations(range(1, sum(counts) + 1))))
     paths = []
@@ -224,7 +232,26 @@ def test_flatten_grid_matches_fraction_replay(diagram):
 @PROPERTY
 @given(staircase_diagrams())
 def test_walk_matches_reference_on_staircases(diagram):
-    assert pushdown._walk(diagram) == reference_walk(diagram)
+    assert walked_lines_and_columns(diagram) == reference_walk(diagram)
+
+
+@st.composite
+def capped_diagrams(draw):
+    """Staircase diagrams of up to ``FLATTEN_CAP`` x-lines in all, from one
+    long band to sixteen short ones; a band is often as long as the cap
+    allows, so many diagrams reach it."""
+    bands = draw(st.integers(1, 16))
+    longest = pushdown.FLATTEN_CAP // bands
+    xlines = st.one_of(st.just(longest), st.integers(1, longest))
+    return draw(staircase_diagrams(bands, longest, xlines))
+
+
+@settings(PROPERTY, max_examples=30)
+@given(capped_diagrams())
+def test_incremental_walk_matches_whole_walk_up_to_the_cap(diagram):
+    with whole_walk_oracle() as checked:
+        steps = len(flatten_trace(diagram).steps)
+    assert checked[0] == steps
 
 
 # Parser syntax mixed with what the parsers must refuse: digits of other

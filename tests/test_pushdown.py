@@ -1,5 +1,6 @@
 """Rectilinear diagrams, push-downs, and the diagram Seifert oracle."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 from importlib import resources
 
@@ -220,6 +221,31 @@ def test_parse_reads_ascii_integers_and_fractions():
     assert band[1][1] == int(longest)
 
 
+def test_parse_reads_integers_as_the_fraction_text_path_does():
+    # integers take int(); each coordinate must equal Fraction(text), the
+    # path that fractions take, and be a Fraction
+    texts = [path.read_text() for path in corpus_paths()]
+    texts += [
+        "-1/2,0; -1/2,+3; 7/3,3; 7/3,0",
+        "+0,0; -0,+5; 006,5; 6,-0",
+        "-12,0; -12,+4/2; +7,4/2; 7,0\n 10/4 , 0 ; 10/4,-3/9;-5,-1/3; -5,0",
+        f"1,0; 1,-{'9' * 4300}; 2,+{'9' * 4300}; 2,0",
+    ]
+    for text in texts:
+        expected = [
+            Fraction(part.strip())
+            for line in text.splitlines()
+            if line.strip() and not line.strip().startswith("#")
+            for chunk in line.split(";")
+            if chunk.strip()
+            for part in chunk.split(",")
+        ]
+        diagram = parse_diagram(text)
+        parsed = [c for band in diagram.bands for vertex in band for c in vertex]
+        assert parsed == expected
+        assert all(type(c) is Fraction for c in parsed)
+
+
 @pytest.mark.parametrize(
     "coordinate",
     ["1e2000000", "1E5", "1.5", ".5", "1_0", "\u0661", "\uff13", "\u00b2",
@@ -386,16 +412,26 @@ def _record_walks(monkeypatch) -> list[RectilinearDiagram]:
 
 
 def test_flatten_validates_each_diagram_once(monkeypatch):
-    # one walk each for the input, its grid copy and every push-down result
+    # one walk each for the input and its grid copy; a push-down walks
+    # nothing whole and re-sorts no feet, and the read-off sorts them once
     walked = _record_walks(monkeypatch)
+    sorts = []
+    real_feet = pushdown._feet
+    monkeypatch.setattr(pushdown, "_feet", lambda d: sorts.append(d) or real_feet(d))
+    monkeypatch.setattr(
+        pushdown,
+        "diagram_boundary_components",
+        lambda d: pytest.fail("a push-down recounted the boundary from a new code"),
+    )
     pushes = 0
     for path in corpus_paths():
         diagram = parse_diagram(path.read_text())
         walked.clear()
+        sorts.clear()
         result = flatten_trace(diagram)
-        assert len(walked) == 2 + len(result.steps), path.name
-        assert walked[0] is diagram
-        assert len({id(d) for d in walked}) == len(walked)
+        assert len(walked) == 2, path.name
+        assert walked[0] is diagram and walked[1] is not diagram
+        assert len(sorts) == 1
         pushes += len(result.steps)
     assert pushes > 0
 
@@ -409,8 +445,8 @@ def test_public_entry_points_walk_each_diagram_once(monkeypatch):
         assert walked == [valley], call.__name__
     for interval in (None, (Fraction(2), Fraction(5, 2))):
         walked.clear()
-        pushed = push_down(valley, 1, interval)
-        assert len(walked) == 2 and walked[0] is valley and walked[1] is pushed
+        push_down(valley, 1, interval)
+        assert walked == [valley]
     flat = code_to_flat_diagram(parse_code("1,2,1,2"))
     walked.clear()
     read_off_code(flat)
@@ -466,6 +502,11 @@ def reference_walk(diagram: RectilinearDiagram) -> tuple[list, set]:
     return reference_xlines(diagram), reference_occupied_columns(diagram)
 
 
+def walked_lines_and_columns(diagram: RectilinearDiagram) -> tuple[list, set]:
+    walk = pushdown._walk(diagram)
+    return walk.lines, walk.columns
+
+
 def test_walk_matches_reference_walks(monkeypatch):
     # on the inputs, and on every push-down result on the flatten grid
     import random
@@ -473,11 +514,11 @@ def test_walk_matches_reference_walks(monkeypatch):
     results = [0]
     real_push = pushdown._push
 
-    def checked_push(*args):
-        result, lines, occupied = real_push(*args)
-        assert (lines, occupied) == reference_walk(result)
+    def checked_push(diagram, walk, *args):
+        result = real_push(diagram, walk, *args)
+        assert (walk.lines, walk.columns) == reference_walk(result)
         results[0] += 1
-        return result, lines, occupied
+        return result
 
     monkeypatch.setattr(pushdown, "_push", checked_push)
     rng = random.Random(20261018)
@@ -485,9 +526,73 @@ def test_walk_matches_reference_walks(monkeypatch):
     diagrams += [_random_diagram(rng) for _ in range(40)]
     diagrams.append(push_down(parse_diagram(VALLEY), 1, (Fraction(2), Fraction(5, 2))))
     for diagram in diagrams:
-        assert pushdown._walk(diagram) == reference_walk(diagram)
+        assert walked_lines_and_columns(diagram) == reference_walk(diagram)
         flatten_trace(diagram)
     assert results[0] > 150
+
+
+@contextmanager
+def whole_walk_oracle():
+    """Check the walk that ``_push`` updates in place against a whole
+    ``_walk`` of its result after every push-down: the same x-lines,
+    heights, columns (as a set and sorted), ascending-end count, feet in
+    baseline order with their partners, and boundary count.  Yields a list
+    whose one entry counts the checked push-downs."""
+    checked = [0]
+    real_push = pushdown._push
+
+    def oracle_push(diagram, walk, *args):
+        result = real_push(diagram, walk, *args)
+        whole = pushdown._walk(result)
+        assert walk.lines == whole.lines
+        assert walk.heights == whole.heights
+        assert walk.columns == whole.columns
+        assert walk.sorted_columns == whole.sorted_columns == sorted(whole.columns)
+        assert walk.ascending == whole.ascending
+        assert walk.feet == whole.feet == [x for x, _ in pushdown._feet(result)]
+        assert walk.partner == whole.partner
+        assert walk.boundary() == whole.boundary() == diagram_boundary_components(result)
+        checked[0] += 1
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pushdown, "_push", oracle_push)
+        yield checked
+
+
+def test_incremental_walk_matches_whole_walk_after_every_step():
+    import random
+
+    from test_cli import _staircases
+
+    rng = random.Random(20261018)
+    diagrams = [parse_diagram(path.read_text()) for path in corpus_paths()]
+    cap = pushdown.FLATTEN_CAP
+    diagrams += [
+        parse_diagram(_staircases(bands, xlines))
+        for bands, xlines in ((cap // 8, 8), (8, cap // 8), (1, cap))
+    ]
+    diagrams += [_random_diagram(rng) for _ in range(40)]
+    grid = [Fraction(k, 2) for k in range(1, 9)]
+    for _ in range(300):
+        diagram = grid_staircases(rng, grid)
+        try:
+            validate_diagram(diagram)
+        except FlatBasketError:
+            continue
+        diagrams.append(diagram)
+    diagrams.append(push_down(parse_diagram(VALLEY), 1, (Fraction(2), Fraction(5, 2))))
+    public = 0
+    with whole_walk_oracle() as checked:
+        pushes = sum(len(flatten_trace(diagram).steps) for diagram in diagrams)
+        # the public surgery, at every non-flat x-line of a few inputs
+        for diagram in diagrams[:8]:
+            for line in classify_xlines(diagram):
+                if not line.flat:
+                    push_down(diagram, line.height)
+                    public += 1
+    assert checked[0] == pushes + public
+    assert public > 0 and pushes > 3 * cap
 
 
 # band 1 of each diagram, after a valid arch
@@ -564,6 +669,58 @@ def test_corrupted_surgery_result_is_rejected(monkeypatch):
         flatten_trace(parse_diagram(VALLEY))
     with pytest.raises(DuplicateColumn):
         push_down(parse_diagram(VALLEY), 1)
+
+
+def _surgery(text: str, height, u, w) -> RectilinearDiagram:
+    """The private surgery on the diagram ``text`` at an interval [u, w]
+    that the public checks of ``push_down`` would refuse."""
+    diagram = parse_diagram(text)
+    walk = pushdown._walk(diagram)
+    line = pushdown._find_xline(walk.lines, height)
+    return pushdown._push(diagram, walk, line, Fraction(u), Fraction(w), walk.boundary(), 1)
+
+
+@pytest.mark.parametrize(
+    "text, height, interval, pieces, error, message",
+    (
+        # an interval inside the x-line, away from both ends, leaves part of
+        # it in each piece
+        (VALLEY, 1, ("9/4", "11/4"),
+         ("1,0; 1,3; 2,3; 2,1; 9/4,1; 9/4,0", "11/4,0; 11/4,1; 3,1; 3,4; 4,4; 4,0"),
+         DuplicateHeight, "two x-lines share height y=1"),
+        # both cuts in one column
+        (VALLEY, 1, ("5/2", "5/2"),
+         ("1,0; 1,3; 2,3; 2,1; 5/2,1; 5/2,0", "5/2,0; 5/2,1; 3,1; 3,4; 4,4; 4,0"),
+         DuplicateColumn, "two y-lines share column x=5/2"),
+        # a cut at the snake's descending junction, above its own foot
+        ("1,0; 1,2; 4,2; 4,5; 5,5; 5,0", 2, (1, 2),
+         ("1,0; 1,0", "2,0; 2,2; 4,2; 4,5; 5,5; 5,0"),
+         MalformedDiagram, "band 0 has fewer than 4 vertices"),
+    ),
+)
+def test_bad_pieces_raise_what_a_whole_walk_raises(
+    text, height, interval, pieces, error, message
+):
+    # the surgery checks only its two pieces and the connector, with the
+    # error and message a whole walk of the pieces gives
+    with pytest.raises(error) as local:
+        _surgery(text, height, *interval)
+    with pytest.raises(error) as whole:
+        validate_diagram(parse_diagram("\n".join(pieces)))
+    assert type(local.value) is type(whole.value) is error
+    assert str(local.value) == str(whole.value) == message
+
+
+def test_flatten_rejects_a_bad_piece_on_its_grid(monkeypatch):
+    # a site inside the x-line, on the flatten grid, gives two x-lines at
+    # its height
+    def inside(line, occupied):
+        quarter = (line.x_right - line.x_left) // 4
+        return line.x_left + quarter, line.x_right - quarter
+
+    monkeypatch.setattr(pushdown, "_site_for", inside)
+    with pytest.raises(DuplicateHeight, match="two x-lines share height"):
+        flatten_trace(parse_diagram(VALLEY))
 
 
 # ---------------------------------------------------------------------------
