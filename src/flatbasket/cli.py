@@ -28,10 +28,12 @@ from .passclass import orbit_invariant_check, pass_class
 from .pushdown import flatten_trace, load_diagram
 from .search import (
     SearchQuery,
+    _code_texts,
+    _json_parts,
+    _record_lines,
+    _write_store,
     census,
-    record_to_json,
     search,
-    write_store,
 )
 from .seifert import format_rows, seifert_matrix, symmetrized
 from .tables import CHECK_NAMES, load_references, load_table, verify_table
@@ -231,24 +233,26 @@ def _cmd_search(args) -> int:
         jobs=args.jobs,
     )
     records = search(query)
+    codes = _code_texts(records)
     if args.store:
-        appended, verified = write_store(args.store, records)
+        appended, verified = _write_store(args.store, records, codes)
         print(
             f"store {args.store}: {appended} appended, {verified} verified",
             file=sys.stderr,
         )
-    for record in records:
-        if args.json:
-            print(json.dumps(record_to_json(record), sort_keys=True))
-        else:
-            delta = record.delta.normalized
-            print(
-                f"code={','.join(map(str, record.code.word))} b={record.boundary} "
-                f"genus={record.genus} delta={delta} det={record.determinant} "
-                f"arf={record.arf} signature={record.signature}"
-            )
+    lines = _record_lines(records, codes, _json_parts if args.json else _plain_parts)
+    if lines:
+        sys.stdout.write("\n".join(lines) + "\n")
     print(f"{len(records)} records", file=sys.stderr)
     return 0
+
+
+def _plain_parts(record) -> tuple[str, str]:
+    """A plain ``search`` line before and after the code string."""
+    return "code=", (
+        f" b={record.boundary} genus={record.genus} delta={record.delta.normalized} "
+        f"det={record.determinant} arf={record.arf} signature={record.signature}"
+    )
 
 
 def _cmd_census(args) -> int:

@@ -63,6 +63,14 @@ class FlatBasketCode:
         if len(word) % 2:
             raise MalformedCode(f"code length {len(word)} is odd")
         n = len(word) // 2
+        # fast path: the sorted word is 1, 1, 2, 2, ..., n, n; the count
+        # below decides the rest and words the error
+        try:
+            ordered = sorted(word)
+        except TypeError:  # labels that do not sort
+            ordered = None
+        if ordered is not None and ordered[::2] == ordered[1::2] == list(range(1, n + 1)):
+            return
         counts = Counter(word)
         bad = sorted(x for x, c in counts.items() if c != 2)
         if bad:
@@ -229,7 +237,12 @@ def boundary_components(diagram: UnderlyingDiagram) -> int:
     walking along a band edge and then along the disk boundary to the next
     foot traces out one boundary component per cycle.
     """
-    pairing = diagram.pairing
+    return _boundary_cycles(diagram.pairing)
+
+
+def _boundary_cycles(pairing) -> int:
+    """:func:`boundary_components` of the raw pairing sequence, for callers
+    that walk a pairing before (or without) building its diagram."""
     m = len(pairing)
     seen = [False] * m
     cycles = 0

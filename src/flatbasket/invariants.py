@@ -477,7 +477,9 @@ def _hadamard_square(rows: tuple[tuple[int, ...], ...]) -> int:
     return h
 
 
-def _pencil_det_eval_interp(rows: tuple[tuple[int, ...], ...]) -> IntPolynomial:
+def _pencil_det_eval_interp(
+    rows: tuple[tuple[int, ...], ...], h: int | None = None
+) -> IntPolynomial:
     """det(V - t V^T) from one integer determinant at t = 2^B.
 
     Every coefficient c_k has |c_k| <= sqrt(H) < 2^(B - 1) for
@@ -486,10 +488,12 @@ def _pencil_det_eval_interp(rows: tuple[tuple[int, ...], ...]) -> IntPolynomial:
     base-2^B digits are c_0..c_n (Kronecker substitution).  Anything left
     after them, or a break of c_(n-k) = (-1)^n c_k, which holds because
     det(V - t V^T) = (-t)^n det(V - t^-1 V^T), raises
-    :class:`InvariantViolation`.
+    :class:`InvariantViolation`.  A caller that already knows H for these
+    rows passes it as ``h``; the search knows it once per matching.
     """
     n = len(rows)
-    h = _hadamard_square(rows)
+    if h is None:
+        h = _hadamard_square(rows)
     if not h:
         return _ZERO
     bits = (h.bit_length() + 1) // 2 + 1

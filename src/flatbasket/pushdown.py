@@ -665,6 +665,15 @@ def flatten_trace(diagram: RectilinearDiagram) -> FlattenResult:
             f"diagram with {len(walk.lines)} x-lines exceeds the flatten cap {FLATTEN_CAP}"
         )
     unit = _grid_unit(diagram, walk.ascending)
+    exact: dict[int, Fraction] = {}
+
+    def to_fraction(v: int) -> Fraction:
+        """Fraction(v, unit), built once per distinct grid value."""
+        f = exact.get(v)
+        if f is None:
+            f = exact[v] = Fraction(v, unit)
+        return f
+
     steps: list[PushStep] = []
     current = _mapped(diagram, lambda v: v.numerator * (unit // v.denominator))
     walk = _walk(current)
@@ -680,8 +689,8 @@ def flatten_trace(diagram: RectilinearDiagram) -> FlattenResult:
         current = _push(current, walk, line, u, w, boundary, unit)
         # _push has checked the Euler drop and that the boundary count is kept
         step = PushStep(
-            height=Fraction(line.y, unit),
-            interval=(Fraction(u, unit), Fraction(w, unit)),
+            height=to_fraction(line.y),
+            interval=(to_fraction(u), to_fraction(w)),
             euler_before=euler,
             euler_after=diagram_euler(current),
             boundary_before=boundary,
@@ -695,7 +704,7 @@ def flatten_trace(diagram: RectilinearDiagram) -> FlattenResult:
         euler = step.euler_after
     return FlattenResult(
         code=_read_off_code(current, walk.lines),
-        final=_mapped(current, lambda v: Fraction(v, unit)),
+        final=_mapped(current, to_fraction),
         steps=tuple(steps),
     )
 

@@ -12,9 +12,9 @@ through the one rule in :mod:`seifert`.  A labeling only orients each of
 those pairs, and Delta and the signature depend on that orientation alone,
 so within a matching they are computed once per orientation key: the
 89,160 six-band knot codes have 23,202 keys.  ``census`` computes Delta
-only.  Both take at most ``CENSUS_CAP`` bands; serial ``search -n 6
---knots-only`` takes 6.0-7.7 s and ``census -n 6`` 2.4-3.0 s on one
-core of a shared 2-core Linux VM.
+only.  Both take at most ``CENSUS_CAP`` bands.  As a fresh process on a
+shared 2-core Linux VM, serial ``search -n 6 --knots-only`` takes 3.3-4.7 s
+(median 3.6 s) and ``census -n 6`` 1.3-2.3 s (median 1.5 s).
 
 Work is partitioned by matching across processes; the merged result is
 sorted by code word, so output is identical for any worker count.
@@ -26,7 +26,9 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations
+from math import prod
 from operator import itemgetter
 from pathlib import Path
 
@@ -34,7 +36,7 @@ from .bounds import fpbk_lower_bound
 from .codes import (
     FlatBasketCode,
     UnderlyingDiagram,
-    boundary_components,
+    _boundary_cycles,
     canonical_word,
     surface_genus,
 )
@@ -103,16 +105,16 @@ def enumerate_matchings(n: int, knots_only: bool = False):
 
     Deterministic order: the smallest free point is always paired next, with
     partners in increasing order.  ``knots_only`` keeps single-boundary
-    matchings, which exist only for even n.
+    matchings, which exist only for even n; it walks the raw pairing, so
+    only a kept matching is built (and validated) as a diagram.
     """
     m = 2 * n
     pairing = [-1] * m
 
     def rec(free: list[int]):
         if not free:
-            diagram = UnderlyingDiagram(tuple(pairing))
-            if not knots_only or boundary_components(diagram) == 1:
-                yield diagram
+            if not knots_only or _boundary_cycles(pairing) == 1:
+                yield UnderlyingDiagram(tuple(pairing))
             return
         a = free[0]
         rest = free[1:]
@@ -158,8 +160,24 @@ def _mirror_word(word: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(n + 1 - x for x in reversed(word))
 
 
-def _checked_delta(word: tuple[int, ...], rows, b: int):
-    """Delta, and for a knot its determinant and checked Arf residue.
+def _matching_hadamard(matching: UnderlyingDiagram) -> int:
+    """H of :func:`_hadamard_square` for every labeling of the matching.
+
+    l1(M_ij) = |v_ij| + |v_ji| is 1 exactly when chords i and j interleave
+    and 0 otherwise, so s_i is the interleaving degree of chord i and H the
+    product of the degrees; a labeling only permutes the factors.
+    """
+    degree = [0] * matching.n
+    chord_at = matching.chord_at
+    for pa, pb in matching.crossings:
+        degree[chord_at[pa]] += 1
+        degree[chord_at[pb]] += 1
+    return prod(degree)
+
+
+def _checked_delta(word: tuple[int, ...], rows, b: int, h: int):
+    """Delta from the rows and their matching's H, and for a knot its
+    determinant and checked Arf residue.
 
     Realization consistency is checked too: the degree bound can never
     exceed the band count of a code realizing the polynomial.  Both checks
@@ -167,7 +185,7 @@ def _checked_delta(word: tuple[int, ...], rows, b: int):
     orientation key (see :func:`_records_for_matchings`) checks every code
     with that key.
     """
-    delta = normalize_alexander(_pencil_det_eval_interp(rows))
+    delta = normalize_alexander(_pencil_det_eval_interp(rows, h))
     det = arf_val = None
     if b == 1:
         det = determinant_from_alexander(delta)
@@ -194,16 +212,20 @@ def _records_for_matchings(
     ``knots_only``, which has already walked the boundary of each knot
     matching, so only an unfiltered run walks it here.
 
-    The labeled V is P^T M P for the chord-order matrix M of the orientation
-    key, so Delta (raw and normalized) and the signature are computed once
-    per key, and a key whose Delta misses the target is rejected once.
+    Each value is computed where it varies.  Per matching: the boundary
+    count, genus, crossings and H (:func:`_matching_hadamard`).  Per
+    orientation key: the labeled V is P^T M P for the chord-order matrix M
+    of the key, so Delta (raw and normalized) and the signature are computed
+    once, and a key whose Delta misses the target is rejected once.  Per
+    code: the word, its key and its record.
     """
     out = []
     for matching in matchings:
         n = matching.n
-        b = 1 if knots_only else boundary_components(matching)
+        b = 1 if knots_only else _boundary_cycles(matching.pairing)
         genus = surface_genus(n, b)
         crossings = matching.crossings
+        h = _matching_hadamard(matching)
         by_key: dict[tuple[bool, ...], tuple | None] = {}
         for word in _canonical_words(matching):
             if dedup_mirror:
@@ -213,7 +235,7 @@ def _records_for_matchings(
             key = _orientation_key(word, crossings)
             if key not in by_key:
                 rows = _seifert_rows(word, crossings)
-                delta, det, arf_val = _checked_delta(word, rows, b)
+                delta, det, arf_val = _checked_delta(word, rows, b, h)
                 if target_coeffs is None or delta.normalized.coeffs == target_coeffs:
                     by_key[key] = (delta, det, arf_val, _signature_of_rows(rows))
                 else:
@@ -242,12 +264,13 @@ def _census_for_matchings(matchings: list[UnderlyingDiagram]) -> dict[IntPolynom
     out: dict[IntPolynomial, int] = {}
     for matching in matchings:
         crossings = matching.crossings
+        h = _matching_hadamard(matching)
         by_key: dict[tuple[bool, ...], IntPolynomial] = {}
         for word in _canonical_words(matching):
             key = _orientation_key(word, crossings)
             poly = by_key.get(key)
             if poly is None:
-                delta, _, _ = _checked_delta(word, _seifert_rows(word, crossings), 1)
+                delta, _, _ = _checked_delta(word, _seifert_rows(word, crossings), 1, h)
                 poly = by_key[key] = delta.normalized
             out[poly] = out.get(poly, 0) + 1
     return out
@@ -343,16 +366,72 @@ def _store_lines(path: Path) -> tuple[list[str], str]:
     return text.splitlines(), "\n" if text and not text.endswith("\n") else ""
 
 
+# A record's JSON line is its code string between a head and a tail that
+# depend only on its other fields.  The placeholder stands in for the code:
+# no other value of record_to_json is a string, and json.dumps leaves both it
+# and every code string (digits and commas) unescaped.
+_CODE_SLOT = "@code@"
+
+
+def _code_texts(records: list[SearchRecord]) -> list[str]:
+    """Each record's code string, as record_to_json writes it."""
+    return [",".join(map(str, record.code.word)) for record in records]
+
+
+def _json_parts(record: SearchRecord, separators=None) -> tuple[str, str]:
+    """The text of ``json.dumps(record_to_json(record), sort_keys=True,
+    separators=separators)`` before and after the code string."""
+    entry = record_to_json(record)
+    entry["code"] = _CODE_SLOT
+    head, tail = json.dumps(entry, sort_keys=True, separators=separators).split(_CODE_SLOT)
+    return head, tail
+
+
+_store_parts = partial(_json_parts, separators=(",", ":"))
+
+
+def _record_lines(records: list[SearchRecord], codes: list[str], parts) -> list[str]:
+    """One line per record: ``head + code + tail`` with ``(head, tail) =
+    parts(record)``, which must depend on nothing but the record's fields
+    other than the code.  ``parts`` runs once per distinct tuple of those
+    fields, which is at most once per orientation key of a matching."""
+    cache: dict[tuple, tuple[str, str]] = {}
+    lines = []
+    for record, code in zip(records, codes):
+        fields = (
+            record.boundary,
+            record.genus,
+            record.delta.normalized.coeffs,
+            record.determinant,
+            record.arf,
+            record.signature,
+        )
+        head_tail = cache.get(fields)
+        if head_tail is None:
+            head_tail = cache[fields] = parts(record)
+        lines.append(head_tail[0] + code + head_tail[1])
+    return lines
+
+
 def write_store(path: str | Path, records: list[SearchRecord]) -> tuple[int, int]:
     """Append records to a line store, verifying any that are already there.
 
     Returns (appended, verified).  A line that disagrees with the fresh
     computation for the same code raises :class:`StoreMismatch`.
     """
+    return _write_store(path, records, _code_texts(records))
+
+
+def _write_store(
+    path: str | Path, records: list[SearchRecord], codes: list[str]
+) -> tuple[int, int]:
+    """:func:`write_store` given the records' code strings.  Every record is
+    checked before anything is written, and the new lines go out in one
+    write, so a mismatch leaves the store unchanged."""
     path = Path(path)
     existing: dict[str, str] = {}
-    lines, separator = _store_lines(path)
-    for lineno, line in enumerate(lines, 1):
+    stored, separator = _store_lines(path)
+    for lineno, line in enumerate(stored, 1):
         if not line.strip():
             continue
         try:
@@ -364,20 +443,15 @@ def write_store(path: str | Path, records: list[SearchRecord]) -> tuple[int, int
                 f"{path}:{lineno}: store line is not an object with a string code"
             )
         existing[entry["code"]] = line
-    appended = verified = 0
+    lines = _record_lines(records, codes, _store_parts)
+    new = []
+    for code, line in zip(codes, lines):
+        old = existing.get(code)
+        if old is None:
+            new.append(line)
+        elif old != line:
+            raise StoreMismatch(f"store entry for {code} disagrees with recomputation")
     with path.open("a") as handle:
-        for record in records:
-            entry = record_to_json(record)
-            line = json.dumps(entry, sort_keys=True, separators=(",", ":"))
-            key = entry["code"]
-            if key in existing:
-                if existing[key] != line:
-                    raise StoreMismatch(
-                        f"store entry for {key} disagrees with recomputation"
-                    )
-                verified += 1
-            else:
-                handle.write(separator + line + "\n")
-                separator = ""
-                appended += 1
-    return appended, verified
+        if new:
+            handle.write(separator + "\n".join(new) + "\n")
+    return len(new), len(lines) - len(new)

@@ -5,6 +5,10 @@ The exhaustive six-band knot enumeration is computed once per session and
 shared by the criteria that consume it.
 """
 
+import contextlib
+import hashlib
+import io
+import json
 import os
 import random
 import time
@@ -21,6 +25,7 @@ from flatbasket import (
     surface_stats,
 )
 from flatbasket.bounds import fpbk_lower_bound
+from flatbasket.cli import cli_dispatch
 from flatbasket.invariants import normalize_alexander
 from flatbasket.passclass import orbit_invariant_check
 from flatbasket.pushdown import (
@@ -35,6 +40,10 @@ from flatbasket.tables import load_references, load_table, verify_table
 from conftest import random_code
 
 JOBS = min(8, os.cpu_count() or 1)
+
+# stdout and store of ``search -n 6 --knots-only --json --store`` on a new store
+N6_STDOUT_SHA256 = "7c6a263982097a42ac6fd9b53d3ffe7770e013e0b92828f1fd8f51514a9223a6"
+N6_STORE_SHA256 = "09dcca7c3097dbefdb190283195963b39eb3f27b584652b8ca3c93f3586c371d"
 
 
 def report(number: int, passed: bool, detail: str) -> None:
@@ -243,20 +252,41 @@ def test_criterion_8_push_down_suite():
     )
 
 
-def test_criterion_9_parallel_determinism(n6_run):
+def test_criterion_9_parallel_determinism(n6_run, tmp_path):
+    # the jobs=1 run is the CLI's, so its serializer, which dumps once per
+    # orientation key, is checked line by line against record_to_json of
+    # the jobs=8 records
     fixture_records, _ = n6_run
-    serial = (
-        fixture_records if JOBS == 1
-        else search(SearchQuery(bands=6, knots_only=True, jobs=1))
-    )
+    store = tmp_path / "n6.jsonl"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        status = cli_dispatch(
+            ["search", "-n", "6", "--knots-only", "--json", "--store", str(store)]
+        )
     parallel = (
         fixture_records if JOBS == 8
         else search(SearchQuery(bands=6, knots_only=True, jobs=8))
     )
-    lines_serial = "\n".join(str(record_to_json(r)) for r in serial)
-    lines_parallel = "\n".join(str(record_to_json(r)) for r in parallel)
+    serial_lines = out.getvalue().splitlines()
+    store_lines = store.read_text().splitlines()
+    entries = [record_to_json(r) for r in parallel]
+    differing = sum(
+        line != json.dumps(entry, sort_keys=True)
+        for line, entry in zip(serial_lines, entries)
+    ) + sum(
+        line != json.dumps(entry, sort_keys=True, separators=(",", ":"))
+        for line, entry in zip(store_lines, entries)
+    )
+    digests = (
+        hashlib.sha256(out.getvalue().encode()).hexdigest(),
+        hashlib.sha256(store.read_bytes()).hexdigest(),
+    )
     report(
         9,
-        lines_serial == lines_parallel,
-        f"jobs=1 and jobs=8 outputs byte-identical over {len(serial)} records",
+        status == 0
+        and len(serial_lines) == len(store_lines) == len(entries) == 89160
+        and not differing
+        and digests == (N6_STDOUT_SHA256, N6_STORE_SHA256),
+        f"jobs=1 (CLI) and jobs=8 outputs byte-identical over {len(entries)} records "
+        f"({differing} differing lines), stdout and store digests pinned",
     )

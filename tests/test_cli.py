@@ -3,7 +3,11 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from flatbasket import invariants
 from flatbasket.cli import build_parser, cli_dispatch
@@ -439,3 +443,25 @@ def test_verify_table_reports_a_row_without_a_bound(tmp_path, capsys):
     status, out, err = run(capsys, "verify-table", "--table", str(table))
     assert (status, err) == (1, "")
     assert out.startswith("FAIL 3_1 ") and "KNOT!" in out
+
+
+def test_console_search_writes_golden_output_to_a_pipe(tmp_path):
+    # the real entry point, stdout a pipe and the store a file: each is
+    # written in one piece, and both must match the golden digests
+    store = tmp_path / "store.jsonl"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "flatbasket.cli", "search", "-n", "4",
+         "--knots-only", "--json", "--store", str(store)],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "5b85e29c6077eb6c9cfac6eba3b2f0c4b551d9e8d884d24d14b117668803f753"
+    )
+    assert hashlib.sha256(store.read_bytes()).hexdigest() == (
+        "a1b77a12b995aaf19699c015e10dbbe7678a0d4ef52fb917d3e91dc5cec71627"
+    )
+    assert proc.stderr.decode() == f"store {store}: 66 appended, 0 verified\n66 records\n"

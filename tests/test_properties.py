@@ -17,6 +17,7 @@ and the CLI with input files of random bytes.
 import contextlib
 import io
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -28,7 +29,13 @@ from flatbasket import alexander, parse_code, parse_matching, parse_polynomial
 from flatbasket import pencil_determinant, pushdown, seifert_matrix
 from flatbasket.cli import cli_dispatch
 from flatbasket.codes import FlatBasketCode, boundary_components, rotated, underlying
-from flatbasket.errors import FlatBasketError
+from flatbasket.errors import (
+    EmptyInput,
+    FlatBasketError,
+    MalformedCode,
+    NonContiguousLabels,
+    _excerpt,
+)
 from flatbasket.pushdown import (
     RectilinearDiagram,
     diagram_boundary_components,
@@ -279,6 +286,51 @@ def test_parsers_return_or_raise_domain_errors(text):
         except FlatBasketError:
             continue
         assert not foreign, (parse.__name__, text)
+
+
+def counter_rule(word: tuple) -> tuple[type, str] | None:
+    """The label rule of ``FlatBasketCode`` by counting alone: the class and
+    message of the error it raises for ``word``, or None when it accepts."""
+    try:
+        if not word:
+            raise EmptyInput("empty code")
+        if len(word) % 2:
+            raise MalformedCode(f"code length {len(word)} is odd")
+        n = len(word) // 2
+        counts = Counter(word)
+        bad = sorted(x for x, c in counts.items() if c != 2)
+        if bad:
+            listed = _excerpt(",".join(map(str, bad)))
+            raise MalformedCode(f"{len(bad)} labels do not occur exactly twice: {listed}")
+        if set(counts) != set(range(1, n + 1)):
+            listed = _excerpt(",".join(map(str, sorted(counts))))
+            raise NonContiguousLabels(f"labels {listed} are not exactly 1..{n}")
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# codes, doubled label sets that need not be 1..n, any small integers, and
+# labels that do not sort with the others
+LABEL_WORDS = st.one_of(
+    codes(7).map(lambda code: code.word),
+    st.sets(st.integers(-1, 9), min_size=1, max_size=6).flatmap(
+        lambda labels: st.permutations([x for x in labels for _ in range(2)])
+    ),
+    st.lists(st.integers(-1, 8), max_size=14),
+    st.lists(st.one_of(st.integers(1, 3), st.sampled_from(["1", "x"])), max_size=6),
+).map(tuple)
+
+
+@settings(FUZZ, max_examples=400)
+@given(LABEL_WORDS)
+def test_code_label_check_matches_the_counter_rule(word):
+    try:
+        FlatBasketCode(word)
+        outcome = None
+    except Exception as exc:
+        outcome = type(exc), str(exc)
+    assert outcome == counter_rule(word)
 
 
 # columns and heights from six halves, so most drawings repeat one and many

@@ -4,6 +4,7 @@ import json
 import os
 from concurrent.futures import Future
 from itertools import permutations
+from math import prod
 
 import pytest
 
@@ -17,6 +18,7 @@ from flatbasket import (
     underlying,
 )
 from flatbasket import search as search_module
+from flatbasket.cli import _plain_parts
 from flatbasket.codes import (
     FlatBasketCode,
     boundary_components,
@@ -24,7 +26,11 @@ from flatbasket.codes import (
     is_canonical_word,
     surface_genus,
 )
-from flatbasket.invariants import arf_from_determinant, determinant_from_alexander
+from flatbasket.invariants import (
+    _hadamard_square,
+    arf_from_determinant,
+    determinant_from_alexander,
+)
 from flatbasket.pushdown import code_to_flat_diagram, diagram_seifert_matrix
 from flatbasket.errors import CapExceeded, StoreMismatch
 from flatbasket.search import (
@@ -37,7 +43,7 @@ from flatbasket.search import (
     search,
     write_store,
 )
-from flatbasket.seifert import _seifert_rows
+from flatbasket.seifert import _orientation_key, _seifert_rows
 from conftest import all_codes
 
 
@@ -129,14 +135,16 @@ def test_census_never_computes_signature(monkeypatch):
 
 
 def test_each_matching_is_built_and_walked_once(monkeypatch):
+    # a knot filter walks every raw pairing once and builds only the kept
+    # ones; an unfiltered run builds every matching and walks it once
     walks = []
     builds = []
-    real_walk = search_module.boundary_components
+    real_walk = search_module._boundary_cycles
     real_build = search_module.UnderlyingDiagram
 
-    def walk(diagram):
-        walks.append(diagram.pairing)
-        return real_walk(diagram)
+    def walk(pairing):
+        walks.append(tuple(pairing))
+        return real_walk(pairing)
 
     def build(pairing):
         builds.append(pairing)
@@ -144,14 +152,17 @@ def test_each_matching_is_built_and_walked_once(monkeypatch):
 
     expected_census = census(4)
     expected_links = search(SearchQuery(bands=3))
-    monkeypatch.setattr(search_module, "boundary_components", walk)
+    monkeypatch.setattr(search_module, "_boundary_cycles", walk)
     monkeypatch.setattr(search_module, "UnderlyingDiagram", build)
     assert census(4) == expected_census
-    assert len(walks) == len(builds) == 105
+    assert len(walks) == len(set(walks)) == 105
+    assert len(builds) == len(set(builds)) == 21
+    assert set(builds) <= set(walks)
     walks.clear()
     builds.clear()
     assert search(SearchQuery(bands=3)) == expected_links
     assert len(walks) == len(builds) == 15
+    assert set(walks) == set(builds)
 
 
 def test_equal_orientation_keys_give_equal_pencils_and_signatures():
@@ -220,24 +231,33 @@ def test_pencils_and_signatures_run_once_per_orientation_key(monkeypatch, tmp_pa
     # a forked worker inherits the wrappers, and each call appends one byte
     # to a file, so calls made in a pool are counted too
     def counting(func, path):
-        def wrapper(rows):
+        def wrapper(*args):
             with path.open("ab") as handle:
                 handle.write(b".")
-            return func(rows)
+            return func(*args)
 
         return wrapper
 
     pencils = tmp_path / "pencils"
     signatures = tmp_path / "signatures"
-    monkeypatch.setattr(
-        search_module,
-        "_pencil_det_eval_interp",
-        counting(search_module._pencil_det_eval_interp, pencils),
-    )
+    hadamards = tmp_path / "hadamards"
+    real_pencil = search_module._pencil_det_eval_interp
+
+    def pencil(rows, h):
+        # the matching's H is passed in, so the pencil never recomputes it
+        assert h is not None
+        return real_pencil(rows, h)
+
+    monkeypatch.setattr(search_module, "_pencil_det_eval_interp", counting(pencil, pencils))
     monkeypatch.setattr(
         search_module,
         "_signature_of_rows",
         counting(search_module._signature_of_rows, signatures),
+    )
+    monkeypatch.setattr(
+        search_module,
+        "_matching_hadamard",
+        counting(search_module._matching_hadamard, hadamards),
     )
 
     def calls(path):
@@ -247,11 +267,34 @@ def test_pencils_and_signatures_run_once_per_orientation_key(monkeypatch, tmp_pa
 
     for jobs in (1, 2):
         assert sum(census(4, jobs=jobs).values()) == 66
-        assert (calls(pencils), calls(signatures)) == (48, 0)
+        assert (calls(pencils), calls(signatures), calls(hadamards)) == (48, 0, 21)
         assert sum(census(6, jobs=jobs).values()) == 89160
-        assert (calls(pencils), calls(signatures)) == (23202, 0)
+        assert (calls(pencils), calls(signatures), calls(hadamards)) == (23202, 0, 1485)
         assert len(search(SearchQuery(bands=4, knots_only=True, jobs=jobs))) == 66
-        assert (calls(pencils), calls(signatures)) == (48, 48)
+        assert (calls(pencils), calls(signatures), calls(hadamards)) == (48, 48, 21)
+
+
+def test_matching_hadamard_bounds_every_orientation_key():
+    # l1(M_ij) = |v_ij| + |v_ji| is 1 exactly on interleaving chord pairs, so
+    # H is the product of the chords' interleaving degrees for every labeling
+    keys = 0
+    for n in range(1, 7):
+        for matching in enumerate_matchings(n):
+            pairs = matching.pairs()
+            degrees = [
+                sum(p < r < q < s or r < p < s < q for r, s in pairs) for p, q in pairs
+            ]
+            h = search_module._matching_hadamard(matching)
+            assert h == prod(degrees), matching
+            crossings = matching.crossings
+            seen = set()
+            for word in search_module._canonical_words(matching):
+                key = _orientation_key(word, crossings)
+                if key not in seen:
+                    seen.add(key)
+                    assert _hadamard_square(_seifert_rows(word, crossings)) == h, word
+            keys += len(seen)
+    assert keys == 96558
 
 
 def test_census_small():
@@ -410,3 +453,61 @@ def test_store_detects_mismatch(tmp_path):
     store.write_text(corrupted)
     with pytest.raises(StoreMismatch):
         write_store(store, records)
+
+
+def test_record_lines_match_the_reference_serializer():
+    # one dump per distinct record tail against json.dumps(record_to_json(r))
+    # per record, on links (null det and arf), a target and a mirror filter
+    target = parse_polynomial("t^2 - t + 1")
+    links = 0
+    for n in range(1, 6):
+        for query in (
+            SearchQuery(bands=n),
+            SearchQuery(bands=n, target=target),
+            SearchQuery(bands=n, dedup_mirror=True),
+        ):
+            records = search(query)
+            entries = [record_to_json(r) for r in records]
+            codes = search_module._code_texts(records)
+            assert codes == [entry["code"] for entry in entries]
+            assert search_module._record_lines(
+                records, codes, search_module._json_parts
+            ) == [json.dumps(entry, sort_keys=True) for entry in entries]
+            assert search_module._record_lines(
+                records, codes, search_module._store_parts
+            ) == [json.dumps(entry, sort_keys=True, separators=(",", ":")) for entry in entries]
+            assert search_module._record_lines(records, codes, _plain_parts) == [
+                f"code={code} b={r.boundary} genus={r.genus} delta={r.delta.normalized} "
+                f"det={r.determinant} arf={r.arf} signature={r.signature}"
+                for code, r in zip(codes, records)
+            ]
+            links += sum(entry["det"] is None for entry in entries)
+    assert links > 0
+
+
+def test_store_verifies_every_line_and_a_mismatch_writes_nothing(tmp_path):
+    records = search(SearchQuery(bands=4, knots_only=True))
+    reference = [
+        json.dumps(record_to_json(r), sort_keys=True, separators=(",", ":"))
+        for r in records
+    ]
+    store = tmp_path / "records.jsonl"
+    assert write_store(store, records[:40]) == (40, 0)
+    assert write_store(store, records) == (26, 40)
+    assert store.read_text() == "\n".join(reference) + "\n"
+    assert write_store(store, records) == (0, 66)
+    for index in (0, 39, 65):
+        entry = json.loads(reference[index])
+        entry["signature"] += 2
+        tampered = reference.copy()
+        tampered[index] = json.dumps(entry, sort_keys=True, separators=(",", ":"))
+        # a full store and one still missing records both stay as they are
+        for kept in (tampered, tampered[: index + 1]):
+            text = "\n".join(kept) + "\n"
+            store.write_text(text)
+            with pytest.raises(
+                StoreMismatch,
+                match=f"store entry for {entry['code']} disagrees with recomputation",
+            ):
+                write_store(store, records)
+            assert store.read_text() == text
