@@ -3,6 +3,11 @@
 One subcommand per operation family; ``--json`` switches any of them to
 structured output.  Exit codes: 0 success, 1 domain error (bad input,
 failed verification), 2 usage error.
+
+Each handler imports the modules beyond the package's core (``search``,
+``pushdown``, ``tables``, ``passclass``, ``bounds``) itself, because a
+command usually runs in a fresh process, which should pay only for its own
+command.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ import json
 import sys
 
 from . import __version__
-from .bounds import fpbk_lower_bound
 from .codes import canonicalize, parse_code, parse_matching, surface_stats
 from .errors import FlatBasketError, NotAKnot
 from .invariants import (
@@ -24,19 +28,7 @@ from .invariants import (
     determinant_from_alexander,
     parse_polynomial,
 )
-from .passclass import orbit_invariant_check, pass_class
-from .pushdown import flatten_trace, load_diagram
-from .search import (
-    SearchQuery,
-    _code_texts,
-    _json_parts,
-    _record_lines,
-    _write_store,
-    census,
-    search,
-)
 from .seifert import format_rows, seifert_matrix, symmetrized
-from .tables import CHECK_NAMES, load_references, load_table, verify_table
 
 __all__ = ["build_parser", "cli_dispatch", "main"]
 
@@ -149,6 +141,8 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    from .bounds import fpbk_lower_bound
+
     code = parse_code(args.code)
     if surface_stats(code).boundary != 1:
         raise NotAKnot("the bound applies to knots only")
@@ -169,6 +163,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_passclass(args) -> int:
+    from .passclass import pass_class
+
     cls = pass_class(parse_code(args.code))
     family = f"{cls.family}_{cls.components}" if cls.family else "undetermined"
     _emit(
@@ -184,6 +180,8 @@ def _cmd_passclass(args) -> int:
 
 
 def _cmd_orbit_check(args) -> int:
+    from .passclass import orbit_invariant_check
+
     diagram = parse_matching(args.matching)
     report = orbit_invariant_check(diagram)
     _emit(
@@ -200,6 +198,8 @@ def _cmd_orbit_check(args) -> int:
 
 
 def _cmd_flatten(args) -> int:
+    from .pushdown import flatten_trace, load_diagram
+
     diagram = load_diagram(args.diagram)
     result = flatten_trace(diagram)
     if args.trace and not args.json:
@@ -224,6 +224,10 @@ def _cmd_flatten(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from .search import (
+        SearchQuery, _code_texts, _json_parts, _record_lines, _write_store, search
+    )
+
     target = parse_polynomial(args.target) if args.target else None
     query = SearchQuery(
         bands=args.bands,
@@ -256,6 +260,8 @@ def _plain_parts(record) -> tuple[str, str]:
 
 
 def _cmd_census(args) -> int:
+    from .search import census
+
     histogram = census(args.bands, jobs=args.jobs)
     items = sorted(histogram.items(), key=lambda kv: (len(kv[0].coeffs), kv[0].coeffs))
     if args.json:
@@ -274,6 +280,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_verify_table(args) -> int:
+    from .tables import CHECK_NAMES, load_references, load_table, verify_table
+
     records = load_table(args.table)
     references = load_references(args.references)
     report = verify_table(records, references)

@@ -21,9 +21,12 @@ def _excerpt(text: str, width: int = 24) -> str:
 
 
 def _read_text(path: str | Path, error: type[FlatBasketError]) -> str:
-    """UTF-8 text of the file at ``path``; an undecodable byte raises ``error``."""
+    """UTF-8 text of the file at ``path``; an undecodable byte raises ``error``.
+
+    Line ends stay as stored, so a line of ``splitlines()`` starts at the byte
+    offset of the encoded text before it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: undecodable byte at offset {exc.start}") from exc
 

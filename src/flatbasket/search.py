@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import permutations
@@ -291,6 +290,9 @@ def _map_matchings(func, matchings: list[UnderlyingDiagram], jobs: int, *args) -
     workers = min(jobs, os.cpu_count() or 1)
     if workers <= 1 or len(matchings) < 4:
         return [func(matchings, *args)]
+    # loaded here, since it brings multiprocessing, which a serial run never uses
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(func, chunk, *args) for chunk in _chunks(matchings, workers * 4)
@@ -354,16 +356,16 @@ def record_to_json(record: SearchRecord) -> dict:
     }
 
 
-def _store_lines(path: Path) -> tuple[list[str], str]:
-    """The lines of the store at ``path`` (none if it does not exist) and
+def _store_text(path: Path) -> tuple[str, str]:
+    """The text of the store at ``path`` (empty if it does not exist) and
     what to write before the first appended record: a newline when the last
     line has none.  Every line must parse before anything is appended, so
     such a last line is complete, and a record written straight after it
     would be glued onto it."""
     if not path.exists():
-        return [], ""
+        return "", ""
     text = _read_text(path, StoreMismatch)
-    return text.splitlines(), "\n" if text and not text.endswith("\n") else ""
+    return text, "\n" if text and not text.endswith("\n") else ""
 
 
 # A record's JSON line is its code string between a head and a tail that
@@ -430,14 +432,18 @@ def _write_store(
     write, so a mismatch leaves the store unchanged."""
     path = Path(path)
     existing: dict[str, str] = {}
-    stored, separator = _store_lines(path)
-    for lineno, line in enumerate(stored, 1):
+    text, separator = _store_text(path)
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:
             entry = json.loads(line)
         except (ValueError, RecursionError) as exc:  # nesting too deep
-            raise StoreMismatch(f"{path}:{lineno}: unreadable store line") from exc
+            # the byte offset locates a torn tail in the file as stored
+            start = len("".join(text.splitlines(keepends=True)[:lineno - 1]).encode())
+            raise StoreMismatch(
+                f"{path}:{lineno}: unreadable store line at byte {start}"
+            ) from exc
         if not isinstance(entry, dict) or not isinstance(entry.get("code"), str):
             raise StoreMismatch(
                 f"{path}:{lineno}: store line is not an object with a string code"

@@ -111,10 +111,20 @@ _CLAIM = re.compile(
 )
 
 
+def _check_new_name(lines: dict[str, int], name: str, lineno: int) -> None:
+    """Note that row ``name`` is on line ``lineno``; a name seen before raises
+    :class:`ParseError`, since one of the two rows would silently win or be
+    checked twice."""
+    first = lines.setdefault(name, lineno)
+    if first != lineno:
+        raise ParseError(f"row {_excerpt(name)} on line {lineno} repeats line {first}")
+
+
 def load_table(path: str | Path | None = None) -> tuple[KnotRecord, ...]:
-    """Parse the bundled (or an explicit) knot table."""
+    """Parse the bundled (or an explicit) knot table, which must have a row."""
     text = _data_text(path, "fpbk_table.tsv")
     records = []
+    lines: dict[str, int] = {}
     block = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -128,6 +138,7 @@ def load_table(path: str | Path | None = None) -> tuple[KnotRecord, ...]:
         if len(parts) != 4:
             raise ParseError(f"line {lineno}: expected 4 tab-separated fields")
         name, code_text, genus_text, claim_text = (p.strip() for p in parts)
+        _check_new_name(lines, name, lineno)
         try:
             code = parse_code(code_text)
             if not (genus_text.isascii() and genus_text.isdigit()):
@@ -152,6 +163,8 @@ def load_table(path: str | Path | None = None) -> tuple[KnotRecord, ...]:
                 block=max(block, 1),
             )
         )
+    if not records:
+        raise ParseError("no rows in table text")
     return tuple(records)
 
 
@@ -159,6 +172,7 @@ def load_references(path: str | Path | None = None) -> dict[str, IntPolynomial]:
     """Reference Alexander polynomials, name -> normalized polynomial."""
     text = _data_text(path, "reference_alexander.tsv")
     out: dict[str, IntPolynomial] = {}
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -167,6 +181,7 @@ def load_references(path: str | Path | None = None) -> dict[str, IntPolynomial]:
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected name and coefficients")
         name, coeff_text = parts[0].strip(), parts[1].strip()
+        _check_new_name(lines, name, lineno)
         try:
             poly = parse_polynomial(coeff_text)
         except FlatBasketError as exc:

@@ -383,7 +383,21 @@ def test_search_store_with_a_non_object_line_is_an_error(tmp_path, capsys):
     store.write_text("[" * 100_000 + "\n")
     status, out, err = run(capsys, "search", "-n", "2", "--store", str(store))
     assert (status, out) == (1, "")
-    assert err == f"error: {store}:1: unreadable store line\n"
+    assert err == f"error: {store}:1: unreadable store line at byte 0\n"
+
+
+def test_search_store_cut_mid_line_names_where_the_line_starts(tmp_path, capsys):
+    # a store whose last write was cut off mid-line: the error gives the byte
+    # at which the torn line starts, counted in the file as stored (a CRLF
+    # line end and a two-byte character come before it), and writes nothing
+    store = tmp_path / "torn.jsonl"
+    whole = '{"code":"9,9","note":"\u00e9"}\r\n{"code":"8,8"}\n'.encode()
+    torn = whole + b'{"code":"1,2,1,2","b":1,"gen'
+    store.write_bytes(torn)
+    status, out, err = run(capsys, "search", "-n", "2", "--store", str(store))
+    assert (status, out) == (1, "")
+    assert err == f"error: {store}:3: unreadable store line at byte {len(whole)}\n"
+    assert len(whole) == 43 and store.read_bytes() == torn
 
 
 def test_search_store_without_a_final_newline_takes_new_records(tmp_path, capsys):
@@ -443,6 +457,45 @@ def test_verify_table_reports_a_row_without_a_bound(tmp_path, capsys):
     status, out, err = run(capsys, "verify-table", "--table", str(table))
     assert (status, err) == (1, "")
     assert out.startswith("FAIL 3_1 ") and "KNOT!" in out
+
+
+_IMPORT_STEPS = """
+import json, sys
+from flatbasket import cli
+
+watched = sys.argv[1:]
+steps = []
+cli.build_parser()
+steps.append([0] + [m for m in watched if m in sys.modules])
+for argv in (
+    ["invariants", "--code", "1,2,3,4,1,2,3,4"],
+    ["search", "-n", "4", "--knots-only"],
+):
+    status = cli.cli_dispatch(argv)
+    steps.append([status] + [m for m in watched if m in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def test_each_command_imports_only_the_modules_it_runs():
+    # one fresh process: the parser and a one-code command load none of the
+    # modules that only other commands (or a process pool) need, and a serial
+    # search loads its own modules but no pool
+    watched = [
+        "concurrent.futures", "multiprocessing", "fractions", "flatbasket.search",
+        "flatbasket.pushdown", "flatbasket.tables", "flatbasket.passclass",
+        "flatbasket.bounds",
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_STEPS, *watched],
+        capture_output=True, env=env, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout.splitlines()[-1])
+    assert steps == [[0], [0], [0, "flatbasket.search", "flatbasket.bounds"]]
 
 
 def test_console_search_writes_golden_output_to_a_pipe(tmp_path):

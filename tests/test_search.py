@@ -1,5 +1,6 @@
 """Enumeration, census, target search, and the result store."""
 
+import concurrent.futures
 import json
 import os
 from concurrent.futures import Future
@@ -398,7 +399,8 @@ def test_jobs_pool_is_at_most_one_worker_per_cpu(monkeypatch):
 
     serial = [record_to_json(r) for r in search(SearchQuery(bands=4, knots_only=True))]
     serial_census = census(4)
-    monkeypatch.setattr(search_module, "ProcessPoolExecutor", InlinePool)
+    # search imports the pool class from its module only when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     for cpus in (os.cpu_count(), 3, 1, None):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         sizes.clear()

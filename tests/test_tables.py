@@ -1,8 +1,11 @@
 """The bundled table, references, and row verification."""
 
+from importlib import resources
+
 import pytest
 
 from flatbasket import parse_code
+from flatbasket.cli import cli_dispatch
 from flatbasket.errors import MissingReference, ParseError
 from flatbasket.tables import (
     CHECK_NAMES,
@@ -113,3 +116,32 @@ def test_verify_detects_wrong_reference():
     report = verify_table(records, refs)
     assert not report.passed
     assert report.rows[0].checks["alexander"] is False
+
+
+def test_a_table_without_rows_is_an_error(tmp_path, capsys):
+    # an empty table would otherwise "verify" as 0/0 rows
+    empty = tmp_path / "table.tsv"
+    for text in ("", "\n  \n", "# block 1\n# only comments\n"):
+        empty.write_text(text)
+        with pytest.raises(ParseError, match="no rows"):
+            load_table(empty)
+        assert cli_dispatch(["verify-table", "--table", str(empty)]) == 1
+        assert capsys.readouterr() == ("", "error: no rows in table text\n")
+
+
+def test_a_repeated_name_is_an_error_naming_both_lines(tmp_path):
+    data = resources.files("flatbasket") / "data"
+    # in the references the last polynomial would win, and row 3_1 would fail
+    references = tmp_path / "references.tsv"
+    bundled = (data / "reference_alexander.tsv").read_text(encoding="utf-8")
+    references.write_text(bundled + "3_1\t1,-3,1\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_references(references)
+    assert str(err.value) == "row '3_1' on line 91 repeats line 7"
+    # in the table the row would be verified twice
+    table = tmp_path / "table.tsv"
+    bundled = (data / "fpbk_table.tsv").read_text(encoding="utf-8")
+    table.write_text(bundled + "3_1\t(1,2,3,4,1,2,3,4)\t1\t4\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_table(table)
+    assert str(err.value) == "row '3_1' on line 94 repeats line 8"
