@@ -62,6 +62,20 @@ def leibniz_pencil_det(matrix: SeifertMatrix) -> tuple[int, ...]:
     return poly_trim(total)
 
 
+def leibniz_det(rows) -> int:
+    """Permutation-expansion determinant of a square integer matrix."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        term = _perm_sign(perm)
+        for i in range(n):
+            term *= rows[i][perm[i]]
+            if not term:
+                break
+        total += term
+    return total
+
+
 def _perm_sign(perm: tuple[int, ...]) -> int:
     sign = 1
     seen = [False] * len(perm)

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,7 +12,8 @@ from pathlib import Path
 
 from flatbasket import invariants
 from flatbasket.cli import build_parser, cli_dispatch
-from flatbasket.invariants import PENCIL_CAP
+from flatbasket.codes import FlatBasketCode, surface_stats
+from flatbasket.invariants import PENCIL_CAP, arf_from_determinant
 from flatbasket.pushdown import FLATTEN_CAP
 
 
@@ -309,6 +311,50 @@ def test_pencil_cap_is_fixed(monkeypatch, capsys):
     monkeypatch.setattr(invariants, "_det_bareiss_int", refuse)
     monkeypatch.setattr(invariants, "_det_bareiss_poly", refuse)
     over = _all_crossing(PENCIL_CAP + 2)
+    for argv in (
+        ("alexander",), ("invariants",), ("bound", "--genus", "1"), ("passclass",)
+    ):
+        status, out, err = run(capsys, *argv, "--code", over)
+        assert (status, out) == (1, "")
+        assert err == f"error: {PENCIL_CAP + 2} bands exceeds the pencil cap {PENCIL_CAP}\n"
+
+
+def _seeded_knot(rng: random.Random, bands: int) -> str:
+    while True:
+        word = [label for label in range(1, bands + 1) for _ in (0, 1)]
+        rng.shuffle(word)
+        if surface_stats(FlatBasketCode(tuple(word))).boundary == 1:
+            return ",".join(map(str, word))
+
+
+def test_single_code_commands_agree_at_the_pencil_cap(capsys):
+    # a random knot of exactly PENCIL_CAP bands: every single-code command
+    # answers, and Delta, det, Arf and the pass class tell one story
+    rng = random.Random(PENCIL_CAP)
+    code = _seeded_knot(rng, PENCIL_CAP)
+    status, out, _ = run(capsys, "alexander", "--json", "--code", code)
+    assert status == 0
+    normalized = json.loads(out)["normalized"]["coeffs"]
+    status, out, _ = run(capsys, "invariants", "--json", "--code", code)
+    assert status == 0
+    inv = json.loads(out)
+    assert inv["alexander"]["coeffs"] == normalized
+    assert inv["genus"] == PENCIL_CAP // 2
+    assert inv["determinant"] == abs(sum(c * (-1) ** k for k, c in enumerate(normalized)))
+    assert inv["arf"] == arf_from_determinant(inv["determinant"])
+    status, out, _ = run(
+        capsys, "bound", "--json", "--genus", str(inv["genus"]), "--code", code
+    )
+    assert status == 0
+    bound = json.loads(out)
+    monic = abs(normalized[-1]) == 1
+    assert bound["degree_bound"] == len(normalized) - 1 + (2 if monic else 4)
+    assert bound["overall"] == max(bound["degree_bound"], PENCIL_CAP + 2)
+    status, out, _ = run(capsys, "passclass", "--json", "--code", code)
+    assert status == 0
+    assert json.loads(out)["family"] == ("II" if inv["arf"] else "I")
+
+    over = _seeded_knot(rng, PENCIL_CAP + 2)
     for argv in (
         ("alexander",), ("invariants",), ("bound", "--genus", "1"), ("passclass",)
     ):

@@ -29,7 +29,7 @@ from flatbasket.pushdown import diagram_seifert_matrix, parse_diagram
 from flatbasket.search import enumerate_codes, enumerate_matchings
 from flatbasket.seifert import SeifertMatrix, symmetrized
 from flatbasket.tables import load_table
-from conftest import all_codes, leibniz_pencil_det, random_code
+from conftest import all_codes, leibniz_det, leibniz_pencil_det, random_code
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +290,86 @@ def test_pivot_tiers_and_ties():
     assert invariants._pivot_position(pencil, 0, rows, cols) == (1, 2)
     # only the trailing block from step k on counts
     assert invariants._pivot_position(pencil, 2, rows, cols) is None
+
+
+def _integer_matrices(rng):
+    """Random matrices of 1-7 rows with entries in -3..3, each with three
+    variants: a zero leading entry and column, a repeated row (singular),
+    and every +1 made -1 (only negative unit pivots)."""
+    for n in range(1, 8):
+        for _ in range(40 if n <= 5 else 6):
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            yield rows
+            yield [[0] + row[1:] for row in rows]
+            yield rows[:-1] + [rows[0]] if n > 1 else [[0]]
+            yield [[-1 if x == 1 else x for x in row] for row in rows]
+
+
+def test_integer_bareiss_matches_leibniz():
+    singular = 0
+    for rows in _integer_matrices(random.Random(19)):
+        expected = leibniz_det(rows)
+        assert invariants._det_bareiss_int([list(row) for row in rows]) == expected, rows
+        singular += not expected
+    assert singular >= 200
+
+
+def test_integer_bareiss_checks_every_division():
+    # one product off by one makes a later division inexact: it raises
+    # where the unchecked floor division returned 671, 561, ... silently
+    class OffByOne(int):
+        def __mul__(self, other):
+            return int(self) * other + 1
+
+        __rmul__ = __mul__
+
+    rows = [[2, 3, 5, 7], [3, 2, 0, 5], [5, 0, 2, 3], [7, 5, 3, 2]]
+    assert invariants._det_bareiss_int([list(row) for row in rows]) == 644
+    for i in range(1, 4):
+        for j in range(1, 4):
+            faulty = [list(row) for row in rows]
+            faulty[i][j] = OffByOne(faulty[i][j])
+            with pytest.raises(InvariantViolation, match="inexact integer Bareiss"):
+                invariants._det_bareiss_int(faulty)
+
+
+def test_integer_bareiss_products_on_seeded_24_band_knots(monkeypatch):
+    # unit pivots from the sparsest rows, and updates of only the columns
+    # where the pivot row is nonzero: 8,674 integer products for the ten
+    # pencils at t = 2^B; the first nonzero of each column took 51,913
+    products = []
+
+    class Counted(int):
+        def __mul__(self, other):
+            products.append(1)
+            return Counted(int(self) * int(other))
+
+        __rmul__ = __mul__
+
+        def __sub__(self, other):
+            return Counted(int(self) - int(other))
+
+        def __rsub__(self, other):
+            return Counted(int(other) - int(self))
+
+        def __neg__(self):
+            return Counted(-int(self))
+
+        def __floordiv__(self, other):
+            return Counted(int(self) // int(other))
+
+        def __divmod__(self, other):
+            q, r = divmod(int(self), int(other))
+            return Counted(q), r
+
+    real = invariants._det_bareiss_int
+    monkeypatch.setattr(
+        invariants, "_det_bareiss_int",
+        lambda rows: real([[Counted(a) for a in row] for row in rows]),
+    )
+    for code in _seeded_24_band_knots():
+        pencil_determinant(seifert_matrix(code), "eval_interp")
+    assert len(products) <= 10_000, len(products)
 
 
 def _counting_int_dets(monkeypatch, offset=lambda: 0):
