@@ -5,14 +5,18 @@ Alexander polynomial is det(V - t V^T) for the Seifert matrix V of the code,
 taken by two mutually checking exact algorithms:
 
 * ``fraction_free``: one-step fraction-free (Bareiss) elimination over Z[t]
-  on plain coefficient lists, where every division is exact by
-  construction and checked.  Each pivot comes from the whole trailing
-  block: a constant +-1 when there is one, else an entry of least degree,
-  and within that tier the entry of least Markowitz cost
-  (r_i - 1)(c_j - 1), from row and column nonzero counts that are taken
-  once and kept up to date as entries fill in or cancel.  Two unit pivots
-  in a row make the step a plain a - a_ik * a_kj, with no multiply and no
-  division;
+  on trimmed coefficient lists, independent of the integer determinant.
+  Each step pops its pivot row and column, so the rows hold exactly the
+  trailing block, and C-level scans find the pivot: a constant +-1 when
+  there is one, by the unit rule of the integer determinant below,
+  otherwise an entry of least length, then of least |leading
+  coefficient|.  Two unit pivots in a row make the step a plain
+  a - a_ik * a_kj on the entries it changes.  Every other step packs the
+  block's entries as integers at t = 2^W (Kronecker substitution), with W
+  from that step's block, and computes each new entry with one integer
+  product, difference and ``divmod``; a remainder, or a quotient whose
+  digits do not prove the division exact over Z[t] and whose fallback
+  division fails, raises :class:`InvariantViolation`;
 * ``eval_interp``: one exact integer determinant at t = 2^B (Kronecker
   substitution).  Hadamard's inequality on |t| = 1 and Cauchy's estimate
   bound every coefficient by sqrt(H), with H read off the entries, so B
@@ -83,16 +87,16 @@ def _poly_mul(a, b) -> list[int]:
     return out
 
 
-def _poly_sub(a, b) -> list[int]:
-    """Trimmed difference a - b of two coefficient lists."""
-    if len(a) >= len(b):
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] -= c
-    else:
-        out = [-c for c in b]
-        for k, c in enumerate(a):
-            out[k] += c
+def _poly_sub_mul(a, c, b) -> list[int]:
+    """Trimmed a - c * b of three coefficient lists, with c nonzero."""
+    out = list(a)
+    grow = len(c) + len(b) - 1 - len(out)
+    if grow > 0:
+        out += [0] * grow
+    for i, ci in enumerate(c):
+        if ci:
+            for j, cb in enumerate(b, i):
+                out[j] -= ci * cb
     while out and out[-1] == 0:
         out.pop()
     return out
@@ -185,7 +189,7 @@ class IntPolynomial:
         return IntPolynomial(tuple(out))
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return IntPolynomial(_poly_sub(self.coeffs, other.coeffs))
+        return IntPolynomial(_poly_sub_mul(self.coeffs, (1,), other.coeffs))
 
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial(tuple(-c for c in self.coeffs))
@@ -312,10 +316,10 @@ def parse_polynomial(text: str) -> IntPolynomial:
 # ---------------------------------------------------------------------------
 
 # Blocks of more rows than this take their +-1 pivot from the row with the
-# fewest nonzeros, and smaller ones from the first row that has one: on
-# seeded knot pencils the scan of every row costs 10-15 % at 4-6 bands and
-# saves 20 % at 20 bands and half at 48, with no measurable difference for
-# thresholds of 6-12 rows.
+# fewest nonzeros, and smaller ones from the first row that has one, in both
+# kernels: on seeded knot pencils at t = 2^B the scan of every row costs
+# 10-15 % at 4-6 bands and saves 20 % at 20 bands and half at 48, and the
+# Z[t] kernel runs within 3 % for thresholds of 0-12 rows at 24 bands.
 _SPARSE_UNIT_ROWS = 8
 
 
@@ -342,12 +346,13 @@ def _det_bareiss_int(rows: list[list[int]]) -> int:
     ``divmod``, and a remainder raises :class:`InvariantViolation`.  The
     last 2x2 block is finished as (ad - bc) / prev, checked the same way.
 
-    The Z[t] kernel :func:`_det_bareiss_poly` has its own pivot rule,
-    :func:`_pivot_position`: a Python scan of every entry with Markowitz
-    costs from maintained nonzero counts.  On integer pencils that scan and
-    those counts cost more than they save (3.4x slower at 4 bands, 1.8x at
-    24), while the Z[t] kernel is 1.7x slower at 24 bands without the
-    Markowitz costs, so the two kernels keep separate rules.
+    The Z[t] kernel :func:`_det_bareiss_poly` takes its unit pivots by the
+    same rule (:func:`_pivot`).  The least Markowitz cost (r_i - 1)(c_j - 1)
+    among the units of a block of more than 10 rows, from column counts
+    taken at every step, costs more than its smaller fill saves in both:
+    this kernel ran 1.2x slower at 4 bands and 1.6x at 24, and the Z[t]
+    kernel 1.05-1.1x slower at 24 bands, and within 10 % either way at 36
+    and 48.
     """
     n = len(rows)
     if n == 0:
@@ -431,113 +436,181 @@ def _det_bareiss_int(rows: list[list[int]]) -> int:
     return sign * det
 
 
-def _pivot_position(
-    rows: list[list[list[int]]], k: int, row_nz: list[int], col_nz: list[int]
-) -> tuple[int, int] | None:
-    """Position of the pivot for step k in the block ``rows[k:][k:]``.
+_ONE, _MINUS_ONE, _NO_ENTRY = [1], [-1], []
 
-    A constant +-1 when there is one, else a nonzero entry of least length;
-    within that tier, the entry of least Markowitz cost
-    (row_nz[i] - 1) * (col_nz[j] - 1), the most fill its elimination can
-    make, with ``row_nz`` and ``col_nz`` the nonzero counts of the rows and
-    columns of the block.  Ties go to the first in row-major order, and the
-    scan stops at a +-1 of cost 0.  None when the block is zero.
+
+def _pivot(rows: list[list[list[int]]]) -> tuple[int, int] | None:
+    """Block position (p, q) of the next Z[t] pivot; None for a zero block.
+
+    The unit rule of :func:`_det_bareiss_int`: a constant +-1 whenever the
+    block has one, from the row with the fewest nonzeros when the block has
+    more than ``_SPARSE_UNIT_ROWS`` rows, else from the first row that has
+    one, and in that row the first ``[1]``, else the first ``[-1]``.
+    Otherwise an entry of least length, then of least |leading
+    coefficient|, the first in row-major order among equals.
     """
+    scan_all = len(rows) > _SPARSE_UNIT_ROWS
+    p = -1
+    most = -1
+    for i, row in enumerate(rows):
+        if _ONE in row or _MINUS_ONE in row:
+            if not scan_all:
+                p = i
+                break
+            zeros = row.count(_NO_ENTRY)
+            if zeros > most:
+                p, most = i, zeros
+    if p >= 0:
+        row = rows[p]
+        return p, row.index(_ONE) if _ONE in row else row.index(_MINUS_ONE)
+    lengths = [min(map(len, filter(None, row)), default=0) for row in rows]
+    shortest = min(filter(None, lengths), default=0)
+    if not shortest:
+        return None
     best = None
-    best_tier = best_cost = 0
-    n = len(rows)
-    for i in range(k, n):
-        row = rows[i]
-        r = row_nz[i] - 1
-        for j in range(k, n):
-            e = row[j]
-            if not e:
-                continue
-            tier = 0 if len(e) == 1 and (e[0] == 1 or e[0] == -1) else len(e)
-            if best is not None and tier > best_tier:
-                continue
-            cost = r * (col_nz[j] - 1)
-            if best is None or tier < best_tier or cost < best_cost:
-                if not tier and not cost:
-                    return i, j
-                best, best_tier, best_cost = (i, j), tier, cost
+    for i, row in enumerate(rows):
+        if lengths[i] == shortest:
+            for j, e in enumerate(row):
+                if len(e) == shortest and (best is None or abs(e[-1]) < lead):
+                    best, lead = (i, j), abs(e[-1])
+                    if lead == 1:
+                        return best
     return best
+
+
+def _pack(coeffs: list[int], bits: int) -> int:
+    """The coefficient list evaluated at t = 2^bits (Kronecker substitution)."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value << bits) + c
+    return value
+
+
+def _unpack(value: int, bits: int) -> list[int]:
+    """The trimmed coefficient list with every coefficient in
+    [-2^(bits - 1), 2^(bits - 1)) whose :func:`_pack` is ``value``: the
+    balanced base-2^bits digits of ``value``, ascending."""
+    out = []
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    while value:
+        digit = value & mask
+        value >>= bits
+        if digit >= half:
+            digit -= mask + 1
+            value += 1
+        out.append(digit)
+    return out
+
+
+def _quotient_limit(bits: int, prev: list[int]) -> int:
+    """Largest max |q_k| for which every coefficient of q * prev is below
+    2^(bits - 1) in absolute value: len(prev) * max|q_k| * max|prev_k| is."""
+    return ((1 << (bits - 1)) - 1) // (len(prev) * max(max(prev), -min(prev)))
+
+
+def _packed_step(
+    rows: list[list[list[int]]], rk: list[list[int]], q: int,
+    pivot: list[int], prev: list[int],
+) -> None:
+    """One Bareiss step over Z[t] by Kronecker substitution at t = 2^W.
+
+    W is taken from the block (the other ``rows``, whose column q is
+    popped here, the pivot row ``rk`` and the pivot) and prev: with L the
+    longest entry and C the largest |coefficient|, every coefficient of
+    a_ij * pivot - a_iq * a_kj is at most 2 L C^2 < 2^(W - 1), so packing
+    it is injective, and prev packs to a nonzero value.  The numerator is
+    one ``int`` expression, divided by prev at t = 2^W with ``divmod``; a
+    remainder proves the Z[t] division inexact.  The quotient's balanced
+    digits q are kept when max|q_k| <= :func:`_quotient_limit`, which
+    proves q * prev equal to the numerator over Z[t], as both then pack
+    injectively to one value.  Otherwise :func:`_poly_exact_div` divides
+    the unpacked numerator.  Every failure raises
+    :class:`InvariantViolation`.
+    """
+    riks = [ri.pop(q) for ri in rows]
+    size = top = 0
+    for row in (*rows, riks, rk, [pivot, prev]):
+        size = max(size, max(map(len, row), default=0))
+        top = max(
+            top,
+            max(map(max, filter(None, row)), default=0),
+            -min(map(min, filter(None, row)), default=0),
+        )
+    bits = (2 * size * top * top).bit_length() + 1
+    limit = _quotient_limit(bits, prev)
+    packed_pivot = _pack(pivot, bits)
+    packed_prev = _pack(prev, bits)
+    packed_rk = [_pack(b, bits) for b in rk]
+    same = pivot == prev
+    for ri, rik in zip(rows, riks):
+        if same and not rik:
+            continue
+        packed_rik = _pack(rik, bits)
+        for j, b in enumerate(packed_rk):
+            a = ri[j]
+            cross = packed_rik * b
+            if not cross and (same or not a):
+                continue
+            num = _pack(a, bits) * packed_pivot - cross
+            quot, rem = divmod(num, packed_prev)
+            if rem:
+                raise InvariantViolation("inexact Z[t] Bareiss step")
+            new = _unpack(quot, bits)
+            if new and (max(new) > limit or min(new) < -limit):
+                try:
+                    new = _poly_exact_div(_unpack(num, bits), prev)
+                except ArithmeticError as exc:
+                    raise InvariantViolation("inexact Z[t] Bareiss step") from exc
+            ri[j] = new
 
 
 def _det_bareiss_poly(rows: list[list[list[int]]]) -> list[int]:
     """Exact determinant of a matrix over Z[t] (fully pivoted one-step Bareiss).
 
-    Entries and the result are trimmed coefficient lists; ``rows`` is
-    overwritten.  Each step takes its pivot from the whole trailing block
-    by least fill (see :func:`_pivot_position`), swapping it into place by
-    a row and a column swap, each of which flips the sign.  The nonzero
-    counts of the block's rows and columns are taken once and then kept up
-    to date: swapped with their row or column, decremented when the pivot
-    row and column leave the block, and moved by one whenever an update
-    turns an entry from zero to nonzero or back.  A pivot with a negative
-    leading coefficient has its row negated, flipping the sign again, so a
-    unit pivot is always ``[1]``.  The update of entry (i, j) is
-    (a_ij * pivot - a_ik * a_kj) / prev, with prev the previous pivot;
-    the multiply is skipped when the pivot is ``[1]``, the division when
-    prev is ``[1]``, and every other division is checked by
-    :func:`_poly_exact_div`.  When pivot == prev, an entry with
-    a_ik * a_kj = 0 stays as it is, and so does every row with a_ik = 0.
+    Entries and the result are trimmed coefficient lists.  ``rows`` is
+    consumed: each step pops the pivot row from the list and the pivot
+    column from every row, so the list always holds exactly the trailing
+    block, and :func:`_pivot` finds the pivot with C-level scans.  Moving
+    the pivot from block position (p, q) to the front flips the sign when
+    p + q is odd, and a pivot with a negative leading coefficient has its
+    row negated, flipping it again, so a unit pivot is always ``[1]``.
+
+    The update of entry (i, j) is (a_ij * pivot - a_iq * a_kj) / prev, with
+    prev the previous pivot.  A unit step, pivot = prev = ``[1]``, divides
+    nothing: it changes only the rows with a_iq != 0, in the columns where
+    the pivot row is nonzero, by a_ij - a_iq * a_kj.  Every other step is a
+    :func:`_packed_step`, whose every division is proven exact over Z[t] or
+    raises :class:`InvariantViolation`.
     """
-    n = len(rows)
-    if n == 0:
+    if not rows:
         return [1]
-    row_nz = [sum(1 for e in row if e) for row in rows]
-    col_nz = [sum(1 for e in col if e) for col in zip(*rows)]
     sign = 1
-    prev = [1]
-    for k in range(n - 1):
-        pos = _pivot_position(rows, k, row_nz, col_nz)
+    prev = _ONE
+    while len(rows) > 1:
+        pos = _pivot(rows)
         if pos is None:
             return []
         p, q = pos
-        if p != k:
-            rows[k], rows[p] = rows[p], rows[k]
-            row_nz[k], row_nz[p] = row_nz[p], row_nz[k]
+        rk = rows.pop(p)
+        pivot = rk.pop(q)
+        if (p + q) & 1:
             sign = -sign
-        if q != k:
-            for row in rows[k:]:
-                row[k], row[q] = row[q], row[k]
-            col_nz[k], col_nz[q] = col_nz[q], col_nz[k]
+        if pivot[-1] < 0:
+            pivot = [-c for c in pivot]
+            rk = [[-c for c in b] for b in rk]
             sign = -sign
-        rk = rows[k]
-        if rk[k][-1] < 0:
-            rk[k:] = [[-c for c in e] for e in rk[k:]]
-            sign = -sign
-        pivot = rk[k]
-        for j in range(k + 1, n):
-            if rk[j]:
-                col_nz[j] -= 1
-        unit_pivot = pivot == [1]
-        unit_prev = prev == [1]
-        same = pivot == prev
-        for i in range(k + 1, n):
-            ri = rows[i]
-            rik = ri[k]
-            if rik:
-                row_nz[i] -= 1
-            elif same:
-                continue
-            for j in range(k + 1, n):
-                a = ri[j]
-                b = rk[j] if rik else []
-                if not b and (not a or same):
-                    continue
-                num = a if unit_pivot else _poly_mul(a, pivot)
-                if b:
-                    num = _poly_sub(num, _poly_mul(rik, b))
-                new = num if unit_prev else _poly_exact_div(num, prev)
-                if (not a) != (not new):
-                    step = 1 if new else -1
-                    row_nz[i] += step
-                    col_nz[j] += step
-                ri[j] = new
+        if pivot == prev == _ONE:
+            cols = [j for j, b in enumerate(rk) if b]
+            for ri in rows:
+                rik = ri.pop(q)
+                if rik:
+                    for j in cols:
+                        ri[j] = _poly_sub_mul(ri[j], rik, rk[j])
+        else:
+            _packed_step(rows, rk, q, pivot, prev)
         prev = pivot
-    det = rows[n - 1][n - 1]
+    det = rows[0][0]
     return [-c for c in det] if sign < 0 else det
 
 
@@ -629,14 +702,14 @@ def pencil_determinant(
 # the Alexander polynomial and friends
 # ---------------------------------------------------------------------------
 
-# Most bands :func:`alexander` takes.  On 40 seeded random 48-band knots a
-# checked ``invariants`` takes 0.11 s in the median (0.20 s at most), and
-# the Z[t] elimination is the slower pencil method: 0.085 s against 0.019 s
-# for the integer determinant.  It also grows fastest, and it holds the cap:
-# at 56 bands it alone takes 0.21 s in the median, and the command 0.28 s
-# (0.65 s at most), more than 48 bands took with a dense integer Bareiss
-# (0.21 s, 0.37 s at most).
-PENCIL_CAP = 48
+# Most bands :func:`alexander` takes: the largest multiple of 8 at which a
+# checked ``invariants`` on 40 seeded random knots (best of 3 per code)
+# stays within 0.21 s in the median and 0.37 s at most, what 48 bands took
+# with a dense integer Bareiss.  At 56 bands it takes 0.15 s (0.32 s at
+# most): 0.074 s in the Z[t] elimination and 0.068 s in the integer
+# determinant.  At 64 it takes 0.45 s (0.90 s), and the integer
+# determinant alone 0.27 s, so that method now holds the cap.
+PENCIL_CAP = 56
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Command-line behaviour: outputs and exit codes."""
 
 import argparse
+import builtins
 import hashlib
 import json
 import os
@@ -298,7 +299,7 @@ def _all_crossing(bands: int) -> str:
 
 
 def test_pencil_cap_is_fixed(monkeypatch, capsys):
-    assert PENCIL_CAP == 48
+    assert PENCIL_CAP == 56
     status, out, _ = run(capsys, "invariants", "--json", "--code", _all_crossing(PENCIL_CAP))
     assert status == 0 and json.loads(out)["determinant"] == PENCIL_CAP - 1
     status, out, _ = run(capsys, "passclass", "--json", "--code", _all_crossing(PENCIL_CAP))
@@ -361,6 +362,59 @@ def test_single_code_commands_agree_at_the_pencil_cap(capsys):
         status, out, err = run(capsys, *argv, "--code", over)
         assert (status, out) == (1, "")
         assert err == f"error: {PENCIL_CAP + 2} bands exceeds the pencil cap {PENCIL_CAP}\n"
+
+
+def _perturb_once(monkeypatch, name, perturb, when):
+    """Make the first call of ``invariants.<name>`` whose arguments satisfy
+    ``when`` see its first argument changed by ``perturb``; return the list
+    that records that it happened."""
+    done = []
+    real = getattr(invariants, name, None) or getattr(builtins, name)
+
+    def faulty(a, *rest):
+        if not done and when(a, *rest):
+            done.append(a)
+            a = perturb(a)
+        return real(a, *rest)
+
+    monkeypatch.setattr(invariants, name, faulty, raising=False)
+    return done
+
+
+def test_inexact_z_t_steps_exit_1_without_a_traceback(monkeypatch, capsys):
+    # a numerator one unit off on a packed step, divided by a prev other
+    # than 1: the checked divmod, then the fallback division, raises
+    # InvariantViolation, so the command exits 1 with one error line
+    code = _seeded_knot(random.Random(12), 12)
+    done = _perturb_once(monkeypatch, "divmod", lambda a: a + 1, lambda a, b: b != 1)
+    status, out, err = run(capsys, "invariants", "--json", "--code", code)
+    assert done and (status, out, err) == (1, "", "error: inexact Z[t] Bareiss step\n")
+    monkeypatch.undo()
+    monkeypatch.setattr(invariants, "_quotient_limit", lambda bits, prev: -1)
+    done = _perturb_once(
+        monkeypatch, "_poly_exact_div", lambda a: [a[0] + 1] + a[1:], lambda a, b: b != [1]
+    )
+    status, out, err = run(capsys, "invariants", "--json", "--code", code)
+    assert done and (status, out, err) == (1, "", "error: inexact Z[t] Bareiss step\n")
+
+
+def test_faulty_unit_step_exits_1_without_a_traceback(monkeypatch, capsys):
+    # a unit step (pivot = prev = 1) divides nothing, and the block it
+    # leaves is a fresh start for Bareiss, so no later division can see a
+    # wrong entry there; with every unit-step update one unit off, the
+    # checked Delta catches it as a disagreement
+    code = _seeded_knot(random.Random(12), 12)
+    updates = []
+    real = invariants._poly_sub_mul
+
+    def faulty(a, c, b):
+        updates.append(1)
+        return real(a, c, b) + [1]
+
+    monkeypatch.setattr(invariants, "_poly_sub_mul", faulty)
+    status, out, err = run(capsys, "invariants", "--json", "--code", code)
+    assert updates and (status, out) == (1, "")
+    assert err.startswith("error: determinant methods disagree on ") and err.count("\n") == 1
 
 
 def test_flatten_errors_quote_drawing_coordinates(tmp_path, capsys):
