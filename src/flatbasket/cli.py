@@ -22,7 +22,8 @@ from .codes import canonicalize, parse_code, parse_matching, surface_stats
 from .errors import FlatBasketError, NotAKnot
 from .invariants import (
     _alexander_of_matrix,
-    _signature_of_rows,
+    _check_against_pencil,
+    _signature_and_determinant_of_rows,
     alexander,
     arf_from_determinant,
     determinant_from_alexander,
@@ -118,12 +119,14 @@ def _cmd_invariants(args) -> int:
     stats = surface_stats(code)
     matrix = seifert_matrix(code)
     delta = _alexander_of_matrix(code, matrix, "fraction_free", checked=True)
+    sigma, det = _signature_and_determinant_of_rows(matrix.rows)
+    _check_against_pencil(sigma, det, delta.raw, stats.boundary == 1)
     payload = {
         "bands": stats.bands,
         "boundary": stats.boundary,
         "genus": stats.genus,
         "alexander": _poly_json(delta.normalized),
-        "signature": _signature_of_rows(matrix.rows),
+        "signature": sigma,
         "determinant": None,
         "arf": None,
     }

@@ -29,20 +29,23 @@ taken by two mutually checking exact algorithms:
   the previous one changes only the rows and columns it must, and every
   division is a checked ``divmod``.
 
-:func:`alexander` and :func:`knot_determinant` (so :func:`arf` and
-``passclass.pass_class``) take at most ``PENCIL_CAP`` bands; a larger code
-raises :class:`CapExceeded`.  Every failed internal check, a disagreement
-of the two methods included, raises :class:`InvariantViolation`.
+:func:`alexander`, :func:`knot_determinant` (so :func:`arf` and
+``passclass.pass_class``) and :func:`signature` take at most ``PENCIL_CAP``
+bands; a larger code raises :class:`CapExceeded`.  Every failed internal
+check, a disagreement of the two methods included, raises
+:class:`InvariantViolation`.
 
-The signature of V + V^T comes from one fraction-free symmetric elimination
-(Sylvester's law of inertia): the signs of successive leading principal
-minors of a congruent matrix count the positive and negative eigenvalues,
-with a 2x2 congruence step where the remaining diagonal is zero.  Every
-division in it is checked to be exact.
-
-The knot determinant |Delta(-1)| is |det(V + V^T)|, the pencil at t = -1,
-so it and the Arf invariant come from one integer Bareiss elimination and
-never from the Z[t] pencil.
+The signature sigma of S = V + V^T and det S come from one symmetric
+elimination, a third kernel that calls neither pencil kernel: unimodular
+2x2 steps while S has a principal block [[0, +-1], [+-1, c]], which divide
+nothing, then a fraction-free symmetric elimination (Sylvester's law of
+inertia) on the rest, with every division checked to be exact.  Sylvester's
+law ties the two values, sign det S = (-1)^((n - sigma)/2).  det S is the
+pencil at t = -1, so the knot determinant |Delta(-1)| and the Arf invariant
+come from this kernel and never from a pencil.  Where Delta is computed
+too (the ``invariants`` and ``search`` commands), det S = Delta_raw(-1) is
+checked exactly.  For a knot, every caller also checks Murasugi's
+congruence: |det S| = 1 mod 4 exactly when sigma = 0 mod 4.
 """
 
 from __future__ import annotations
@@ -317,10 +320,39 @@ def parse_polynomial(text: str) -> IntPolynomial:
 
 # Blocks of more rows than this take their +-1 pivot from the row with the
 # fewest nonzeros, and smaller ones from the first row that has one, in both
-# kernels: on seeded knot pencils at t = 2^B the scan of every row costs
-# 10-15 % at 4-6 bands and saves 20 % at 20 bands and half at 48, and the
-# Z[t] kernel runs within 3 % for thresholds of 0-12 rows at 24 bands.
+# pencil kernels: on seeded knot pencils at t = 2^B the scan of every row
+# costs 10-15 % at 4-6 bands and saves 20 % at 20 bands and half at 48, and
+# the Z[t] kernel runs within 3 % for thresholds of 0-12 rows at 24 bands.
+# The 2x2 steps of the symmetric kernel take their row by the same rule:
+# on seeded knots it saves 11-13 % at 40-56 bands and is even at 24.
 _SPARSE_UNIT_ROWS = 8
+
+
+def _unit_position(rows: list[list], one, minus_one, zero) -> tuple[int, int] | None:
+    """Block position (p, q) of the next unit pivot of either pencil
+    kernel, or None when the block has no ``one`` and no ``minus_one``.
+
+    The unit rule: the row with the most ``zero`` entries among the rows
+    holding a unit when the block has more than ``_SPARSE_UNIT_ROWS`` rows,
+    else the first row holding one; in that row the first ``one``, else the
+    first ``minus_one``.  Every scan is a C-level ``in``, ``list.count`` or
+    ``list.index``, and nothing is computed.
+    """
+    scan_all = len(rows) > _SPARSE_UNIT_ROWS
+    p = -1
+    most = -1
+    for i, row in enumerate(rows):
+        if one in row or minus_one in row:
+            if not scan_all:
+                p = i
+                break
+            zeros = row.count(zero)
+            if zeros > most:
+                p, most = i, zeros
+    if p < 0:
+        return None
+    row = rows[p]
+    return p, row.index(one) if one in row else row.index(minus_one)
 
 
 def _det_bareiss_int(rows: list[list[int]]) -> int:
@@ -331,10 +363,9 @@ def _det_bareiss_int(rows: list[list[int]]) -> int:
     trailing block, and C-level scans (``in``, ``list.index``,
     ``list.count``) find the pivot.  Moving the pivot from block position
     (p, q) to the front flips the sign when p + q is odd.  The pivot is a
-    +-1 whenever the block has one: in the row with the fewest nonzeros
-    when the block has more than ``_SPARSE_UNIT_ROWS`` rows, else in the
-    first row that has one.  Otherwise it is an entry of least absolute
-    value.  A negative pivot has its row negated, flipping the sign again.
+    +-1 whenever the block has one, found by :func:`_unit_position`.
+    Otherwise it is an entry of least absolute value.  A negative pivot has
+    its row negated, flipping the sign again.
     Below the diagonal, V - 2^B V^T holds V's entries, all in {-1, 0, 1},
     so about half the steps of a pencil take a unit pivot while the
     previous pivot is 1, and those steps divide nothing.
@@ -347,9 +378,9 @@ def _det_bareiss_int(rows: list[list[int]]) -> int:
     last 2x2 block is finished as (ad - bc) / prev, checked the same way.
 
     The Z[t] kernel :func:`_det_bareiss_poly` takes its unit pivots by the
-    same rule (:func:`_pivot`).  The least Markowitz cost (r_i - 1)(c_j - 1)
-    among the units of a block of more than 10 rows, from column counts
-    taken at every step, costs more than its smaller fill saves in both:
+    same rule.  The least Markowitz cost (r_i - 1)(c_j - 1) among the units
+    of a block of more than 10 rows, from column counts taken at every
+    step, costs more than its smaller fill saves in both:
     this kernel ran 1.2x slower at 4 bands and 1.6x at 24, and the Z[t]
     kernel 1.05-1.1x slower at 24 bands, and within 10 % either way at 36
     and 48.
@@ -362,20 +393,10 @@ def _det_bareiss_int(rows: list[list[int]]) -> int:
     sign = 1
     prev = 1
     while len(rows) > 2:
-        scan_all = len(rows) > _SPARSE_UNIT_ROWS
-        p = -1
-        most = -1
-        for i, row in enumerate(rows):
-            if 1 in row or -1 in row:
-                if not scan_all:
-                    p = i
-                    break
-                zeros = row.count(0)
-                if zeros > most:
-                    p, most = i, zeros
-        if p >= 0:
+        pos = _unit_position(rows, 1, -1, 0)
+        if pos is not None:
+            p, q = pos
             rk = rows[p]
-            q = rk.index(1) if 1 in rk else rk.index(-1)
         else:
             least = 0
             for i, row in enumerate(rows):
@@ -442,27 +463,14 @@ _ONE, _MINUS_ONE, _NO_ENTRY = [1], [-1], []
 def _pivot(rows: list[list[list[int]]]) -> tuple[int, int] | None:
     """Block position (p, q) of the next Z[t] pivot; None for a zero block.
 
-    The unit rule of :func:`_det_bareiss_int`: a constant +-1 whenever the
-    block has one, from the row with the fewest nonzeros when the block has
-    more than ``_SPARSE_UNIT_ROWS`` rows, else from the first row that has
-    one, and in that row the first ``[1]``, else the first ``[-1]``.
-    Otherwise an entry of least length, then of least |leading
-    coefficient|, the first in row-major order among equals.
+    A constant +-1 whenever the block has one, by the unit rule of
+    :func:`_unit_position`, with ``[1]``, ``[-1]`` and ``[]`` as the unit
+    and zero entries.  Otherwise an entry of least length, then of least
+    |leading coefficient|, the first in row-major order among equals.
     """
-    scan_all = len(rows) > _SPARSE_UNIT_ROWS
-    p = -1
-    most = -1
-    for i, row in enumerate(rows):
-        if _ONE in row or _MINUS_ONE in row:
-            if not scan_all:
-                p = i
-                break
-            zeros = row.count(_NO_ENTRY)
-            if zeros > most:
-                p, most = i, zeros
-    if p >= 0:
-        row = rows[p]
-        return p, row.index(_ONE) if _ONE in row else row.index(_MINUS_ONE)
+    pos = _unit_position(rows, _ONE, _MINUS_ONE, _NO_ENTRY)
+    if pos is not None:
+        return pos
     lengths = [min(map(len, filter(None, row)), default=0) for row in rows]
     shortest = min(filter(None, lengths), default=0)
     if not shortest:
@@ -793,9 +801,13 @@ def knot_determinant(code: FlatBasketCode) -> int:
 
 
 def _knot_determinant_of_rows(rows) -> int:
-    """|det(V + V^T)| for the integer matrix rows V: the pencil at t = -1, so
-    |Delta(-1)| exactly, from one integer Bareiss instead of one over Z[t]."""
-    return abs(_det_bareiss_int(_symmetrized_rows(rows)))
+    """|det(V + V^T)| for the rows V of a knot's Seifert matrix: the pencil at
+    t = -1, so |Delta(-1)| exactly, from the symmetric kernel
+    :func:`_signature_and_determinant_of_rows`, whose signature checks it by
+    Murasugi's congruence."""
+    sigma, det = _signature_and_determinant_of_rows(rows)
+    _check_knot_congruence(sigma, det)
+    return abs(det)
 
 
 def arf(code: FlatBasketCode) -> int:
@@ -818,27 +830,120 @@ def arf_from_determinant(det: int) -> int:
 
 
 def signature(code: FlatBasketCode) -> int:
-    """Signature of S = V + V^T for the code's Seifert matrix V."""
-    return _signature_of_rows(seifert_matrix(code).rows)
+    """Signature of S = V + V^T for the code's Seifert matrix V, for a code of
+    at most ``PENCIL_CAP`` bands; the cap is checked before any elimination."""
+    if code.n > PENCIL_CAP:
+        raise CapExceeded(f"{code.n} bands exceeds the pencil cap {PENCIL_CAP}")
+    return _signature_and_determinant_of_rows(seifert_matrix(code).rows)[0]
 
 
-def _signature_of_rows(rows) -> int:
-    """Signature of S = V + V^T for the integer matrix rows V, by Sylvester's
-    law of inertia.
+def _check_knot_congruence(sigma: int, det: int) -> None:
+    """Murasugi's congruence for a knot: |det| = 1 mod 4 exactly when
+    sigma = 0 mod 4.  A break raises :class:`InvariantViolation`."""
+    if (abs(det) % 4 == 1) != (sigma % 4 == 0):
+        raise InvariantViolation(
+            f"knot signature {sigma} and determinant {det} break Murasugi's congruence"
+        )
 
-    One fraction-free symmetric elimination (Bareiss) runs on S with
-    diagonal pivots.  The k-th pivot is the leading principal minor D_k of
-    a matrix congruent to S, and it adds +1 when sign(D_k) = sign(D_(k-1))
-    and -1 otherwise (D_0 = 1).  When every remaining diagonal entry is zero
-    but some a_ij is not, the congruence "row/col i += row/col j" makes
-    a_ii = 2 a_ij: the integer form of a 2x2 Bunch-Kaufman pivot.  It
-    commutes with the elimination, so every division stays exact; each
-    remainder is checked and a nonzero one raises
-    :class:`InvariantViolation`.  Elimination stops when the remaining block
-    is zero, as it is for the singular S of a link.
+
+def _check_against_pencil(sigma: int, det: int, raw: IntPolynomial, knot: bool) -> None:
+    """Check the symmetric kernel's (sigma, det(V + V^T)) against the raw
+    pencil det(V - t V^T) of the same V: det must be the pencil at t = -1,
+    sign included, and for a knot sigma and det must satisfy Murasugi's
+    congruence.  A break raises :class:`InvariantViolation`."""
+    at_minus_one = raw.evaluate(-1)
+    if det != at_minus_one:
+        raise InvariantViolation(
+            f"det(V + V^T) = {det} but the pencil at t = -1 is {at_minus_one}"
+        )
+    if knot:
+        _check_knot_congruence(sigma, det)
+
+
+def _unimodular_step(a: list[list[int]], i: int, j: int) -> int:
+    """Eliminate rows and columns i and j of the symmetric block ``a`` in
+    place, where a_ii = 0 and a_ij = b = +-1, and return det B = -b^2.
+
+    The principal block B = [[0, b], [b, c]] has det -1 and the integral
+    inverse [[-c, b], [b, 0]], so the block left is S_22 - C B^-1 C^T: with
+    x and y the rest of rows i and j, entry (r, s) loses u_r x_s + b x_r y_s
+    for u = b y - c x.  Only the rows and columns where x or y is nonzero
+    change, and nothing is divided.  Rows i and j are popped from the list
+    and columns i and j from every row, as in the pencil kernels.
     """
-    n = len(rows)
+    x = a[i]
+    y = a[j]
+    b = x[j]
+    c = y[j]
+    hi, lo = (i, j) if i > j else (j, i)
+    del a[hi], a[lo]
+    for row in a:
+        del row[hi], row[lo]
+    del x[hi], x[lo]
+    del y[hi], y[lo]
+    cols = [s for s, (xs, ys) in enumerate(zip(x, y)) if xs or ys]
+    for r in cols:
+        row = a[r]
+        ur = b * y[r] - c * x[r]
+        wr = b * x[r]
+        for s in cols:
+            row[s] -= ur * x[s] + wr * y[s]
+    return -b * b
+
+
+def _signature_and_determinant_of_rows(rows) -> tuple[int, int]:
+    """(sigma, det S) for S = V + V^T and the square integer matrix rows V,
+    from one elimination.
+
+    S is symmetric with an even diagonal.  Phase 1 takes
+    :func:`_unimodular_step` while the block has a row i with a_ii = 0 and
+    a +-1 entry a_ij: its principal 2x2 block [[0, b], [b, c]] has det -1,
+    so one positive and one negative eigenvalue, and S is congruent to that
+    block plus the step's result.  A step leaves sigma unchanged,
+    multiplies det by -1 and divides nothing; the Schur complement of an
+    even matrix is even, so every a_ij = +-1 is off the diagonal.  The row is
+    the first such one, or the one with the most zeros when the block has
+    more than ``_SPARSE_UNIT_ROWS`` rows, and in it the first +1, else the
+    first -1.  A block [[a, b], [b, c]] with b = +-1 and ac = 0 has a zero
+    diagonal entry, whose row holds b, so the scan misses none.
+
+    Phase 2 is one fraction-free symmetric elimination (Bareiss) with
+    diagonal pivots on what is left (Sylvester's law of inertia).  The k-th
+    pivot is the leading principal minor D_k of a matrix congruent to the
+    block, and it adds +1 when sign(D_k) = sign(D_(k-1)) and -1 otherwise
+    (D_0 = 1).  When every remaining diagonal entry is zero but some a_ij is
+    not, the congruence "row/col i += row/col j" makes a_ii = 2 a_ij: the
+    integer form of a 2x2 Bunch-Kaufman pivot.  It commutes with the
+    elimination, so every division stays exact; each remainder is checked
+    and a nonzero one raises :class:`InvariantViolation`.  The last pivot is
+    the block's determinant.  Elimination stops when the remaining block is
+    zero, as it is for the singular S of a link, and det S is then 0.
+
+    By Sylvester's law sign det S = (-1)^q for q negative eigenvalues, and
+    n - sigma = 2q when det S != 0; a break raises
+    :class:`InvariantViolation`.  Neither pencil kernel is called, so this
+    is a third elimination, independent of both.
+    """
     a = _symmetrized_rows(rows)
+    size = len(a)
+    det_sign = 1  # the product of the 2x2 steps' determinants
+    while True:
+        scan_all = len(a) > _SPARSE_UNIT_ROWS
+        p = -1
+        most = -1
+        for i, row in enumerate(a):
+            if not row[i] and (1 in row or -1 in row):
+                if not scan_all:
+                    p = i
+                    break
+                zeros = row.count(0)
+                if zeros > most:
+                    p, most = i, zeros
+        if p < 0:
+            break
+        row = a[p]
+        det_sign *= _unimodular_step(a, p, row.index(1) if 1 in row else row.index(-1))
+    n = len(a)
     prev = 1
     total = 0
     for k in range(n):
@@ -849,6 +954,7 @@ def _signature_of_rows(rows) -> int:
                 None,
             )
             if pair is None:
+                prev = 0
                 break
             p, j = pair
             row_p, row_j = a[p], a[j]
@@ -873,4 +979,9 @@ def _signature_of_rows(rows) -> int:
                     raise InvariantViolation("inexact symmetric elimination step")
                 ri[j] = a[j][i] = q
         prev = pivot
-    return total
+    det = det_sign * prev
+    if det and (size - total) % 4 != (0 if det > 0 else 2):
+        raise InvariantViolation(
+            f"det(V + V^T) = {det} has the wrong sign for signature {total} of {size} rows"
+        )
+    return total, det

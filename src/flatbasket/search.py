@@ -9,10 +9,12 @@ canonical word arises unrotated from exactly one labeling of exactly one
 matching, summing over matchings counts every canonical code once.  The
 matching's interleaving chord pairs give each labeling's Seifert matrix
 through the one rule in :mod:`seifert`.  A labeling only orients each of
-those pairs, and Delta and the signature depend on that orientation alone,
-so within a matching they are computed once per orientation key: the
-89,160 six-band knot codes have 23,202 keys.  ``census`` computes Delta
-only.  Both take at most ``CENSUS_CAP`` bands.  As a fresh process on a
+those pairs, and Delta, the signature and det(V + V^T) depend on that
+orientation alone, so within a matching they are computed once per
+orientation key: the 89,160 six-band knot codes have 23,202 keys.  The
+signature and det(V + V^T) come from one symmetric elimination, and
+det(V + V^T) is checked against Delta at t = -1.  ``census`` computes
+Delta only.  Both take at most ``CENSUS_CAP`` bands.  As a fresh process on a
 shared 2-core Linux VM, serial ``search -n 6 --knots-only`` takes 3.3-4.7 s
 (median 3.6 s) and ``census -n 6`` 1.3-2.3 s (median 1.5 s).
 
@@ -43,8 +45,9 @@ from .errors import CapExceeded, InvariantViolation, StoreMismatch, _read_text
 from .invariants import (
     AlexanderPolynomial,
     IntPolynomial,
+    _check_against_pencil,
     _pencil_det_eval_interp,
-    _signature_of_rows,
+    _signature_and_determinant_of_rows,
     arf_from_determinant,
     determinant_from_alexander,
     normalize_alexander,
@@ -215,8 +218,10 @@ def _records_for_matchings(
     count, genus, crossings and H (:func:`_matching_hadamard`).  Per
     orientation key: the labeled V is P^T M P for the chord-order matrix M
     of the key, so Delta (raw and normalized) and the signature are computed
-    once, and a key whose Delta misses the target is rejected once.  Per
-    code: the word, its key and its record.
+    once, and a key whose Delta misses the target is rejected once.  The
+    signature comes with det(V + V^T), which must equal the raw Delta at
+    t = -1 and, for a knot, satisfy Murasugi's congruence with the
+    signature.  Per code: the word, its key and its record.
     """
     out = []
     for matching in matchings:
@@ -236,7 +241,9 @@ def _records_for_matchings(
                 rows = _seifert_rows(word, crossings)
                 delta, det, arf_val = _checked_delta(word, rows, b, h)
                 if target_coeffs is None or delta.normalized.coeffs == target_coeffs:
-                    by_key[key] = (delta, det, arf_val, _signature_of_rows(rows))
+                    sig, det_s = _signature_and_determinant_of_rows(rows)
+                    _check_against_pencil(sig, det_s, delta.raw, b == 1)
+                    by_key[key] = (delta, det, arf_val, sig)
                 else:
                     by_key[key] = None
             checked = by_key[key]

@@ -11,7 +11,7 @@ import sys
 import time
 from pathlib import Path
 
-from flatbasket import invariants
+from flatbasket import cli, invariants
 from flatbasket.cli import build_parser, cli_dispatch
 from flatbasket.codes import FlatBasketCode, surface_stats
 from flatbasket.invariants import PENCIL_CAP, arf_from_determinant
@@ -311,6 +311,8 @@ def test_pencil_cap_is_fixed(monkeypatch, capsys):
 
     monkeypatch.setattr(invariants, "_det_bareiss_int", refuse)
     monkeypatch.setattr(invariants, "_det_bareiss_poly", refuse)
+    monkeypatch.setattr(invariants, "_signature_and_determinant_of_rows", refuse)
+    monkeypatch.setattr(cli, "_signature_and_determinant_of_rows", refuse)
     over = _all_crossing(PENCIL_CAP + 2)
     for argv in (
         ("alexander",), ("invariants",), ("bound", "--genus", "1"), ("passclass",)

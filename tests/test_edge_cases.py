@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from flatbasket import IntPolynomial, codes, parse_code, parse_matching, pushdown
+from flatbasket import IntPolynomial, codes, invariants, parse_code, parse_matching, pushdown
 from flatbasket import search as search_module
 from flatbasket.cli import cli_dispatch
 from flatbasket.codes import FlatBasketCode, UnderlyingDiagram
@@ -128,6 +128,21 @@ def test_reference_file_errors(tmp_path):
         load_references(bad)
 
 
+_real_unimodular_step = invariants._unimodular_step
+
+
+def _step_with_wrong_entry(a, i, j):
+    det = _real_unimodular_step(a, i, j)
+    if a:
+        a[-1][-1] += 2
+    return det
+
+
+def _lossy_divmod(a, b):
+    q, r = divmod(a, b)
+    return q, r if b in (1, -1) else r + 1
+
+
 def test_invariant_checks_survive_optimized_mode(monkeypatch):
     """Broken bookkeeping raises InvariantViolation, not a strippable assert."""
     valley = parse_diagram("1,0; 1,3; 2,3; 2,1; 3,1; 3,4; 4,4; 4,0\n")
@@ -145,9 +160,16 @@ def test_invariant_checks_survive_optimized_mode(monkeypatch):
         (search_module, "fpbk_lower_bound",
          lambda delta, genus: SimpleNamespace(overall=99),
          lambda: search_module.search(SearchQuery(bands=4, knots_only=True))),
+        # a 2x2 step of the symmetric kernel that gets one entry wrong, and a
+        # fallback step whose division by a non-unit pivot is inexact
+        (invariants, "_unimodular_step", _step_with_wrong_entry,
+         lambda: search_module.search(SearchQuery(bands=4, knots_only=True))),
+        (invariants, "divmod", _lossy_divmod,
+         lambda: invariants.signature(parse_code("1,2,3,4,5,6,1,2,3,4,5,6"))),
     ]
     for module, name, fake, call in checks:
-        monkeypatch.setattr(module, name, fake)
+        # raising=False: divmod is a builtin, not yet a module attribute
+        monkeypatch.setattr(module, name, fake, raising=False)
         with pytest.raises(InvariantViolation):
             call()
         monkeypatch.undo()

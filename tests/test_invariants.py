@@ -8,6 +8,8 @@ import random
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatbasket import (
     IntPolynomial,
@@ -23,6 +25,7 @@ from flatbasket import (
     surface_stats,
 )
 from flatbasket import invariants
+from flatbasket.codes import underlying
 from flatbasket.errors import InvariantViolation, MalformedCode, NotAKnot
 from flatbasket.invariants import MAX_EXPONENT, determinant_from_alexander
 from flatbasket.pushdown import diagram_seifert_matrix, parse_diagram
@@ -671,9 +674,175 @@ def test_signature_inexact_division_raises(monkeypatch):
         return q, r if b in (1, -1) else r + 1
 
     monkeypatch.setattr(invariants, "divmod", lossy_divmod, raising=False)
-    # the trefoil's S = V + V^T needs a pivot other than +-1
+    # the 2x2 steps finish the trefoil's S = V + V^T and divide nothing;
+    # the six-band all-crossing code's S leaves a block whose elimination
+    # needs a pivot other than +-1
+    assert signature(parse_code("1,2,3,4,1,2,3,4")) == 2
     with pytest.raises(InvariantViolation, match="inexact symmetric elimination"):
-        signature(parse_code("1,2,3,4,1,2,3,4"))
+        signature(parse_code("1,2,3,4,5,6,1,2,3,4,5,6"))
+
+
+# ---------------------------------------------------------------------------
+# the symmetric kernel: the signature and det(V + V^T) from one elimination
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _integer_v(draw):
+    """A square integer V of 1-7 rows with entries in -3..3, of one of three
+    kinds: general; "singular", where row and column k of V copy row and
+    column 0 so that S = V + V^T has two equal rows; and "no_unit", a lower
+    triangular V without +-1 entries, whose S has no +-1 entry at all, so
+    no 2x2 step runs and the whole block goes to the fallback."""
+    kind = draw(st.sampled_from(["general", "singular", "no_unit"]))
+    n = draw(st.integers(2 if kind == "singular" else 1, 7))
+    if kind == "no_unit":
+        entry = st.sampled_from([-3, -2, 0, 2, 3])
+        return kind, [[draw(entry) if j <= i else 0 for j in range(n)] for i in range(n)]
+    v = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
+    if kind == "singular":
+        k = draw(st.integers(1, n - 1))
+        for j in range(n):
+            v[k][j], v[j][k] = v[0][j], v[j][0]
+        v[0][k] = v[k][0] = v[k][k] = v[0][0]
+    return kind, v
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_integer_v())
+def test_symmetric_kernel_matches_leibniz_and_sympy(case):
+    kind, v = case
+    sym = symmetrized(SeifertMatrix(tuple(map(tuple, v))))
+    if kind == "singular":
+        assert leibniz_det(sym) == 0
+    if kind == "no_unit":
+        assert all(abs(x) != 1 for row in sym for x in row)
+    sigma, det = invariants._signature_and_determinant_of_rows(v)
+    assert det == leibniz_det(sym), v
+    assert sigma == _sympy_signature(sym), v
+
+
+def test_symmetric_kernel_det_is_the_pencil_at_minus_one(monkeypatch, leibniz_pencils):
+    # every code up to four bands and the _integer_matrices: det(V + V^T)
+    # is the Leibniz det(V - t V^T) at t = -1, sign included
+    steps = _count_calls(monkeypatch, "_unimodular_step")
+    for v, pencil in leibniz_pencils:
+        _, det = invariants._signature_and_determinant_of_rows(v.rows)
+        assert det == IntPolynomial(pencil).evaluate(-1), v
+    assert len(steps) > 1_000
+    assert invariants._signature_and_determinant_of_rows(()) == (0, 1)
+
+
+def test_symmetric_kernel_is_independent_of_both_pencil_kernels(monkeypatch):
+    from flatbasket.passclass import orbit_invariant_check, pass_class
+
+    def refuse(rows):
+        raise AssertionError("the symmetric kernel ran a pencil kernel")
+
+    monkeypatch.setattr(invariants, "_det_bareiss_int", refuse)
+    monkeypatch.setattr(invariants, "_det_bareiss_poly", refuse)
+    rng = random.Random(21)
+    for n in range(1, 13):
+        signature(random_code(rng, n))
+    knot = parse_code("1,2,3,4,1,2,3,4")
+    assert (knot_determinant(knot), arf(knot), pass_class(knot).family) == (3, 1, "II")
+    assert orbit_invariant_check(underlying(knot)).passed
+
+
+def test_integer_determinant_runs_only_under_eval_interp():
+    # every function of the package that names _det_bareiss_int
+    import ast
+    from pathlib import Path
+
+    users = set()
+    for path in Path(invariants.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {
+                alias.name for n in ast.walk(node) if isinstance(n, ast.ImportFrom)
+                for alias in n.names
+            }
+            if "_det_bareiss_int" in names:
+                users.add((path.stem, getattr(node, "name", None)))
+    assert users == {("invariants", "_pencil_det_eval_interp")}
+
+
+def test_signature_takes_at_most_the_pencil_cap(monkeypatch):
+    from flatbasket.errors import CapExceeded
+    from flatbasket.invariants import PENCIL_CAP
+
+    # 1..n,1..n is the torus knot T(2, n - 1), of signature n - 2
+    at_cap = parse_code(",".join(map(str, list(range(1, PENCIL_CAP + 1)) * 2)))
+    assert signature(at_cap) == PENCIL_CAP - 2
+
+    def refuse(rows):
+        raise AssertionError("an elimination ran above the cap")
+
+    monkeypatch.setattr(invariants, "_signature_and_determinant_of_rows", refuse)
+    monkeypatch.setattr(invariants, "seifert_matrix", refuse)
+    with pytest.raises(CapExceeded, match=f"57 bands exceeds the pencil cap {PENCIL_CAP}"):
+        signature(random_code(random.Random(57), PENCIL_CAP + 1))
+
+
+_REAL_STEP = invariants._unimodular_step
+
+
+def _step_reporting_det_one_once():
+    """A 2x2 step that eliminates correctly but reports det 1 for its block
+    on its first call."""
+    calls = []
+
+    def step(a, i, j):
+        det = _REAL_STEP(a, i, j)
+        calls.append(1)
+        return 1 if len(calls) == 1 else det
+
+    return step
+
+
+def _step_with_wrong_entry(a, i, j):
+    """A 2x2 step whose block comes out with its last diagonal entry 2 too
+    large: still symmetric and even, so only a check against another
+    computation can see it."""
+    det = _REAL_STEP(a, i, j)
+    if a:
+        a[-1][-1] += 2
+    return det
+
+
+def test_faulty_unimodular_step_raises(monkeypatch, trefoil_code):
+    from types import SimpleNamespace
+
+    from flatbasket.cli import _cmd_invariants
+    from flatbasket.search import SearchQuery, search
+
+    # a wrong block determinant breaks Sylvester's sign rule in the kernel
+    monkeypatch.setattr(invariants, "_unimodular_step", _step_reporting_det_one_once())
+    with pytest.raises(InvariantViolation, match="has the wrong sign for signature 2"):
+        signature(trefoil_code)
+    # a wrong entry keeps the sign rule (det -7, signature 2) and Murasugi's
+    # congruence, and the pencil at t = -1 (det -3) catches it
+    monkeypatch.setattr(invariants, "_unimodular_step", _step_with_wrong_entry)
+    assert invariants._signature_and_determinant_of_rows(
+        seifert_matrix(trefoil_code).rows
+    ) == (2, -7)
+    args = SimpleNamespace(code="1,2,3,4,1,2,3,4", json=True)
+    with pytest.raises(InvariantViolation, match="the pencil at t = -1 is -3"):
+        _cmd_invariants(args)
+    with pytest.raises(InvariantViolation, match="the pencil at t = -1"):
+        search(SearchQuery(bands=4, knots_only=True))
+
+
+def test_pencil_and_murasugi_checks(trefoil_code):
+    raw = alexander(trefoil_code).raw
+    invariants._check_against_pencil(2, -3, raw, knot=True)
+    with pytest.raises(InvariantViolation, match="pencil at t = -1 is -3"):
+        invariants._check_against_pencil(2, 3, raw, knot=True)
+    with pytest.raises(InvariantViolation, match="break Murasugi's congruence"):
+        invariants._check_against_pencil(0, -3, raw, knot=True)
+    # a link's signature is not tied to its determinant this way
+    invariants._check_against_pencil(0, -3, raw, knot=False)
+    with pytest.raises(InvariantViolation, match="break Murasugi's congruence"):
+        invariants._knot_determinant_of_rows(((0, 0, 0, 0),) * 4)
 
 
 # ---------------------------------------------------------------------------

@@ -129,10 +129,12 @@ def test_one_boundary_walk_and_one_delta_per_code(monkeypatch, trefoil_code):
     calls = {}
     _count_calls(monkeypatch, codes, "boundary_components", calls)
     monkeypatch.setattr(passclass, "boundary_components", codes.boundary_components)
-    _count_calls(monkeypatch, invariants, "_det_bareiss_int", calls)
+    _count_calls(monkeypatch, invariants, "_signature_and_determinant_of_rows", calls)
     _count_calls(monkeypatch, invariants, "_det_bareiss_poly", calls)
     assert pass_class(trefoil_code).family == "II"
-    assert calls == {"boundary_components": 1, "_det_bareiss_int": 1, "_det_bareiss_poly": 0}
+    assert calls == {
+        "boundary_components": 1, "_signature_and_determinant_of_rows": 1, "_det_bareiss_poly": 0
+    }
     calls.update(boundary_components=0)
     orbit_invariant_check(underlying(trefoil_code))
     assert calls["boundary_components"] == 1
@@ -154,11 +156,11 @@ def test_orbit_check_one_integer_determinant_per_key(monkeypatch):
     assert len(keys) < len(first)
 
     calls = {}
-    _count_calls(monkeypatch, invariants, "_det_bareiss_int", calls)
+    _count_calls(monkeypatch, invariants, "_signature_and_determinant_of_rows", calls)
     _count_calls(monkeypatch, invariants, "_det_bareiss_poly", calls)
     report = orbit_invariant_check(matching)
     assert report.orbit_size == len(first)
-    assert calls == {"_det_bareiss_int": len(keys), "_det_bareiss_poly": 0}
+    assert calls == {"_signature_and_determinant_of_rows": len(keys), "_det_bareiss_poly": 0}
 
 
 def _per_code_rule(matching):

@@ -129,7 +129,7 @@ def test_census_never_computes_signature(monkeypatch):
     def refuse(rows):
         raise AssertionError("census computed a signature")
 
-    monkeypatch.setattr(search_module, "_signature_of_rows", refuse)
+    monkeypatch.setattr(search_module, "_signature_and_determinant_of_rows", refuse)
     assert census(4) == expected
     with pytest.raises(AssertionError):
         search(SearchQuery(bands=2, knots_only=True))
@@ -252,8 +252,8 @@ def test_pencils_and_signatures_run_once_per_orientation_key(monkeypatch, tmp_pa
     monkeypatch.setattr(search_module, "_pencil_det_eval_interp", counting(pencil, pencils))
     monkeypatch.setattr(
         search_module,
-        "_signature_of_rows",
-        counting(search_module._signature_of_rows, signatures),
+        "_signature_and_determinant_of_rows",
+        counting(search_module._signature_and_determinant_of_rows, signatures),
     )
     monkeypatch.setattr(
         search_module,
