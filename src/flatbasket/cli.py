@@ -22,8 +22,7 @@ from .codes import canonicalize, parse_code, parse_matching, surface_stats
 from .errors import FlatBasketError, NotAKnot
 from .invariants import (
     _alexander_of_matrix,
-    _check_against_pencil,
-    _signature_and_determinant_of_rows,
+    _checked_signature,
     alexander,
     arf_from_determinant,
     determinant_from_alexander,
@@ -119,8 +118,7 @@ def _cmd_invariants(args) -> int:
     stats = surface_stats(code)
     matrix = seifert_matrix(code)
     delta = _alexander_of_matrix(code, matrix, "fraction_free", checked=True)
-    sigma, det = _signature_and_determinant_of_rows(matrix.rows)
-    _check_against_pencil(sigma, det, delta.raw, stats.boundary == 1)
+    sigma = _checked_signature(matrix.rows, delta.raw, stats.boundary == 1)
     payload = {
         "bands": stats.bands,
         "boundary": stats.boundary,

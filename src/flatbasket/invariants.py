@@ -324,7 +324,11 @@ def parse_polynomial(text: str) -> IntPolynomial:
 # costs 10-15 % at 4-6 bands and saves 20 % at 20 bands and half at 48, and
 # the Z[t] kernel runs within 3 % for thresholds of 0-12 rows at 24 bands.
 # The 2x2 steps of the symmetric kernel take their row by the same rule:
-# on seeded knots it saves 11-13 % at 40-56 bands and is even at 24.
+# on seeded knots it saves 11-13 % at 40-56 bands and is even at 24.  That
+# kernel keeps its own scan, as it wants a +-1 in a row with a zero diagonal
+# entry: :func:`_unit_position` on a copy of the block with those rows masked
+# made the kernel 1.27x slower at 4 bands, 1.21x at 6, 1.07x at 24 and 1.02x
+# at 56, and faster in 0, 0, 1 and 4 of 15 interleaved repetitions.
 _SPARSE_UNIT_ROWS = 8
 
 
@@ -720,6 +724,11 @@ def pencil_determinant(
 PENCIL_CAP = 56
 
 
+def _check_pencil_cap(bands: int) -> None:
+    if bands > PENCIL_CAP:
+        raise CapExceeded(f"{bands} bands exceeds the pencil cap {PENCIL_CAP}")
+
+
 @dataclass(frozen=True)
 class AlexanderPolynomial:
     """Raw pencil determinant plus its normalized representative.
@@ -771,8 +780,7 @@ def _alexander_of_matrix(
     """:func:`alexander` from the code's Seifert matrix, for callers that
     also need the matrix for the signature.  Raises :class:`CapExceeded`
     above ``PENCIL_CAP`` bands, before any pencil."""
-    if matrix.n > PENCIL_CAP:
-        raise CapExceeded(f"{matrix.n} bands exceeds the pencil cap {PENCIL_CAP}")
+    _check_pencil_cap(matrix.n)
     raw = pencil_determinant(matrix, method)
     if checked:
         other = "eval_interp" if method == "fraction_free" else "fraction_free"
@@ -795,8 +803,7 @@ def knot_determinant(code: FlatBasketCode) -> int:
     stats = surface_stats(code)
     if stats.boundary != 1:
         raise NotAKnot(f"{code} bounds {stats.boundary} components")
-    if code.n > PENCIL_CAP:
-        raise CapExceeded(f"{code.n} bands exceeds the pencil cap {PENCIL_CAP}")
+    _check_pencil_cap(code.n)
     return _knot_determinant_of_rows(seifert_matrix(code).rows)
 
 
@@ -832,8 +839,7 @@ def arf_from_determinant(det: int) -> int:
 def signature(code: FlatBasketCode) -> int:
     """Signature of S = V + V^T for the code's Seifert matrix V, for a code of
     at most ``PENCIL_CAP`` bands; the cap is checked before any elimination."""
-    if code.n > PENCIL_CAP:
-        raise CapExceeded(f"{code.n} bands exceeds the pencil cap {PENCIL_CAP}")
+    _check_pencil_cap(code.n)
     return _signature_and_determinant_of_rows(seifert_matrix(code).rows)[0]
 
 
@@ -846,11 +852,12 @@ def _check_knot_congruence(sigma: int, det: int) -> None:
         )
 
 
-def _check_against_pencil(sigma: int, det: int, raw: IntPolynomial, knot: bool) -> None:
-    """Check the symmetric kernel's (sigma, det(V + V^T)) against the raw
-    pencil det(V - t V^T) of the same V: det must be the pencil at t = -1,
-    sign included, and for a knot sigma and det must satisfy Murasugi's
-    congruence.  A break raises :class:`InvariantViolation`."""
+def _checked_signature(rows, raw: IntPolynomial, knot: bool) -> int:
+    """sigma of S = V + V^T for the rows V, whose det S from the same
+    elimination must be the raw pencil det(V - t V^T) at t = -1, sign
+    included, and for a knot must satisfy Murasugi's congruence with sigma.
+    A break raises :class:`InvariantViolation`."""
+    sigma, det = _signature_and_determinant_of_rows(rows)
     at_minus_one = raw.evaluate(-1)
     if det != at_minus_one:
         raise InvariantViolation(
@@ -858,6 +865,7 @@ def _check_against_pencil(sigma: int, det: int, raw: IntPolynomial, knot: bool) 
         )
     if knot:
         _check_knot_congruence(sigma, det)
+    return sigma
 
 
 def _unimodular_step(a: list[list[int]], i: int, j: int) -> int:

@@ -8,12 +8,13 @@ mutually pass-equivalent, so any pass invariant - Arf in particular - must
 be constant on such a labeling orbit.  ``orbit_invariant_check`` tests that
 consequence exhaustively for one diagram.
 
-Arf reads only the knot determinant |Delta(-1)| = |det(V + V^T)|, one
-integer Bareiss elimination, and V + V^T depends on a labeling only through
-the orientation it gives each interleaving chord pair.  So the orbit check
-walks the n! labelings once, keeps the first labeling of each canonical
-code, and takes one integer determinant per orientation key: about 10 ms a
-six-band orbit and under a second for the 8! labelings of an eight-band one.
+Arf reads only the knot determinant |Delta(-1)| = |det(V + V^T)|, which
+comes from the symmetric kernel of :mod:`invariants` (one elimination that
+calls no pencil), and V + V^T depends on a labeling only through the
+orientation it gives each interleaving chord pair.  So the orbit check walks
+the n! labelings once, keeps the first labeling of each canonical code, and
+runs that kernel once per orientation key: about 10 ms a six-band orbit and
+under a second for the 8! labelings of an eight-band one.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .codes import (
 )
 from .errors import CapExceeded, NotAKnot
 from .invariants import _knot_determinant_of_rows, arf, arf_from_determinant
-from .seifert import _orientation_key, _seifert_rows
+from .seifert import _per_orientation_key
 
 __all__ = ["PassClass", "OrbitReport", "pass_class", "labeling_orbit", "orbit_invariant_check"]
 
@@ -98,25 +99,22 @@ def orbit_invariant_check(diagram: UnderlyingDiagram) -> OrbitReport:
     that reaches it.  That labeling realizes the diagram itself, so its
     Seifert matrix is P^T M P for the chord-order matrix M of its orientation
     key (as in the search), and Arf - which reads only det(V + V^T) - is
-    computed once per key, by one integer determinant.
+    computed once per key, from one symmetric elimination
+    (:func:`invariants._knot_determinant_of_rows`).
     """
     if boundary_components(diagram) != 1:
         raise NotAKnot("orbit check needs a single boundary component")
-    crossings = diagram.crossings
-    seen: set[tuple[int, ...]] = set()
-    arf_of_key: dict[tuple[bool, ...], int] = {}
+    first: dict[tuple[int, ...], tuple[int, ...]] = {}
     for word in _orbit_words(diagram):
-        canonical = canonical_word(word)
-        if canonical in seen:
-            continue
-        seen.add(canonical)
-        key = _orientation_key(word, crossings)
-        if key not in arf_of_key:
-            det = _knot_determinant_of_rows(_seifert_rows(word, crossings))
-            arf_of_key[key] = arf_from_determinant(det)
-    values = sorted(set(arf_of_key.values()))
+        first.setdefault(canonical_word(word), word)
+    per_key = _per_orientation_key(
+        first.values(),
+        diagram.crossings,
+        lambda word, rows: arf_from_determinant(_knot_determinant_of_rows(rows)),
+    )
+    values = sorted({value for _, value in per_key})
     return OrbitReport(
         arf_values=tuple(values),
-        orbit_size=len(seen),
+        orbit_size=len(first),
         passed=len(values) == 1,
     )

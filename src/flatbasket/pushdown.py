@@ -48,7 +48,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from .codes import FlatBasketCode, boundary_components, underlying
+from .codes import FlatBasketCode, _boundary_cycles, boundary_components, underlying
 from .errors import (
     CapExceeded,
     DuplicateColumn,
@@ -272,26 +272,10 @@ class _Walk:
     )
 
     def boundary(self) -> int:
-        """Boundary components: the cycles of successor-after-partner on
-        the feet, as :func:`codes.boundary_components` counts them on the
-        foot word."""
-        feet = self.feet
-        m = len(feet)
-        # the position of the foot that follows each foot along the disk
-        following = dict(zip(feet, range(1, m)))
-        following[feet[-1]] = 0
-        after = list(map(following.__getitem__, map(self.partner.__getitem__, feet)))
-        seen = bytearray(m)
-        cycles = 0
-        for start in range(m):
-            if seen[start]:
-                continue
-            cycles += 1
-            i = start
-            while not seen[i]:
-                seen[i] = 1
-                i = after[i]
-        return cycles
+        """Boundary components: :func:`codes.boundary_components` of the
+        feet in baseline order, each paired with its partner's position."""
+        position = {foot: i for i, foot in enumerate(self.feet)}
+        return _boundary_cycles([position[self.partner[foot]] for foot in self.feet])
 
 
 def _walk(diagram: RectilinearDiagram) -> _Walk:

@@ -45,14 +45,13 @@ from .errors import CapExceeded, InvariantViolation, StoreMismatch, _read_text
 from .invariants import (
     AlexanderPolynomial,
     IntPolynomial,
-    _check_against_pencil,
+    _checked_signature,
     _pencil_det_eval_interp,
-    _signature_and_determinant_of_rows,
     arf_from_determinant,
     determinant_from_alexander,
     normalize_alexander,
 )
-from .seifert import _orientation_key, _seifert_rows
+from .seifert import _per_orientation_key
 
 __all__ = [
     "SearchQuery",
@@ -228,39 +227,22 @@ def _records_for_matchings(
         n = matching.n
         b = 1 if knots_only else _boundary_cycles(matching.pairing)
         genus = surface_genus(n, b)
-        crossings = matching.crossings
         h = _matching_hadamard(matching)
-        by_key: dict[tuple[bool, ...], tuple | None] = {}
-        for word in _canonical_words(matching):
-            if dedup_mirror:
-                mirror = canonical_word(_mirror_word(word, n))
-                if mirror < word:
-                    continue
-            key = _orientation_key(word, crossings)
-            if key not in by_key:
-                rows = _seifert_rows(word, crossings)
-                delta, det, arf_val = _checked_delta(word, rows, b, h)
-                if target_coeffs is None or delta.normalized.coeffs == target_coeffs:
-                    sig, det_s = _signature_and_determinant_of_rows(rows)
-                    _check_against_pencil(sig, det_s, delta.raw, b == 1)
-                    by_key[key] = (delta, det, arf_val, sig)
-                else:
-                    by_key[key] = None
-            checked = by_key[key]
-            if checked is None:
+
+        def checked(word, rows):
+            delta, det, arf_val = _checked_delta(word, rows, b, h)
+            if target_coeffs is not None and delta.normalized.coeffs != target_coeffs:
+                return None
+            return delta, det, arf_val, _checked_signature(rows, delta.raw, b == 1)
+
+        words = _canonical_words(matching)
+        if dedup_mirror:
+            words = [w for w in words if canonical_word(_mirror_word(w, n)) >= w]
+        for word, values in _per_orientation_key(words, matching.crossings, checked):
+            if values is None:
                 continue
-            delta, det, arf_val, sig = checked
-            out.append(
-                SearchRecord(
-                    code=FlatBasketCode(word),
-                    boundary=b,
-                    genus=genus,
-                    delta=delta,
-                    determinant=det,
-                    arf=arf_val,
-                    signature=sig,
-                )
-            )
+            # values are the record's delta, determinant, arf and signature
+            out.append(SearchRecord(FlatBasketCode(word), b, genus, *values))
     return out
 
 
@@ -269,15 +251,13 @@ def _census_for_matchings(matchings: list[UnderlyingDiagram]) -> dict[IntPolynom
     key of each matching, no signature, no record."""
     out: dict[IntPolynomial, int] = {}
     for matching in matchings:
-        crossings = matching.crossings
         h = _matching_hadamard(matching)
-        by_key: dict[tuple[bool, ...], IntPolynomial] = {}
-        for word in _canonical_words(matching):
-            key = _orientation_key(word, crossings)
-            poly = by_key.get(key)
-            if poly is None:
-                delta, _, _ = _checked_delta(word, _seifert_rows(word, crossings), 1, h)
-                poly = by_key[key] = delta.normalized
+        per_key = _per_orientation_key(
+            _canonical_words(matching),
+            matching.crossings,
+            lambda word, rows: _checked_delta(word, rows, 1, h)[0].normalized,
+        )
+        for _, poly in per_key:
             out[poly] = out.get(poly, 0) + 1
     return out
 

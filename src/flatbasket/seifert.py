@@ -71,6 +71,18 @@ def _orientation_key(word: tuple[int, ...], crossings) -> tuple[bool, ...]:
     return tuple(word[pa] < word[pb] for pa, pb in crossings)
 
 
+def _per_orientation_key(words, crossings, compute):
+    """Each word with ``compute(word, rows)`` for the Seifert rows of the
+    first word with its orientation key: one call per key, so ``compute``
+    must read the labeling only through the key."""
+    values = {}
+    for word in words:
+        key = _orientation_key(word, crossings)
+        if key not in values:
+            values[key] = compute(word, _seifert_rows(word, crossings))
+        yield word, values[key]
+
+
 def seifert_matrix(code: FlatBasketCode) -> SeifertMatrix:
     """Seifert matrix of the basket presented by ``code``."""
     rows = _seifert_rows(code.word, underlying(code).crossings)

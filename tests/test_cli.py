@@ -312,7 +312,6 @@ def test_pencil_cap_is_fixed(monkeypatch, capsys):
     monkeypatch.setattr(invariants, "_det_bareiss_int", refuse)
     monkeypatch.setattr(invariants, "_det_bareiss_poly", refuse)
     monkeypatch.setattr(invariants, "_signature_and_determinant_of_rows", refuse)
-    monkeypatch.setattr(cli, "_signature_and_determinant_of_rows", refuse)
     over = _all_crossing(PENCIL_CAP + 2)
     for argv in (
         ("alexander",), ("invariants",), ("bound", "--genus", "1"), ("passclass",)

@@ -20,6 +20,7 @@ from flatbasket.errors import (
     NonContiguousLabels,
 )
 from flatbasket.search import enumerate_matchings
+from flatbasket.seifert import seifert_matrix
 
 
 def test_parse_table_syntax():
@@ -186,6 +187,42 @@ def test_boundary_parity_exhaustive():
             assert (b - (n + 1)) % 2 == 0
             if b == 1:
                 assert n % 2 == 0
+
+
+def gf2_rank(rows: list[int]) -> int:
+    """Rank over GF(2) of the matrix whose rows are the bits of ``rows``."""
+    rank = 0
+    rows = list(rows)
+    while rows:
+        pivot = rows.pop()
+        if pivot:
+            rank += 1
+            low = pivot & -pivot
+            rows = [row ^ pivot if row & low else row for row in rows]
+    return rank
+
+
+def boundary_from_gf2_rank(word: tuple[int, ...]) -> int:
+    """n + 1 - rank over GF(2) of V + V^T for the Seifert matrix V of the
+    code ``word``.  Mod 2, V + V^T is the chord interleaving matrix, the
+    intersection form on H_1(F; Z/2), and its radical has dimension b - 1;
+    no boundary walk is involved."""
+    rows = seifert_matrix(FlatBasketCode(word)).rows
+    n = len(rows)
+    bits = [
+        sum(((rows[i][j] + rows[j][i]) & 1) << j for j in range(n)) for i in range(n)
+    ]
+    return n + 1 - gf2_rank(bits)
+
+
+def test_boundary_count_is_n_plus_1_minus_gf2_rank_exhaustive():
+    checked = 0
+    for n in range(1, 7):
+        for matching in enumerate_matchings(n):
+            word = tuple(chord + 1 for chord in matching.chord_at)
+            assert boundary_components(matching) == boundary_from_gf2_rank(word), word
+            checked += 1
+    assert checked == 1 + 3 + 15 + 105 + 945 + 10395  # (2n - 1)!! matchings
 
 
 def test_full_interleaving_matching_is_knot_for_even_n():

@@ -832,15 +832,25 @@ def test_faulty_unimodular_step_raises(monkeypatch, trefoil_code):
         search(SearchQuery(bands=4, knots_only=True))
 
 
-def test_pencil_and_murasugi_checks(trefoil_code):
+def test_pencil_and_murasugi_checks(monkeypatch, trefoil_code):
     raw = alexander(trefoil_code).raw
-    invariants._check_against_pencil(2, -3, raw, knot=True)
+    rows = seifert_matrix(trefoil_code).rows
+
+    def checked(sigma, det, knot):
+        # the kernel reports (sigma, det) and the checks see only those
+        monkeypatch.setattr(
+            invariants, "_signature_and_determinant_of_rows", lambda r: (sigma, det)
+        )
+        return invariants._checked_signature(rows, raw, knot)
+
+    assert checked(2, -3, knot=True) == 2
     with pytest.raises(InvariantViolation, match="pencil at t = -1 is -3"):
-        invariants._check_against_pencil(2, 3, raw, knot=True)
+        checked(2, 3, knot=True)
     with pytest.raises(InvariantViolation, match="break Murasugi's congruence"):
-        invariants._check_against_pencil(0, -3, raw, knot=True)
+        checked(0, -3, knot=True)
     # a link's signature is not tied to its determinant this way
-    invariants._check_against_pencil(0, -3, raw, knot=False)
+    assert checked(0, -3, knot=False) == 0
+    monkeypatch.undo()
     with pytest.raises(InvariantViolation, match="break Murasugi's congruence"):
         invariants._knot_determinant_of_rows(((0, 0, 0, 0),) * 4)
 

@@ -531,6 +531,43 @@ def test_walk_matches_reference_walks(monkeypatch):
     assert results[0] > 150
 
 
+def foot_word(walk) -> tuple[int, ...]:
+    """The code word of the walk's feet in baseline order, each chord (band
+    or connector) labeled by the order of its first foot."""
+    label: dict[Fraction, int] = {}
+    return tuple(
+        label.setdefault(min(foot, walk.partner[foot]), len(label) + 1)
+        for foot in walk.feet
+    )
+
+
+def test_walk_boundary_against_gf2_rank(monkeypatch):
+    # the walk of every corpus diagram and of every push-down result, against
+    # b = n + 1 - rank over GF(2) of V + V^T for the matching of its feet
+    from test_codes import boundary_from_gf2_rank
+
+    walked, pushed = [], []
+    real_walk = pushdown._walk
+    real_push = pushdown._push
+
+    def recorded_walk(diagram):
+        walk = real_walk(diagram)
+        walked.append(walk.boundary() == boundary_from_gf2_rank(foot_word(walk)))
+        return walk
+
+    def recorded_push(diagram, walk, *args):
+        result = real_push(diagram, walk, *args)
+        pushed.append(walk.boundary() == boundary_from_gf2_rank(foot_word(walk)))
+        return result
+
+    monkeypatch.setattr(pushdown, "_walk", recorded_walk)
+    monkeypatch.setattr(pushdown, "_push", recorded_push)
+    paths = corpus_paths()
+    pushes = sum(len(flatten_trace(parse_diagram(p.read_text())).steps) for p in paths)
+    assert len(walked) >= len(paths) and all(walked)
+    assert pushes > 0 and pushed == [True] * pushes
+
+
 @contextmanager
 def whole_walk_oracle():
     """Check the walk that ``_push`` updates in place against a whole

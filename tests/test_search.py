@@ -18,6 +18,7 @@ from flatbasket import (
     signature,
     underlying,
 )
+from flatbasket import invariants
 from flatbasket import search as search_module
 from flatbasket.cli import _plain_parts
 from flatbasket.codes import (
@@ -129,7 +130,7 @@ def test_census_never_computes_signature(monkeypatch):
     def refuse(rows):
         raise AssertionError("census computed a signature")
 
-    monkeypatch.setattr(search_module, "_signature_and_determinant_of_rows", refuse)
+    monkeypatch.setattr(invariants, "_signature_and_determinant_of_rows", refuse)
     assert census(4) == expected
     with pytest.raises(AssertionError):
         search(SearchQuery(bands=2, knots_only=True))
@@ -251,9 +252,9 @@ def test_pencils_and_signatures_run_once_per_orientation_key(monkeypatch, tmp_pa
 
     monkeypatch.setattr(search_module, "_pencil_det_eval_interp", counting(pencil, pencils))
     monkeypatch.setattr(
-        search_module,
+        invariants,
         "_signature_and_determinant_of_rows",
-        counting(search_module._signature_and_determinant_of_rows, signatures),
+        counting(invariants._signature_and_determinant_of_rows, signatures),
     )
     monkeypatch.setattr(
         search_module,
@@ -273,6 +274,11 @@ def test_pencils_and_signatures_run_once_per_orientation_key(monkeypatch, tmp_pa
         assert (calls(pencils), calls(signatures), calls(hadamards)) == (23202, 0, 1485)
         assert len(search(SearchQuery(bands=4, knots_only=True, jobs=jobs))) == 66
         assert (calls(pencils), calls(signatures), calls(hadamards)) == (48, 48, 21)
+        # a key whose Delta misses the target runs no symmetric kernel
+        target = parse_polynomial("1,-3,1")
+        query = SearchQuery(bands=4, knots_only=True, target=target, jobs=jobs)
+        assert len(search(query)) == 4
+        assert (calls(pencils), calls(signatures), calls(hadamards)) == (48, 4, 21)
 
 
 def test_matching_hadamard_bounds_every_orientation_key():
