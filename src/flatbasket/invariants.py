@@ -7,16 +7,20 @@ taken by two mutually checking exact algorithms:
 * ``fraction_free``: one-step fraction-free (Bareiss) elimination over Z[t]
   on trimmed coefficient lists, independent of the integer determinant.
   Each step pops its pivot row and column, so the rows hold exactly the
-  trailing block, and C-level scans find the pivot: a constant +-1 when
-  there is one, by the unit rule of the integer determinant below,
-  otherwise an entry of least length, then of least |leading
-  coefficient|.  Two unit pivots in a row make the step a plain
-  a - a_ik * a_kj on the entries it changes.  Every other step packs the
-  block's entries as integers at t = 2^W (Kronecker substitution), with W
-  from that step's block, and computes each new entry with one integer
-  product, difference and ``divmod``; a remainder, or a quotient whose
-  digits do not prove the division exact over Z[t] and whose fallback
-  division fails, raises :class:`InvariantViolation`;
+  trailing block, and C-level scans find the pivot.  While the previous
+  pivot is a monomial t^m (t^0 = 1 at the start), the pivot is a +-t^m
+  when the block has one, else the +-t^k of least k, by the unit rule of
+  the integer determinant below.  Such a monomial step divides by t^m
+  with a slice: each new entry is (a_ij t^k - a_ik a_kj) / t^m, and the m
+  dropped low coefficients are checked to be zero.  Otherwise the pivot
+  is an entry of least length, then of least |leading coefficient| (after
+  a pivot that is no monomial, a constant +-1 first), and the step packs
+  the block's entries as integers at t = 2^W (Kronecker substitution),
+  with W from that step's block, and computes each new entry with one
+  integer product, difference and ``divmod``.  A nonzero dropped
+  coefficient, a remainder, or a quotient whose digits do not prove the
+  division exact over Z[t] and whose fallback division fails, raises
+  :class:`InvariantViolation`;
 * ``eval_interp``: one exact integer determinant at t = 2^B (Kronecker
   substitution).  Hadamard's inequality on |t| = 1 and Cauchy's estimate
   bound every coefficient by sqrt(H), with H read off the entries, so B
@@ -318,11 +322,12 @@ def parse_polynomial(text: str) -> IntPolynomial:
 # exact determinants of the pencil V - t V^T
 # ---------------------------------------------------------------------------
 
-# Blocks of more rows than this take their +-1 pivot from the row with the
-# fewest nonzeros, and smaller ones from the first row that has one, in both
-# pencil kernels: on seeded knot pencils at t = 2^B the scan of every row
-# costs 10-15 % at 4-6 bands and saves 20 % at 20 bands and half at 48, and
-# the Z[t] kernel runs within 3 % for thresholds of 0-12 rows at 24 bands.
+# Blocks of more rows than this take their unit pivot (+-1, or +-t^k in the
+# Z[t] kernel) from the row with the fewest nonzeros, and smaller ones from
+# the first row that has one, in both pencil kernels: on seeded knot
+# pencils at t = 2^B the scan of every row costs 10-15 % at 4-6 bands and
+# saves 20 % at 20 bands and half at 48, and the Z[t] kernel with constant
+# units only ran within 3 % for thresholds of 0-12 rows at 24 bands.
 # The 2x2 steps of the symmetric kernel take their row by the same rule:
 # on seeded knots it saves 11-13 % at 40-56 bands and is even at 24.  That
 # kernel keeps its own scan, as it wants a +-1 in a row with a zero diagonal
@@ -336,10 +341,12 @@ def _unit_position(rows: list[list], one, minus_one, zero) -> tuple[int, int] | 
     """Block position (p, q) of the next unit pivot of either pencil
     kernel, or None when the block has no ``one`` and no ``minus_one``.
 
-    The unit rule: the row with the most ``zero`` entries among the rows
-    holding a unit when the block has more than ``_SPARSE_UNIT_ROWS`` rows,
-    else the first row holding one; in that row the first ``one``, else the
-    first ``minus_one``.  Every scan is a C-level ``in``, ``list.count`` or
+    The units are +-1 in the integer kernel and +-t^k, for the exponent k
+    that :func:`_pivot` asks for, in the Z[t] kernel.  The unit rule: the
+    row with the most ``zero`` entries among the rows holding a unit when
+    the block has more than ``_SPARSE_UNIT_ROWS`` rows, else the first row
+    holding one; in that row the first ``one``, else the first
+    ``minus_one``.  Every scan is a C-level ``in``, ``list.count`` or
     ``list.index``, and nothing is computed.
     """
     scan_all = len(rows) > _SPARSE_UNIT_ROWS
@@ -381,10 +388,11 @@ def _det_bareiss_int(rows: list[list[int]]) -> int:
     ``divmod``, and a remainder raises :class:`InvariantViolation`.  The
     last 2x2 block is finished as (ad - bc) / prev, checked the same way.
 
-    The Z[t] kernel :func:`_det_bareiss_poly` takes its unit pivots by the
-    same rule.  The least Markowitz cost (r_i - 1)(c_j - 1) among the units
-    of a block of more than 10 rows, from column counts taken at every
-    step, costs more than its smaller fill saves in both:
+    The Z[t] kernel :func:`_det_bareiss_poly` takes its monomial pivots
+    +-t^k by the same rule, one exponent at a time.  The least Markowitz
+    cost (r_i - 1)(c_j - 1) among the units of a block of more than 10
+    rows, from column counts taken at every step, costs more than its
+    smaller fill saves in both:
     this kernel ran 1.2x slower at 4 bands and 1.6x at 24, and the Z[t]
     kernel 1.05-1.1x slower at 24 bands, and within 10 % either way at 36
     and 48.
@@ -464,17 +472,25 @@ def _det_bareiss_int(rows: list[list[int]]) -> int:
 _ONE, _MINUS_ONE, _NO_ENTRY = [1], [-1], []
 
 
-def _pivot(rows: list[list[list[int]]]) -> tuple[int, int] | None:
+def _pivot(rows: list[list[list[int]]], m: int | None) -> tuple[int, int] | None:
     """Block position (p, q) of the next Z[t] pivot; None for a zero block.
 
-    A constant +-1 whenever the block has one, by the unit rule of
-    :func:`_unit_position`, with ``[1]``, ``[-1]`` and ``[]`` as the unit
-    and zero entries.  Otherwise an entry of least length, then of least
-    |leading coefficient|, the first in row-major order among equals.
+    ``m`` is the exponent of the previous pivot t^m, or None when that is
+    not a monomial.  While it is one, the pivot is a +-t^m, else the +-t^k
+    of least k; otherwise a constant +-1.  Each is found by the unit rule
+    of :func:`_unit_position`, with +-t^k and ``[]`` as the unit and zero
+    entries.  Without any of these, an entry of least length, then of
+    least |leading coefficient|, the first in row-major order among equals.
     """
-    pos = _unit_position(rows, _ONE, _MINUS_ONE, _NO_ENTRY)
-    if pos is not None:
-        return pos
+    if m is not None:
+        pos = _unit_position(rows, [0] * m + _ONE, [0] * m + _MINUS_ONE, _NO_ENTRY)
+        if pos is not None:
+            return pos
+    for k in range(1 if m is None else max(max(map(len, row)) for row in rows)):
+        if k != m:
+            pos = _unit_position(rows, [0] * k + _ONE, [0] * k + _MINUS_ONE, _NO_ENTRY)
+            if pos is not None:
+                return pos
     lengths = [min(map(len, filter(None, row)), default=0) for row in rows]
     shortest = min(filter(None, lengths), default=0)
     if not shortest:
@@ -488,6 +504,44 @@ def _pivot(rows: list[list[list[int]]]) -> tuple[int, int] | None:
                     if lead == 1:
                         return best
     return best
+
+
+def _monomial_step(
+    rows: list[list[list[int]]], rk: list[list[int]], q: int, k: int, m: int
+) -> None:
+    """One Bareiss step over Z[t] with pivot t^k after prev t^m.
+
+    Entry (i, j) becomes (a_ij t^k - a_iq a_kj) / t^m, a polynomial by
+    Sylvester's identity, so the division drops m low coefficients, and a
+    nonzero one raises :class:`InvariantViolation`.  When k = m, only the
+    rows with a_iq != 0 change, and in them only the columns where the
+    pivot row is nonzero; the unit step, k = m = 0, divides nothing.
+    Column q is popped here.
+    """
+    cols = [j for j, b in enumerate(rk) if b]
+    if k == m == 0:
+        for ri in rows:
+            c = ri.pop(q)
+            if c:
+                for j in cols:
+                    ri[j] = _poly_sub_mul(ri[j], c, rk[j])
+        return
+    pad = [0] * k
+    for ri in rows:
+        c = ri.pop(q)
+        if k == m and not c:
+            continue
+        for j in cols if k == m else range(len(ri)):
+            a = ri[j]
+            if c and rk[j]:
+                a = _poly_sub_mul(pad + a, c, rk[j])
+            elif a:
+                a = pad + a
+            else:
+                continue
+            if any(a[:m]):
+                raise InvariantViolation("inexact Z[t] Bareiss step")
+            ri[j] = a[m:]
 
 
 def _pack(coeffs: list[int], bits: int) -> int:
@@ -586,21 +640,24 @@ def _det_bareiss_poly(rows: list[list[list[int]]]) -> list[int]:
     block, and :func:`_pivot` finds the pivot with C-level scans.  Moving
     the pivot from block position (p, q) to the front flips the sign when
     p + q is odd, and a pivot with a negative leading coefficient has its
-    row negated, flipping it again, so a unit pivot is always ``[1]``.
+    row negated, flipping it again, so a monomial pivot is always t^k.
 
     The update of entry (i, j) is (a_ij * pivot - a_iq * a_kj) / prev, with
-    prev the previous pivot.  A unit step, pivot = prev = ``[1]``, divides
-    nothing: it changes only the rows with a_iq != 0, in the columns where
-    the pivot row is nonzero, by a_ij - a_iq * a_kj.  Every other step is a
-    :func:`_packed_step`, whose every division is proven exact over Z[t] or
-    raises :class:`InvariantViolation`.
+    prev the previous pivot.  Both are monomials whenever :func:`_pivot`
+    finds one after a prev t^m, which starts as ``[1]``: then the step is a
+    :func:`_monomial_step`, whose division by t^m is a checked slice, and
+    which changes only what it must when k = m; a unit step, k = m = 0,
+    divides nothing.  Every other step is a :func:`_packed_step`, whose
+    every division is proven exact over Z[t] or raises
+    :class:`InvariantViolation`.
     """
     if not rows:
         return [1]
     sign = 1
     prev = _ONE
+    m = 0
     while len(rows) > 1:
-        pos = _pivot(rows)
+        pos = _pivot(rows, m)
         if pos is None:
             return []
         p, q = pos
@@ -612,16 +669,14 @@ def _det_bareiss_poly(rows: list[list[list[int]]]) -> list[int]:
             pivot = [-c for c in pivot]
             rk = [[-c for c in b] for b in rk]
             sign = -sign
-        if pivot == prev == _ONE:
-            cols = [j for j, b in enumerate(rk) if b]
-            for ri in rows:
-                rik = ri.pop(q)
-                if rik:
-                    for j in cols:
-                        ri[j] = _poly_sub_mul(ri[j], rik, rk[j])
-        else:
+        k = len(pivot) - 1  # the exponent of a pivot t^k, else None
+        if pivot[-1] != 1 or pivot.count(0) != k:
+            k = None
+        if k is None or m is None:
             _packed_step(rows, rk, q, pivot, prev)
-        prev = pivot
+        else:
+            _monomial_step(rows, rk, q, k, m)
+        prev, m = pivot, k
     det = rows[0][0]
     return [-c for c in det] if sign < 0 else det
 
@@ -717,10 +772,10 @@ def pencil_determinant(
 # Most bands :func:`alexander` takes: the largest multiple of 8 at which a
 # checked ``invariants`` on 40 seeded random knots (best of 3 per code)
 # stays within 0.21 s in the median and 0.37 s at most, what 48 bands took
-# with a dense integer Bareiss.  At 56 bands it takes 0.15 s (0.32 s at
-# most): 0.074 s in the Z[t] elimination and 0.068 s in the integer
-# determinant.  At 64 it takes 0.45 s (0.90 s), and the integer
-# determinant alone 0.27 s, so that method now holds the cap.
+# with a dense integer Bareiss.  At 56 bands it takes 0.14 s (0.29 s at
+# most): 0.066 s in the Z[t] elimination and 0.069 s in the integer
+# determinant.  At 64 it takes 0.35 s (0.73 s), the Z[t] elimination
+# 0.13 s and the integer determinant 0.21 s, so that method holds the cap.
 PENCIL_CAP = 56
 
 

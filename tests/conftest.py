@@ -137,6 +137,30 @@ def all_codes(n: int):
 
 # ---------------------------------------------------------------------------
 # fixtures
+def z_t_steps(monkeypatch) -> list[tuple[str, bool]]:
+    """Record each step of the Z[t] Bareiss of ``fraction_free`` as (kind,
+    divides): kind ``"same"`` for a pivot t^m after prev t^m, ``"up"`` or
+    ``"down"`` for a shift step, t^k after t^m with k > m or k < m, and
+    ``"packed"`` for any other step; divides is False exactly when prev is
+    [1]."""
+    from flatbasket import invariants
+
+    steps = []
+    monomial, packed = invariants._monomial_step, invariants._packed_step
+
+    def on_monomial(rows, rk, q, k, m):
+        steps.append(("same" if k == m else "up" if k > m else "down", m > 0))
+        monomial(rows, rk, q, k, m)
+
+    def on_packed(rows, rk, q, pivot, prev):
+        steps.append(("packed", prev != [1]))
+        packed(rows, rk, q, pivot, prev)
+
+    monkeypatch.setattr(invariants, "_monomial_step", on_monomial)
+    monkeypatch.setattr(invariants, "_packed_step", on_packed)
+    return steps
+
+
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="session")

@@ -9,13 +9,17 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from flatbasket import cli, invariants
 from flatbasket.cli import build_parser, cli_dispatch
 from flatbasket.codes import FlatBasketCode, surface_stats
 from flatbasket.invariants import PENCIL_CAP, arf_from_determinant
 from flatbasket.pushdown import FLATTEN_CAP
+from conftest import z_t_steps
 
 
 def run(capsys, *argv):
@@ -382,21 +386,103 @@ def _perturb_once(monkeypatch, name, perturb, when):
     return done
 
 
+def test_seeded_12_band_knots_take_monomial_steps(monkeypatch, capsys):
+    # the fault tests below use two seeded 12-band knots: the first takes no
+    # packed step, the second one after a prev other than [1]
+    steps = z_t_steps(monkeypatch)
+    first, second = (_seeded_knot(random.Random(seed), 12) for seed in (12, 2))
+    assert run(capsys, "invariants", "--json", "--code", first)[0] == 0
+    assert Counter(steps) == {("same", False): 7, ("up", False): 1, ("up", True): 3}
+    steps.clear()
+    assert run(capsys, "invariants", "--json", "--code", second)[0] == 0
+    assert Counter(steps) == {
+        ("same", False): 6, ("same", True): 1, ("up", False): 1, ("up", True): 2,
+        ("packed", True): 1,
+    }
+
+
+def _assert_one_z_t_error(capsys, code):
+    status, out, err = run(capsys, "invariants", "--json", "--code", code)
+    assert (status, out, err) == (1, "", "error: inexact Z[t] Bareiss step\n")
+
+
 def test_inexact_z_t_steps_exit_1_without_a_traceback(monkeypatch, capsys):
-    # a numerator one unit off on a packed step, divided by a prev other
+    # a numerator one unit off on the packed step, divided by a prev other
     # than 1: the checked divmod, then the fallback division, raises
     # InvariantViolation, so the command exits 1 with one error line
-    code = _seeded_knot(random.Random(12), 12)
+    code = _seeded_knot(random.Random(2), 12)
     done = _perturb_once(monkeypatch, "divmod", lambda a: a + 1, lambda a, b: b != 1)
-    status, out, err = run(capsys, "invariants", "--json", "--code", code)
-    assert done and (status, out, err) == (1, "", "error: inexact Z[t] Bareiss step\n")
+    _assert_one_z_t_error(capsys, code)
+    assert done
     monkeypatch.undo()
     monkeypatch.setattr(invariants, "_quotient_limit", lambda bits, prev: -1)
     done = _perturb_once(
         monkeypatch, "_poly_exact_div", lambda a: [a[0] + 1] + a[1:], lambda a, b: b != [1]
     )
+    _assert_one_z_t_error(capsys, code)
+    assert done
+
+
+def _during_monomial_steps(monkeypatch, which) -> list:
+    """A one-item list that holds (k, m) while a monomial step of the Z[t]
+    Bareiss, pivot t^k after prev t^m, with ``which(k, m)`` runs, and None
+    otherwise."""
+    active = [None]
+    real = invariants._monomial_step
+
+    def step(rows, rk, q, k, m):
+        active[0] = (k, m) if which(k, m) else None
+        try:
+            real(rows, rk, q, k, m)
+        finally:
+            active[0] = None
+
+    monkeypatch.setattr(invariants, "_monomial_step", step)
+    return active
+
+
+@pytest.mark.parametrize("kind, seed", [("shift", 12), ("same", 2)])
+def test_inexact_monomial_steps_exit_1_without_a_traceback(monkeypatch, capsys, kind, seed):
+    # pivot t^k after prev t^m with m >= 1, k != m or k = m: the lowest of
+    # the m numerator coefficients that the division by t^m drops one unit
+    # off, so the check of the dropped coefficients raises
+    active = _during_monomial_steps(
+        monkeypatch, lambda k, m: m >= 1 and (k == m) == (kind == "same")
+    )
+    done = _perturb_once(
+        monkeypatch, "any", lambda low: [low[0] + 1] + low[1:], lambda low: active[0] and low
+    )
+    _assert_one_z_t_error(capsys, _seeded_knot(random.Random(seed), 12))
+    assert done
+
+
+class _OffByOne(int):
+    def __mul__(self, other):
+        return int(self) * other + 1
+
+    __rmul__ = __mul__
+
+
+def test_product_off_in_a_same_exponent_step_exits_1_without_a_traceback(monkeypatch, capsys):
+    # pivot = prev = t^m with m >= 1: the products of the lowest nonzero
+    # coefficient of a_iq one unit off land at or above t^m, so the step
+    # keeps them and the checked Delta catches the disagreement
+    active = _during_monomial_steps(monkeypatch, lambda k, m: k == m >= 1)
+    done = []
+    real = invariants._poly_sub_mul
+
+    def faulty(a, c, b):
+        if active[0] and not done:
+            i = next(i for i, x in enumerate(c) if x)
+            done.append(i >= active[0][1])
+            c = c[:i] + [_OffByOne(c[i])] + c[i + 1:]
+        return real(a, c, b)
+
+    monkeypatch.setattr(invariants, "_poly_sub_mul", faulty)
+    code = _seeded_knot(random.Random(2), 12)
     status, out, err = run(capsys, "invariants", "--json", "--code", code)
-    assert done and (status, out, err) == (1, "", "error: inexact Z[t] Bareiss step\n")
+    assert done == [True] and (status, out) == (1, "")
+    assert err.startswith("error: determinant methods disagree on ") and err.count("\n") == 1
 
 
 def test_faulty_unit_step_exits_1_without_a_traceback(monkeypatch, capsys):
@@ -405,10 +491,13 @@ def test_faulty_unit_step_exits_1_without_a_traceback(monkeypatch, capsys):
     # wrong entry there; with every unit-step update one unit off, the
     # checked Delta catches it as a disagreement
     code = _seeded_knot(random.Random(12), 12)
+    active = _during_monomial_steps(monkeypatch, lambda k, m: k == m == 0)
     updates = []
     real = invariants._poly_sub_mul
 
     def faulty(a, c, b):
+        if active[0] is None:
+            return real(a, c, b)
         updates.append(1)
         return real(a, c, b) + [1]
 

@@ -5,6 +5,7 @@ independently of the elimination and evaluation code under test.
 """
 
 import random
+from collections import Counter
 from importlib import resources
 
 import pytest
@@ -32,7 +33,7 @@ from flatbasket.pushdown import diagram_seifert_matrix, parse_diagram
 from flatbasket.search import enumerate_codes, enumerate_matchings
 from flatbasket.seifert import SeifertMatrix, symmetrized
 from flatbasket.tables import load_table
-from conftest import all_codes, leibniz_det, leibniz_pencil_det, random_code
+from conftest import all_codes, leibniz_det, leibniz_pencil_det, random_code, z_t_steps
 
 
 # ---------------------------------------------------------------------------
@@ -213,58 +214,64 @@ def test_methods_agree_on_seeded_24_band_knots():
 
 
 def test_fraction_free_fill_on_seeded_24_band_knots(monkeypatch):
-    # unit pivots from the sparsest rows above _SPARSE_UNIT_ROWS rows: the
-    # blocks of the ten pencils hold 56,117 coefficients over all steps; the
-    # first row with a unit at every size makes them hold 77,849;
-    # the count does not depend on how products and quotients are computed
+    # monomial pivots from the sparsest rows above _SPARSE_UNIT_ROWS rows:
+    # the blocks of the ten pencils hold 55,735 coefficients over all steps
+    # (56,117 with constant units only); the first row with a monomial at
+    # every size makes them hold 78,751; the count does not depend on how
+    # products and quotients are computed
     fill = []
     real = invariants._pivot
 
-    def measuring(rows):
+    def measuring(rows, m):
         fill.append(sum(len(e) for row in rows for e in row))
-        return real(rows)
+        return real(rows, m)
 
     monkeypatch.setattr(invariants, "_pivot", measuring)
     for code in _seeded_24_band_knots():
         pencil_determinant(seifert_matrix(code), "fraction_free")
-    assert sum(fill) <= 67_300, sum(fill)
+    assert sum(fill) <= 55_735, sum(fill)
 
 
-def _brute_force_pivot(rows):
-    """The pivot rule of ``invariants._pivot``, by a scan of every entry."""
+def _brute_force_pivot(rows, m):
+    """The pivot rule of ``invariants._pivot`` after a prev t^m (m None when
+    prev is no monomial), by a scan of every entry."""
     entries = [(i, j, e) for i, row in enumerate(rows) for j, e in enumerate(row) if e]
     if not entries:
         return None
-    units = [(i, j, e) for i, j, e in entries if e in ([1], [-1])]
-    if not units:
+    monomials = [(i, j, e) for i, j, e in entries if e[-1] in (1, -1) and not any(e[:-1])]
+    if m is None:
+        monomials = [u for u in monomials if len(u[2]) == 1]
+    if not monomials:
         return min((len(e), abs(e[-1]), (i, j)) for i, j, e in entries)[2]
+    lengths = {len(e) for _, _, e in monomials}
+    length = m + 1 if m + 1 in lengths else min(lengths)
+    units = [u for u in monomials if len(u[2]) == length]
     if len(rows) > invariants._SPARSE_UNIT_ROWS:
         nonzeros = [sum(1 for e in row if e) for row in rows]
         units.sort(key=lambda u: nonzeros[u[0]])
     p = units[0][0]
-    return min((e != [1], j, (p, j)) for i, j, e in units if i == p)[2]
+    return min((e[-1] != 1, j, (p, j)) for i, j, e in units if i == p)[2]
 
 
 def test_pivot_rule_at_every_step(monkeypatch):
     # the shipped rule picks the pivot that a scan of the whole block picks,
-    # at every step; on the 24-band knots the sparsest row's unit often is
-    # not the first unit, so the test sees the rule at work
+    # at every step; on the 24-band knots the sparsest row's monomial often
+    # is not the first one of its exponent, so the test sees the rule at work
     steps = []
     real = invariants._pivot
 
-    def checking(rows):
-        expected = _brute_force_pivot(rows)
-        got = real(rows)
-        assert got == expected, (len(rows), got, expected)
-        steps.append((len(rows), got != _first_unit(rows)))
+    def checking(rows, m):
+        expected = _brute_force_pivot(rows, m)
+        got = real(rows, m)
+        assert got == expected, (len(rows), m, got, expected)
+        if got is not None:
+            e = rows[got[0]][got[1]]
+            steps.append((len(rows), m, len(e), got != _first_of(rows, e)))
         return got
 
-    def _first_unit(rows):
-        return next(
-            ((i, j) for i, row in enumerate(rows) for j, e in enumerate(row)
-             if e in ([1], [-1])),
-            None,
-        )
+    def _first_of(rows, e):
+        same = (e, [-c for c in e])
+        return next((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x in same)
 
     monkeypatch.setattr(invariants, "_pivot", checking)
     rng = random.Random(14)
@@ -282,18 +289,41 @@ def test_pivot_rule_at_every_step(monkeypatch):
     steps.clear()
     for code in _seeded_24_band_knots():
         pencil_determinant(seifert_matrix(code), "fraction_free")
-    assert any(m > invariants._SPARSE_UNIT_ROWS and moved for m, moved in steps)
+    sparse = invariants._SPARSE_UNIT_ROWS
+    assert any(n > sparse and moved for n, _, _, moved in steps)
+    # every tier is reached: +-t^m after t^m with m >= 1, a monomial of
+    # another exponent, and a packed pivot after a non-monomial prev
+    assert any(m and length == m + 1 for _, m, length, _ in steps)
+    assert any(m is not None and length != m + 1 for _, m, length, _ in steps)
+    assert any(m is None for _, m, _, _ in steps)
 
 
 def test_pivot_tiers_and_ties():
     # a unit beats a shorter-led constant; in a small block the first row
     # with a unit wins, and in it a [1] before a [-1]
     pencil = [[[2], [], []], [[], [-1], [1]], [[], [1], [1]]]
-    assert invariants._pivot(pencil) == (1, 2)
-    # without units the shortest entries, then the least |leading coefficient|
+    assert invariants._pivot(pencil, 0) == (1, 2)
+    # without monomials the shortest entries, then the least |leading
+    # coefficient|; after a non-monomial prev only constant units count
     pencil = [[[1, 1], [], []], [[], [-5], [3]], [[], [7], []]]
-    assert invariants._pivot(pencil) == (1, 2)
-    assert invariants._pivot([[[], []], [[], []]]) is None
+    assert invariants._pivot(pencil, 0) == (1, 2)
+    assert invariants._pivot(pencil, None) == (1, 2)
+    assert invariants._pivot([[[], []], [[], []]], 0) is None
+    # after prev t^2: a +-t^2 first, even after a +-1 and a +-t
+    pencil = [[[1], [0, 1]], [[0, 0, -1], [2]]]
+    assert invariants._pivot(pencil, 2) == (1, 0)
+    # else the +-t^k of least k, before a shorter non-monomial entry
+    pencil = [[[0, 0, 0, 1], [2]], [[0, -1], [0, 0, 1]]]
+    assert invariants._pivot(pencil, 1) == (1, 0)
+    assert invariants._pivot(pencil, 3) == (0, 0)
+    assert invariants._pivot(pencil, 0) == (1, 0)
+    assert invariants._pivot(pencil, None) == (0, 1)
+    # +t^k before -t^k in the pivot's row; monomials with a zero low
+    # coefficient only: t + t^2 is not one
+    pencil = [[[0, -1], [0, 1]], [[0, 1, 1], [3]]]
+    assert invariants._pivot(pencil, 0) == (0, 1)
+    pencil = [[[0, 1, 1], [3]], [[4], [0, 2]]]
+    assert invariants._pivot(pencil, 1) == (0, 1)
 
 
 def test_pivot_takes_a_unit_of_the_sparsest_row():
@@ -304,11 +334,15 @@ def test_pivot_takes_a_unit_of_the_sparsest_row():
     block = [[[1] if i == j else [] for j in range(m)] for i in range(m)]
     for k in range(1, m):
         block[0][k] = block[k][0] = [2, 1]
-    assert invariants._pivot(block) == (1, 1)
+    assert invariants._pivot(block, 0) == (1, 1)
     small = [row[1:] for row in block[1:]]
     small[0][0] = [3]
     assert len(small) == invariants._SPARSE_UNIT_ROWS
-    assert invariants._pivot(small) == (1, 1)
+    assert invariants._pivot(small, 0) == (1, 1)
+    # the same for the monomials t^2 after prev t^2 and after prev t
+    shifted = [[[0, 0] + e if e else e for e in row] for row in block]
+    assert invariants._pivot(shifted, 2) == (1, 1)
+    assert invariants._pivot(shifted, 1) == (1, 1)
 
 
 def _integer_matrices(rng):
@@ -346,32 +380,72 @@ def _count_calls(monkeypatch, name) -> list:
     return calls
 
 
+def _monomial_step_matrices() -> list:
+    """Seeded random integer matrices of 3-6 rows: the first ten whose Z[t]
+    Bareiss takes each kind of monomial step after a prev t^m with m >= 1,
+    pivot t^m, t^k with k > m and t^k with k < m."""
+    rng = random.Random(23)
+    wanted = {"same": 10, "up": 10, "down": 10}
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        steps = z_t_steps(mp)
+        while any(wanted.values()):
+            n = rng.randint(3, 6)
+            rows = [[rng.choice((0, 0, 0, 1, -1, 1, 2)) for _ in range(n)] for _ in range(n)]
+            steps.clear()
+            pencil_determinant(SeifertMatrix(tuple(map(tuple, rows))), "fraction_free")
+            kinds = {kind for kind, divides in steps if divides and wanted.get(kind)}
+            if kinds:
+                out.append(rows)
+                for kind in kinds:
+                    wanted[kind] -= 1
+    return out
+
+
 @pytest.fixture(scope="module")
 def leibniz_pencils():
-    """Every code up to four bands and the ``_integer_matrices`` as V, each
-    with its Leibniz det(V - t V^T)."""
+    """Every code up to four bands, the ``_integer_matrices`` and the
+    ``_monomial_step_matrices`` as V, each with its Leibniz det(V - t V^T)."""
     matrices = [seifert_matrix(code) for n in (1, 2, 3, 4) for code in all_codes(n)]
     matrices += [
-        SeifertMatrix(tuple(map(tuple, rows))) for rows in _integer_matrices(random.Random(19))
+        SeifertMatrix(tuple(map(tuple, rows)))
+        for rows in (*_integer_matrices(random.Random(19)), *_monomial_step_matrices())
     ]
     return [(v, leibniz_pencil_det(v)) for v in matrices]
 
 
-@pytest.mark.parametrize("way", ["shipped", "sparse_rows_everywhere", "fallback_division"])
+@pytest.mark.parametrize(
+    "way", ["shipped", "sparse_rows_everywhere", "fallback_division", "no_monomial_steps"]
+)
 def test_fraction_free_matches_leibniz_every_path(monkeypatch, leibniz_pencils, way):
-    # every non-unit step is a packed step as shipped; the other two ways
-    # take every unit from the sparsest row, and send every packed
-    # quotient through the fallback division of the unpacked numerator
+    # as shipped, monomial steps of every kind and packed steps; the other
+    # ways take every monomial from the sparsest row, send every packed
+    # quotient through the fallback division of the unpacked numerator,
+    # and make every monomial step a packed step on the same pivots
     if way == "sparse_rows_everywhere":
         monkeypatch.setattr(invariants, "_SPARSE_UNIT_ROWS", 0)
     if way == "fallback_division":
         monkeypatch.setattr(invariants, "_quotient_limit", lambda bits, prev: -1)
-    packed = _count_calls(monkeypatch, "_packed_step")
+    steps = z_t_steps(monkeypatch)
+    if way == "no_monomial_steps":
+
+        def packed(rows, rk, q, k, m):
+            invariants._packed_step(rows, rk, q, [0] * k + [1], [0] * m + [1])
+
+        monkeypatch.setattr(invariants, "_monomial_step", packed)
     divisions = _count_calls(monkeypatch, "_poly_exact_div")
     for v, expected in leibniz_pencils:
         assert pencil_determinant(v, "fraction_free").coeffs == expected, v
-    assert len(leibniz_pencils) == 2_617 + 848 and len(packed) > 1_000
+    kinds = Counter(kind for kind, divides in steps if divides)
+    packed = sum(kind == "packed" for kind, _ in steps)
+    assert len(leibniz_pencils) == 2_617 + 848 + 29 and packed > 1_000
     assert (len(divisions) > 1_000) == (way == "fallback_division")
+    if way == "no_monomial_steps":
+        assert packed == len(steps) > 7_000
+    elif way != "sparse_rows_everywhere":
+        # steps after a prev t^m with m >= 1: a pivot t^m, t^k with k > m
+        # and t^k with k < m
+        assert (kinds["same"], kinds["up"], kinds["down"]) == (13, 14, 10)
 
 
 def _berkowitz_pencil_det(v) -> tuple[int, ...]:
@@ -386,17 +460,25 @@ def _berkowitz_pencil_det(v) -> tuple[int, ...]:
 
 
 def test_fraction_free_matches_berkowitz_on_seeded_knots(monkeypatch):
-    packed = _count_calls(monkeypatch, "_packed_step")
-    rng = random.Random(1012)
-    for n in (10, 12, 12):
-        while True:
-            code = random_code(rng, n)
-            if surface_stats(code).boundary == 1:
-                break
-        v = seifert_matrix(code)
-        packed.clear()
-        assert pencil_determinant(v, "fraction_free").coeffs == _berkowitz_pencil_det(v), code
-        assert packed, code
+    # the knots of seed 1012 take monomial steps only, some after a
+    # division by t^m, m >= 1; those of seed 1221 take packed steps too,
+    # each after a prev other than [1]
+    steps = z_t_steps(monkeypatch)
+    for seed, sizes, packed_steps in (
+        (1012, (10, 12, 12), (0, 0, 0)), (1221, (8, 10, 10), (1, 1, 3))
+    ):
+        rng = random.Random(seed)
+        for n, packed in zip(sizes, packed_steps):
+            while True:
+                code = random_code(rng, n)
+                if surface_stats(code).boundary == 1:
+                    break
+            v = seifert_matrix(code)
+            steps.clear()
+            expected = _berkowitz_pencil_det(v)
+            assert pencil_determinant(v, "fraction_free").coeffs == expected, code
+            assert steps.count(("packed", True)) == packed, code
+            assert ("packed", False) not in steps and (packed or ("up", True) in steps), code
 
 
 def test_fraction_free_is_independent_of_the_integer_kernel(monkeypatch):
@@ -469,6 +551,31 @@ def test_integer_bareiss_products_on_seeded_24_band_knots(monkeypatch):
     for code in _seeded_24_band_knots():
         pencil_determinant(seifert_matrix(code), "eval_interp")
     assert len(products) <= 10_000, len(products)
+
+
+def test_z_t_packed_steps_on_seeded_24_band_knots(monkeypatch):
+    # monomial pivots, and steps that divide by t^m with a slice: 34 packed
+    # steps for the ten pencils, each after a prev other than [1]; with
+    # constant units as the only monomial pivots and steps they took 92
+    steps = z_t_steps(monkeypatch)
+    for code in _seeded_24_band_knots():
+        pencil_determinant(seifert_matrix(code), "fraction_free")
+    assert ("packed", False) not in steps
+    assert steps.count(("packed", True)) <= 34, steps.count(("packed", True))
+
+
+def test_shift_steps_check_every_dropped_coefficient():
+    # pivot t^0 after prev t^2: a row with a_iq = 0 is divided by t^2, the
+    # other by (a - c * b) / t^2; a nonzero dropped coefficient raises
+    rows = [[[], [0, 0, 3]], [[0, 0, 1], [0, 0, 0, 2]]]
+    invariants._monomial_step(rows, [[0, 0, 1]], 0, 0, 2)
+    assert rows == [[[3]], [[0, 2, -1]]]
+    rows = [[[], [0, 0, 3, 1]]]
+    invariants._monomial_step(rows, [[1]], 0, 3, 1)
+    assert rows == [[[0, 0, 0, 0, 3, 1]]]
+    for rows in ([[[], [0, 1, 3]]], [[[0, 0, 1], [1]]]):
+        with pytest.raises(InvariantViolation, match="inexact Z.t. Bareiss step"):
+            invariants._monomial_step(rows, [[0, 0, 1]], 0, 0, 2)
 
 
 def _counting_int_dets(monkeypatch, offset=lambda: 0):
