@@ -22,6 +22,7 @@ from .codes import canonicalize, parse_code, parse_matching, surface_stats
 from .errors import FlatBasketError, NotAKnot
 from .invariants import (
     _alexander_of_matrix,
+    _check_pencil_cap,
     _checked_signature,
     alexander,
     arf_from_determinant,
@@ -115,6 +116,7 @@ def _cmd_alexander(args) -> int:
 
 def _cmd_invariants(args) -> int:
     code = parse_code(args.code)
+    _check_pencil_cap(code.n)
     stats = surface_stats(code)
     matrix = seifert_matrix(code)
     delta = _alexander_of_matrix(code, matrix, "fraction_free", checked=True)

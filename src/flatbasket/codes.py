@@ -41,8 +41,6 @@ __all__ = [
     "surface_genus",
     "canonicalize",
     "canonical_word",
-    "rotated",
-    "is_canonical_word",
     "relabel",
 ]
 
@@ -271,18 +269,6 @@ def surface_stats(code: FlatBasketCode) -> SurfaceStats:
     n = code.n
     b = boundary_components(underlying(code))
     return SurfaceStats(bands=n, euler=1 - n, boundary=b, genus=surface_genus(n, b))
-
-
-def rotated(code: FlatBasketCode, k: int) -> FlatBasketCode:
-    """Cyclic rotation moving position k+1 to the front (basepoint shift)."""
-    w = code.word
-    k %= len(w)
-    return FlatBasketCode(w[k:] + w[:k])
-
-
-def is_canonical_word(word: tuple[int, ...]) -> bool:
-    """True when ``word`` is the lexicographically least of its rotations."""
-    return canonical_word(word) == word
 
 
 def canonical_word(word: tuple[int, ...]) -> tuple[int, ...]:

@@ -12,15 +12,14 @@ taken by two mutually checking exact algorithms:
   when the block has one, else the +-t^k of least k, by the unit rule of
   the integer determinant below.  Such a monomial step divides by t^m
   with a slice: each new entry is (a_ij t^k - a_ik a_kj) / t^m, and the m
-  dropped low coefficients are checked to be zero.  Otherwise the pivot
-  is an entry of least length, then of least |leading coefficient| (after
-  a pivot that is no monomial, a constant +-1 first), and the step packs
-  the block's entries as integers at t = 2^W (Kronecker substitution),
-  with W from that step's block, and computes each new entry with one
-  integer product, difference and ``divmod``.  A nonzero dropped
-  coefficient, a remainder, or a quotient whose digits do not prove the
-  division exact over Z[t] and whose fallback division fails, raises
-  :class:`InvariantViolation`;
+  dropped low coefficients are checked to be zero.  Otherwise, and after
+  a pivot that is no monomial, the pivot is an entry of least length, then
+  of least |leading coefficient|, and the step packs the block's entries
+  as integers at t = 2^W (Kronecker substitution), with W from that
+  step's block, and computes each new entry with one integer product,
+  difference and ``divmod``.  A nonzero dropped coefficient, a remainder,
+  or a quotient whose digits do not prove the division exact over Z[t]
+  and whose fallback division fails, raises :class:`InvariantViolation`;
 * ``eval_interp``: one exact integer determinant at t = 2^B (Kronecker
   substitution).  Hadamard's inequality on |t| = 1 and Cauchy's estimate
   bound every coefficient by sqrt(H), with H read off the entries, so B
@@ -477,20 +476,20 @@ def _pivot(rows: list[list[list[int]]], m: int | None) -> tuple[int, int] | None
 
     ``m`` is the exponent of the previous pivot t^m, or None when that is
     not a monomial.  While it is one, the pivot is a +-t^m, else the +-t^k
-    of least k; otherwise a constant +-1.  Each is found by the unit rule
-    of :func:`_unit_position`, with +-t^k and ``[]`` as the unit and zero
-    entries.  Without any of these, an entry of least length, then of
-    least |leading coefficient|, the first in row-major order among equals.
+    of least k, each found by the unit rule of :func:`_unit_position`, with
+    +-t^k and ``[]`` as the unit and zero entries.  Otherwise, or without
+    any of these, an entry of least length, then of least |leading
+    coefficient|, the first in row-major order among equals.
     """
     if m is not None:
         pos = _unit_position(rows, [0] * m + _ONE, [0] * m + _MINUS_ONE, _NO_ENTRY)
         if pos is not None:
             return pos
-    for k in range(1 if m is None else max(max(map(len, row)) for row in rows)):
-        if k != m:
-            pos = _unit_position(rows, [0] * k + _ONE, [0] * k + _MINUS_ONE, _NO_ENTRY)
-            if pos is not None:
-                return pos
+        for k in range(max(max(map(len, row)) for row in rows)):
+            if k != m:
+                pos = _unit_position(rows, [0] * k + _ONE, [0] * k + _MINUS_ONE, _NO_ENTRY)
+                if pos is not None:
+                    return pos
     lengths = [min(map(len, filter(None, row)), default=0) for row in rows]
     shortest = min(filter(None, lengths), default=0)
     if not shortest:
@@ -608,15 +607,12 @@ def _packed_step(
     packed_pivot = _pack(pivot, bits)
     packed_prev = _pack(prev, bits)
     packed_rk = [_pack(b, bits) for b in rk]
-    same = pivot == prev
     for ri, rik in zip(rows, riks):
-        if same and not rik:
-            continue
         packed_rik = _pack(rik, bits)
         for j, b in enumerate(packed_rk):
             a = ri[j]
             cross = packed_rik * b
-            if not cross and (same or not a):
+            if not cross and not a:
                 continue
             num = _pack(a, bits) * packed_pivot - cross
             quot, rem = divmod(num, packed_prev)
@@ -647,9 +643,9 @@ def _det_bareiss_poly(rows: list[list[list[int]]]) -> list[int]:
     finds one after a prev t^m, which starts as ``[1]``: then the step is a
     :func:`_monomial_step`, whose division by t^m is a checked slice, and
     which changes only what it must when k = m; a unit step, k = m = 0,
-    divides nothing.  Every other step is a :func:`_packed_step`, whose
-    every division is proven exact over Z[t] or raises
-    :class:`InvariantViolation`.
+    divides nothing.  Every other step, and every step after a prev that is
+    no monomial, is a :func:`_packed_step`, whose every division is proven
+    exact over Z[t] or raises :class:`InvariantViolation`.
     """
     if not rows:
         return [1]
@@ -825,7 +821,10 @@ def alexander(
 
     With ``checked=True`` both determinant algorithms run and any mismatch
     raises :class:`InvariantViolation` (an arithmetic bug, not bad input).
+    A code of more than ``PENCIL_CAP`` bands raises :class:`CapExceeded`
+    before its Seifert matrix is built.
     """
+    _check_pencil_cap(code.n)
     return _alexander_of_matrix(code, seifert_matrix(code), method, checked)
 
 
@@ -833,9 +832,8 @@ def _alexander_of_matrix(
     code: FlatBasketCode, matrix: SeifertMatrix, method: str, checked: bool
 ) -> AlexanderPolynomial:
     """:func:`alexander` from the code's Seifert matrix, for callers that
-    also need the matrix for the signature.  Raises :class:`CapExceeded`
-    above ``PENCIL_CAP`` bands, before any pencil."""
-    _check_pencil_cap(matrix.n)
+    also need the matrix for the signature and have checked the pencil cap
+    before building it."""
     raw = pencil_determinant(matrix, method)
     if checked:
         other = "eval_interp" if method == "fraction_free" else "fraction_free"

@@ -48,7 +48,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from .codes import FlatBasketCode, _boundary_cycles, boundary_components, underlying
+from .codes import FlatBasketCode, _boundary_cycles
 from .errors import (
     CapExceeded,
     DuplicateColumn,
@@ -75,11 +75,7 @@ __all__ = [
     "push_down",
     "flatten",
     "flatten_trace",
-    "read_off_code",
     "diagram_seifert_matrix",
-    "code_to_flat_diagram",
-    "diagram_boundary_components",
-    "diagram_euler",
 ]
 
 Vertex = tuple[Fraction, Fraction]
@@ -375,35 +371,6 @@ def _ascending_count(lines: list[_XLine]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# abstract surface bookkeeping (depends only on the foot matching)
-# ---------------------------------------------------------------------------
-
-def _feet(diagram: RectilinearDiagram) -> list[tuple[Fraction, int]]:
-    feet = []
-    for bi, band in enumerate(diagram.bands):
-        feet.append((band[0][0], bi))
-        feet.append((band[-1][0], bi))
-    for ci, connector in enumerate(diagram.connectors):
-        feet.append((connector.left, len(diagram.bands) + ci))
-        feet.append((connector.right, len(diagram.bands) + ci))
-    feet.sort()
-    return feet
-
-
-def diagram_boundary_components(diagram: RectilinearDiagram) -> int:
-    """Boundary components of the realized surface (matching trace).
-
-    Only the foot pairing matters, so band ``i`` is simply labeled ``i + 1``.
-    """
-    owners = tuple(owner + 1 for _, owner in _feet(diagram))
-    return boundary_components(underlying(FlatBasketCode(owners)))
-
-
-def diagram_euler(diagram: RectilinearDiagram) -> int:
-    return 1 - diagram.band_count
-
-
-# ---------------------------------------------------------------------------
 # the push-down surgery
 # ---------------------------------------------------------------------------
 
@@ -438,8 +405,8 @@ def _find_xline(lines: list[_XLine], height) -> _XLine:
 
 
 def _site_for(line: _XLine, occupied: list) -> tuple[Fraction, Fraction]:
-    """Default push interval for a non-flat x-line; ``occupied`` is the
-    sorted list of occupied columns.
+    """Push interval for a non-flat x-line, the site :func:`flatten` picks;
+    ``occupied`` is the sorted list of occupied columns.
 
     A clean valley (both ends ascending, nothing in between) goes in one
     piece; otherwise the stub next to an ascending end, stopping before the
@@ -461,14 +428,10 @@ def _site_for(line: _XLine, occupied: list) -> tuple[Fraction, Fraction]:
     )
 
 
-def push_down(
-    diagram: RectilinearDiagram, height, interval=None
-) -> RectilinearDiagram:
-    """Push down an interval of the x-line at ``height``.
+def push_down(diagram: RectilinearDiagram, height) -> RectilinearDiagram:
+    """Push down the x-line at ``height`` at the site :func:`flatten` picks.
 
-    ``interval`` defaults to the deterministic site choice used by
-    :func:`flatten`; an explicit interval must touch an ascending end of the
-    x-line.  The result has one more front band and one more connector.
+    The result has one more front band and one more connector.
 
     The input is validated here by one walk, before the eligibility checks.
     The surgery itself (shared with :func:`flatten_trace`, which runs it on
@@ -476,34 +439,7 @@ def push_down(
     """
     walk = _walk(diagram)
     line = _find_xline(walk.lines, height)
-    if interval is None:
-        u, w = _site_for(line, walk.sorted_columns)
-    else:
-        u, w = Fraction(interval[0]), Fraction(interval[1])
-        if not (line.x_left <= u < w <= line.x_right):
-            raise SiteNotEligible(
-                f"interval [{u},{w}] is not inside the x-line at height {line.y}"
-            )
-        # interval endpoints may coincide with a junction only where the
-        # band continues upward; cutting at a descending junction would
-        # fold the path back onto its own column
-        if u == line.x_left and not line.left_ascends:
-            raise SiteNotEligible("interval may not end at a descending junction")
-        if w == line.x_right and not line.right_ascends:
-            raise SiteNotEligible("interval may not end at a descending junction")
-        if not (u == line.x_left or w == line.x_right):
-            raise SiteNotEligible(
-                "pushed interval must reach an ascending end of the x-line"
-            )
-        for cut, junction in ((u, u == line.x_left), (w, w == line.x_right)):
-            if not junction and cut in walk.columns:
-                raise SiteNotEligible(f"cut column {cut} is already occupied")
-        # an interval spanning a crossing or a foot would strand feet between
-        # the connector's, splitting the boundary instead of preserving it
-        if any(u < col < w for col in walk.columns):
-            raise SiteNotEligible(
-                "pushed interval may not span occupied columns"
-            )
+    u, w = _site_for(line, walk.sorted_columns)
     return _push(diagram, walk, line, u, w, walk.boundary(), 1)
 
 
@@ -598,7 +534,7 @@ def _push(
 
     bands = diagram.bands[:bi] + (piece_a, piece_b) + diagram.bands[bi + 1:]
     result = _diagram(bands, diagram.connectors + (connector,))
-    if diagram_euler(result) != diagram_euler(diagram) - 2:
+    if result.band_count != diagram.band_count + 2:
         raise InvariantViolation("push-down must add exactly two bands")
     if walk.boundary() != boundary_before:
         raise InvariantViolation("push-down must preserve the boundary count")
@@ -661,7 +597,7 @@ def flatten_trace(diagram: RectilinearDiagram) -> FlattenResult:
     steps: list[PushStep] = []
     current = _mapped(diagram, lambda v: v.numerator * (unit // v.denominator))
     walk = _walk(current)
-    euler = diagram_euler(current)
+    euler = 1 - current.band_count
     boundary = walk.boundary()
     while True:
         pending = [line for line in walk.lines if line.left_ascends or line.right_ascends]
@@ -676,7 +612,7 @@ def flatten_trace(diagram: RectilinearDiagram) -> FlattenResult:
             height=to_fraction(line.y),
             interval=(to_fraction(u), to_fraction(w)),
             euler_before=euler,
-            euler_after=diagram_euler(current),
+            euler_after=1 - current.band_count,
             boundary_before=boundary,
             boundary_after=boundary,
             ascending_before=ascending,
@@ -697,20 +633,25 @@ def flatten(diagram: RectilinearDiagram) -> FlatBasketCode:
     return flatten_trace(diagram).code
 
 
-def read_off_code(diagram: RectilinearDiagram) -> FlatBasketCode:
-    """Basket code of an all-flat diagram.
-
-    Front bands are single arches; pages go to the lowest arch first, then
-    to connectors in creation order behind all front bands.  The input is
-    validated here; :func:`flatten_trace` reads off its own final diagram,
-    already walked, through the private step.
-    """
-    return _read_off_code(diagram, _walk(diagram).lines)
+def _feet(diagram: RectilinearDiagram) -> list[tuple[Fraction, int]]:
+    feet = []
+    for bi, band in enumerate(diagram.bands):
+        feet.append((band[0][0], bi))
+        feet.append((band[-1][0], bi))
+    for ci, connector in enumerate(diagram.connectors):
+        feet.append((connector.left, len(diagram.bands) + ci))
+        feet.append((connector.right, len(diagram.bands) + ci))
+    feet.sort()
+    return feet
 
 
 def _read_off_code(diagram: RectilinearDiagram, lines: list[_XLine]) -> FlatBasketCode:
-    """:func:`read_off_code` on a validated diagram with these x-lines, in
-    band order; every band has at least one."""
+    """Basket code of an all-flat, validated diagram with these x-lines, in
+    band order; every band has at least one.
+
+    Front bands are single arches; pages go to the lowest arch first, then
+    to connectors in creation order behind all front bands.
+    """
     arch_heights = []
     for line in lines:
         if arch_heights and arch_heights[-1][1] == line.band:
@@ -805,19 +746,3 @@ def diagram_seifert_matrix(diagram: RectilinearDiagram) -> tuple[tuple[int, ...]
                 rows[i][j] += 1 if earlier_first else -1
                 rows[j][i] += -1 if earlier_first else 1
     return tuple(tuple(r) for r in rows)
-
-
-def code_to_flat_diagram(code: FlatBasketCode) -> RectilinearDiagram:
-    """Flat diagram realizing a code: one arch per band, height = page."""
-    bands = []
-    for label in range(1, code.n + 1):
-        p, q = code.foot_positions[label]
-        bands.append(
-            (
-                (Fraction(p), Fraction(0)),
-                (Fraction(p), Fraction(label)),
-                (Fraction(q), Fraction(label)),
-                (Fraction(q), Fraction(0)),
-            )
-        )
-    return RectilinearDiagram(tuple(bands))

@@ -35,10 +35,6 @@ class SeifertMatrix:
     def n(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> int:
-        """1-based access matching the usual v_{i,j} notation."""
-        return self.rows[i - 1][j - 1]
-
     def __str__(self) -> str:
         return format_rows(self.rows)
 

@@ -54,22 +54,6 @@ class KnotRecord:
     footnote: str | None
     block: int
 
-    @property
-    def exact(self) -> bool:
-        return self.fpbk_low == self.fpbk_high
-
-    @property
-    def claim_text(self) -> str:
-        base = (
-            str(self.fpbk_low)
-            if self.exact
-            else f"{self.fpbk_low} - {self.fpbk_high}"
-        )
-        marks = (f" {_BULLET}" if self.bullet else "") + (
-            f" {self.footnote}" if self.footnote else ""
-        )
-        return base + marks
-
 
 @dataclass(frozen=True)
 class RowResult:
@@ -91,10 +75,6 @@ class TableReport:
     @property
     def passed(self) -> bool:
         return all(row.passed for row in self.rows)
-
-    @property
-    def failures(self) -> tuple[RowResult, ...]:
-        return tuple(row for row in self.rows if not row.passed)
 
 
 def _data_text(path: str | Path | None, bundled: str) -> str:

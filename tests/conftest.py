@@ -8,8 +8,8 @@ from itertools import permutations
 
 import pytest
 
-from flatbasket import FlatBasketCode, parse_code
-from flatbasket.pushdown import flatten_trace, push_down, read_off_code
+from flatbasket import FlatBasketCode, boundary_components, parse_code, underlying
+from flatbasket.pushdown import RectilinearDiagram, flatten_trace, push_down
 from flatbasket.seifert import SeifertMatrix
 
 
@@ -76,6 +76,53 @@ def leibniz_det(rows) -> int:
     return total
 
 
+def fraction_pencil_det(matrix: SeifertMatrix) -> tuple[int, ...]:
+    """det(V - t V^T) from exact ``Fraction`` eliminations of the integer
+    matrices V - x V^T at x = 0..n, then Newton interpolation through those
+    n + 1 values; every coefficient must come out an integer."""
+    rows, n = matrix.rows, matrix.n
+    values = [
+        _fraction_det([[Fraction(rows[i][j] - x * rows[j][i]) for j in range(n)] for i in range(n)])
+        for x in range(n + 1)
+    ]
+    # divided differences on the nodes 0..n, whose gaps at level k are k
+    newton = values[:]
+    for level in range(1, n + 1):
+        for i in range(n, level - 1, -1):
+            newton[i] = (newton[i] - newton[i - 1]) / level
+    # Horner on the Newton form: p = newton[i] + (t - i) * p, from i = n down
+    poly = [newton[n]]
+    for i in range(n - 1, -1, -1):
+        shifted = [Fraction(0)] + poly
+        for k, c in enumerate(poly):
+            shifted[k] -= i * c
+        shifted[0] += newton[i]
+        poly = shifted
+    assert all(c.denominator == 1 for c in poly)
+    return poly_trim([int(c) for c in poly])
+
+
+def _fraction_det(a: list[list[Fraction]]) -> Fraction:
+    """Gaussian elimination over Q, on the first nonzero entry of each
+    column; ``a`` is consumed."""
+    n = len(a)
+    det = Fraction(1)
+    for c in range(n):
+        p = next((r for r in range(c, n) if a[r][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        pivot = a[c][c]
+        det *= pivot
+        for r in range(c + 1, n):
+            f = a[r][c] / pivot
+            if f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
+
+
 def _perm_sign(perm: tuple[int, ...]) -> int:
     sign = 1
     seen = [False] * len(perm)
@@ -97,26 +144,69 @@ def replay_flatten(diagram):
     """``flatten_trace``, which runs on a scaled integer grid, replayed step
     by step through public ``push_down`` in ``Fraction`` coordinates.
 
-    Each step's interval must be the default site the public surgery picks
-    (pushing it explicitly gives the same diagram), and the replay must end
-    on the reported final diagram and code.  Every reported coordinate must
-    be a ``Fraction``.
+    Each public push-down must make its new feet at the reported interval's
+    ends, flanked by its connector's (the local foot pattern connector,
+    left piece, right piece, connector), and the replay must end on the
+    reported final diagram, which reads off the reported code with no
+    further push-down.  Every reported coordinate must be a ``Fraction``.
     """
     result = flatten_trace(diagram)
     current = diagram
     for step in result.steps:
         pushed = push_down(current, step.height)
-        assert push_down(current, step.height, step.interval) == pushed
+        connector = pushed.connectors[-1]
+        new_feet = sorted(diagram_feet(pushed) - diagram_feet(current))
+        assert new_feet == [connector.left, *step.interval, connector.right]
         current = pushed
     assert current.bands == result.final.bands
     assert current.connectors == result.final.connectors
-    assert read_off_code(current) == result.code
+    again = flatten_trace(current)
+    assert again.steps == () and again.code == result.code
     values = [step.height for step in result.steps]
     values += [v for step in result.steps for v in step.interval]
     values += [v for band in result.final.bands for vertex in band for v in vertex]
     values += [v for c in result.final.connectors for v in (c.left, c.right)]
     assert all(type(v) is Fraction for v in values)
     return result
+
+
+# ---------------------------------------------------------------------------
+# diagram helpers
+# ---------------------------------------------------------------------------
+
+def diagram_feet(diagram: RectilinearDiagram) -> set:
+    """The foot columns of every band and connector."""
+    feet = {x for band in diagram.bands for x in (band[0][0], band[-1][0])}
+    return feet | {x for c in diagram.connectors for x in (c.left, c.right)}
+
+
+def diagram_boundary_components(diagram: RectilinearDiagram) -> int:
+    """Boundary components of the realized surface, from the code that
+    labels each foot, in baseline order, by its band or connector: only the
+    foot pairing matters."""
+    owners = [(x, i) for i, band in enumerate(diagram.bands) for x in (band[0][0], band[-1][0])]
+    owners += [
+        (x, len(diagram.bands) + i)
+        for i, c in enumerate(diagram.connectors)
+        for x in (c.left, c.right)
+    ]
+    word = tuple(owner + 1 for _, owner in sorted(owners))
+    return boundary_components(underlying(FlatBasketCode(word)))
+
+
+def code_to_flat_diagram(code: FlatBasketCode) -> RectilinearDiagram:
+    """Flat diagram realizing a code: one arch per band, height = page."""
+    bands = []
+    for label in range(1, code.n + 1):
+        p, q = code.foot_positions[label]
+        bands.append(((p, 0), (p, label), (q, label), (q, 0)))
+    return RectilinearDiagram(tuple(bands))
+
+
+def rotated(code: FlatBasketCode, k: int) -> FlatBasketCode:
+    """Cyclic rotation moving position k + 1 to the front (basepoint shift)."""
+    k %= len(code.word)
+    return FlatBasketCode(code.word[k:] + code.word[:k])
 
 
 def random_code(rng: random.Random, n: int) -> FlatBasketCode:

@@ -32,7 +32,6 @@ from flatbasket.pushdown import (
     diagram_seifert_matrix,
     flatten_trace,
     parse_diagram,
-    read_off_code,
 )
 from flatbasket.search import SearchQuery, enumerate_matchings, record_to_json, search
 from flatbasket.seifert import SeifertMatrix
@@ -237,7 +236,7 @@ def test_criterion_8_push_down_suite():
             flat_count += 1
             calibration_ok = (
                 diagram_seifert_matrix(diagram)
-                == seifert_matrix(read_off_code(diagram)).rows
+                == seifert_matrix(result.code).rows
             )
         if not (steps_ok and delta_ok and calibration_ok):
             failures.append(path.name)

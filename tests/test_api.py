@@ -27,8 +27,7 @@ PUBLIC = {
     "flatbasket.codes": {
         "FlatBasketCode", "UnderlyingDiagram", "SurfaceStats", "parse_code",
         "parse_matching", "underlying", "boundary_components", "surface_stats",
-        "surface_genus", "canonicalize", "canonical_word", "rotated",
-        "is_canonical_word", "relabel",
+        "surface_genus", "canonicalize", "canonical_word", "relabel",
     },
     "flatbasket.invariants": {
         "IntPolynomial", "AlexanderPolynomial", "parse_polynomial",
@@ -44,8 +43,7 @@ PUBLIC = {
         "RectilinearDiagram", "Connector", "XLineClass", "PushStep",
         "FlattenResult", "parse_diagram", "load_diagram", "diagram_to_text",
         "validate_diagram", "classify_xlines", "push_down", "flatten",
-        "flatten_trace", "read_off_code", "diagram_seifert_matrix",
-        "code_to_flat_diagram", "diagram_boundary_components", "diagram_euler",
+        "flatten_trace", "diagram_seifert_matrix",
     },
     "flatbasket.search": {
         "SearchQuery", "SearchRecord", "enumerate_matchings", "enumerate_codes",

@@ -14,9 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from flatbasket import cli, invariants
+from flatbasket import cli, invariants, seifert
 from flatbasket.cli import build_parser, cli_dispatch
-from flatbasket.codes import FlatBasketCode, surface_stats
+from flatbasket.codes import FlatBasketCode, UnderlyingDiagram, surface_stats
 from flatbasket.invariants import PENCIL_CAP, arf_from_determinant
 from flatbasket.pushdown import FLATTEN_CAP
 from conftest import z_t_steps
@@ -323,6 +323,29 @@ def test_pencil_cap_is_fixed(monkeypatch, capsys):
         status, out, err = run(capsys, *argv, "--code", over)
         assert (status, out) == (1, "")
         assert err == f"error: {PENCIL_CAP + 2} bands exceeds the pencil cap {PENCIL_CAP}\n"
+
+
+def test_pencil_cap_is_checked_before_any_seifert_matrix(monkeypatch, capsys, tmp_path):
+    # no command builds the Seifert rows or the crossing list of a code
+    # above the cap; verify-table meets the cap in a row of its --table
+    def refuse(*args):
+        raise AssertionError("a Seifert matrix was built above the cap")
+
+    monkeypatch.setattr(seifert, "_seifert_rows", refuse)
+    monkeypatch.setattr(UnderlyingDiagram, "crossings", property(refuse))
+    over = _all_crossing(PENCIL_CAP + 1)
+    knot = _all_crossing(PENCIL_CAP + 2)
+    table = tmp_path / "over.tsv"
+    table.write_text(f"3_1\t{knot}\t1\t4\n")
+    for argv, bands in (
+        (("alexander", "--code", over), PENCIL_CAP + 1),
+        (("invariants", "--code", over), PENCIL_CAP + 1),
+        (("bound", "--code", knot), PENCIL_CAP + 2),
+        (("verify-table", "--table", str(table)), PENCIL_CAP + 2),
+    ):
+        status, out, err = run(capsys, *argv)
+        assert (status, out) == (1, ""), argv
+        assert err == f"error: {bands} bands exceeds the pencil cap {PENCIL_CAP}\n", argv
 
 
 def _seeded_knot(rng: random.Random, bands: int) -> str:

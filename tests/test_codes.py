@@ -12,7 +12,8 @@ from flatbasket import (
     surface_stats,
     underlying,
 )
-from flatbasket.codes import is_canonical_word, rotated
+from flatbasket.codes import canonical_word
+from conftest import rotated
 from flatbasket.errors import (
     EmptyInput,
     InvalidPermutation,
@@ -125,7 +126,7 @@ def test_canonicalize_idempotent_and_rotation_invariant():
         code = parse_code(text)
         canonical = canonicalize(code)
         assert canonicalize(canonical) == canonical
-        assert is_canonical_word(canonical.word)
+        assert canonical_word(canonical.word) == canonical.word
         for k in range(len(code.word)):
             assert canonicalize(rotated(code, k)) == canonical
 

@@ -17,7 +17,6 @@ from flatbasket.errors import (
     ParseError,
 )
 from flatbasket.pushdown import (
-    code_to_flat_diagram,
     diagram_to_text,
     flatten_trace,
     parse_diagram,
@@ -25,6 +24,7 @@ from flatbasket.pushdown import (
 )
 from flatbasket.search import SearchQuery
 from flatbasket.tables import load_references, load_table
+from conftest import code_to_flat_diagram
 
 
 def test_code_constructor_rejects_empty_word():
@@ -149,7 +149,8 @@ def test_invariant_checks_survive_optimized_mode(monkeypatch):
     checks = [
         (codes, "boundary_components", lambda d: 2,
          lambda: codes.surface_stats(parse_code("1,2,1,2"))),
-        (pushdown, "diagram_euler", lambda d: 0, lambda: push_down(valley, 1)),
+        (pushdown.RectilinearDiagram, "band_count", property(lambda d: 0),
+         lambda: push_down(valley, 1)),
         (pushdown._Walk, "boundary", lambda walk: len(walk.feet),
          lambda: push_down(valley, 1)),
         (pushdown._Walk, "boundary", lambda walk: len(walk.feet),

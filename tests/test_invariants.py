@@ -33,7 +33,15 @@ from flatbasket.pushdown import diagram_seifert_matrix, parse_diagram
 from flatbasket.search import enumerate_codes, enumerate_matchings
 from flatbasket.seifert import SeifertMatrix, symmetrized
 from flatbasket.tables import load_table
-from conftest import all_codes, leibniz_det, leibniz_pencil_det, random_code, z_t_steps
+from conftest import (
+    all_codes,
+    fraction_pencil_det,
+    leibniz_det,
+    leibniz_pencil_det,
+    random_code,
+    rotated,
+    z_t_steps,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +242,13 @@ def test_fraction_free_fill_on_seeded_24_band_knots(monkeypatch):
 
 def _brute_force_pivot(rows, m):
     """The pivot rule of ``invariants._pivot`` after a prev t^m (m None when
-    prev is no monomial), by a scan of every entry."""
+    prev is no monomial, and then no monomial tier), by a scan of every
+    entry."""
     entries = [(i, j, e) for i, row in enumerate(rows) for j, e in enumerate(row) if e]
     if not entries:
         return None
     monomials = [(i, j, e) for i, j, e in entries if e[-1] in (1, -1) and not any(e[:-1])]
-    if m is None:
-        monomials = [u for u in monomials if len(u[2]) == 1]
-    if not monomials:
+    if m is None or not monomials:
         return min((len(e), abs(e[-1]), (i, j)) for i, j, e in entries)[2]
     lengths = {len(e) for _, _, e in monomials}
     length = m + 1 if m + 1 in lengths else min(lengths)
@@ -304,10 +311,14 @@ def test_pivot_tiers_and_ties():
     pencil = [[[2], [], []], [[], [-1], [1]], [[], [1], [1]]]
     assert invariants._pivot(pencil, 0) == (1, 2)
     # without monomials the shortest entries, then the least |leading
-    # coefficient|; after a non-monomial prev only constant units count
+    # coefficient|, the first among equals; after a non-monomial prev that
+    # is the whole rule, so a -1 ties with a 1
     pencil = [[[1, 1], [], []], [[], [-5], [3]], [[], [7], []]]
     assert invariants._pivot(pencil, 0) == (1, 2)
     assert invariants._pivot(pencil, None) == (1, 2)
+    pencil = [[[-1], [1]], [[2], [3]]]
+    assert invariants._pivot(pencil, 0) == (0, 1)
+    assert invariants._pivot(pencil, None) == (0, 0)
     assert invariants._pivot([[[], []], [[], []]], 0) is None
     # after prev t^2: a +-t^2 first, even after a +-1 and a +-t
     pencil = [[[1], [0, 1]], [[0, 0, -1], [2]]]
@@ -459,25 +470,51 @@ def _berkowitz_pencil_det(v) -> tuple[int, ...]:
     return tuple(int(c) for c in reversed(det.all_coeffs())) if not det.is_zero else ()
 
 
+def _seeded_knot(rng, n):
+    while True:
+        code = random_code(rng, n)
+        if surface_stats(code).boundary == 1:
+            return code
+
+
 def test_fraction_free_matches_berkowitz_on_seeded_knots(monkeypatch):
+    # the 8-band knot of seed 1221 takes one packed step after a prev other
+    # than [1]; sympy's Berkowitz grows slow beyond 8 bands, and
+    # ``conftest.fraction_pencil_det`` checks the larger knots
+    steps = z_t_steps(monkeypatch)
+    v = seifert_matrix(_seeded_knot(random.Random(1221), 8))
+    assert pencil_determinant(v, "fraction_free").coeffs == _berkowitz_pencil_det(v)
+    assert steps.count(("packed", True)) == 1 and ("packed", False) not in steps
+
+
+def test_fraction_free_matches_the_fraction_oracle_on_seeded_knots(monkeypatch):
     # the knots of seed 1012 take monomial steps only, some after a
     # division by t^m, m >= 1; those of seed 1221 take packed steps too,
-    # each after a prev other than [1]
+    # each after a prev other than [1]; those of seed 29 take packed steps
+    # after a prev that is no monomial
     steps = z_t_steps(monkeypatch)
-    for seed, sizes, packed_steps in (
-        (1012, (10, 12, 12), (0, 0, 0)), (1221, (8, 10, 10), (1, 1, 3))
+    after_non_monomial = []
+    packed_step = invariants._packed_step
+
+    def on_packed(rows, rk, q, pivot, prev):
+        after_non_monomial.append(prev[-1] != 1 or prev.count(0) != len(prev) - 1)
+        packed_step(rows, rk, q, pivot, prev)
+
+    monkeypatch.setattr(invariants, "_packed_step", on_packed)
+    for seed, sizes, packed_steps, non_monomial_prevs in (
+        (1012, (10, 12, 12), (0, 0, 0), (0, 0, 0)),
+        (1221, (8, 10, 10), (1, 1, 3), (0, 0, 2)),
+        (29, (16, 20, 24), (3, 5, 5), (2, 4, 4)),
     ):
         rng = random.Random(seed)
-        for n, packed in zip(sizes, packed_steps):
-            while True:
-                code = random_code(rng, n)
-                if surface_stats(code).boundary == 1:
-                    break
+        for n, packed, non_monomial in zip(sizes, packed_steps, non_monomial_prevs):
+            code = _seeded_knot(rng, n)
             v = seifert_matrix(code)
             steps.clear()
-            expected = _berkowitz_pencil_det(v)
-            assert pencil_determinant(v, "fraction_free").coeffs == expected, code
+            after_non_monomial.clear()
+            assert pencil_determinant(v, "fraction_free").coeffs == fraction_pencil_det(v), code
             assert steps.count(("packed", True)) == packed, code
+            assert sum(after_non_monomial) == non_monomial, code
             assert ("packed", False) not in steps and (packed or ("up", True) in steps), code
 
 
@@ -1001,8 +1038,6 @@ def test_knot_sanity_exhaustive_n4():
 
 
 def test_alexander_rotation_invariance():
-    from flatbasket.codes import rotated
-
     for text in ("1,2,3,4,1,2,3,4", "1,2,2,3,1,3", "1,2,4,3,1,2,4,3"):
         code = parse_code(text)
         base = alexander(code).normalized

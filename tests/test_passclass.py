@@ -40,7 +40,8 @@ def test_link_class_partial():
 
 
 def test_pass_class_rotation_and_relabel_invariance(trefoil_code):
-    from flatbasket.codes import relabel, rotated
+    from flatbasket.codes import relabel
+    from conftest import rotated
 
     base = pass_class(trefoil_code)
     for k in range(8):

@@ -28,7 +28,7 @@ from fractions import Fraction
 from flatbasket import alexander, parse_code, parse_matching, parse_polynomial
 from flatbasket import pencil_determinant, pushdown, seifert_matrix
 from flatbasket.cli import cli_dispatch
-from flatbasket.codes import FlatBasketCode, boundary_components, rotated, underlying
+from flatbasket.codes import FlatBasketCode, boundary_components, underlying
 from flatbasket.errors import (
     EmptyInput,
     FlatBasketError,
@@ -38,7 +38,6 @@ from flatbasket.errors import (
 )
 from flatbasket.pushdown import (
     RectilinearDiagram,
-    diagram_boundary_components,
     flatten,
     flatten_trace,
     validate_diagram,
@@ -46,7 +45,7 @@ from flatbasket.pushdown import (
 from flatbasket.search import _mirror_word
 from flatbasket.seifert import SeifertMatrix
 from boundary_oracle import boundary_alexander
-from conftest import leibniz_pencil_det, replay_flatten
+from conftest import diagram_boundary_components, leibniz_pencil_det, replay_flatten, rotated
 from test_pushdown import (
     checked_touch,
     grid_staircases,

@@ -17,11 +17,9 @@ from flatbasket.errors import (
 )
 from flatbasket.invariants import pencil_determinant
 from flatbasket.pushdown import (
+    Connector,
     RectilinearDiagram,
     classify_xlines,
-    code_to_flat_diagram,
-    diagram_boundary_components,
-    diagram_euler,
     diagram_seifert_matrix,
     diagram_to_text,
     flatten,
@@ -29,12 +27,14 @@ from flatbasket.pushdown import (
     load_diagram,
     parse_diagram,
     push_down,
-    read_off_code,
     validate_diagram,
 )
 from flatbasket.seifert import SeifertMatrix
+from conftest import code_to_flat_diagram, diagram_boundary_components
 
 VALLEY = "1,0; 1,3; 2,3; 2,1; 3,1; 3,4; 4,4; 4,0"
+# the x-line at y=2 descends on the left and ascends on the right
+SNAKE = "1,0; 1,2; 4,2; 4,5; 5,5; 5,0"
 
 
 def corpus_paths():
@@ -142,7 +142,8 @@ def test_validated_diagrams_pass_the_crossing_reference_after_push_downs():
         final = flatten_trace(parse_diagram(path.read_text())).final
         validate_diagram(final)
         assert checked_touch(final) is None
-    pushed = push_down(parse_diagram(VALLEY), 1, (Fraction(2), Fraction(5, 2)))
+    # the stub next to the snake's ascending end is cut at x = 5/2
+    pushed = push_down(parse_diagram(SNAKE), 2)
     assert any(x.denominator > 1 for band in pushed.bands for x, _ in band)
     validate_diagram(pushed)
     assert checked_touch(pushed) is None
@@ -290,7 +291,9 @@ def test_push_down_valley():
     assert result.band_count == 3
     assert diagram_boundary_components(diagram) == 2
     assert diagram_boundary_components(result) == 2
-    assert diagram_euler(result) == diagram_euler(diagram) - 2
+    assert result.band_count == diagram.band_count + 2
+    # a clean valley goes in one piece, between connector feet at 3/2 and 7/2
+    assert result.connectors == (Connector(Fraction(3, 2), Fraction(7, 2)),)
     # the new feet realize the connector-flanked pattern A C A B C B
     code = flatten(diagram)
     assert code.word == (1, 3, 1, 2, 3, 2)
@@ -304,50 +307,15 @@ def test_push_down_flat_rejected(trefoil_code):
         push_down(flat, 99)  # no such x-line
 
 
-def test_push_down_explicit_interval_must_touch_ascending_end():
-    diagram = parse_diagram(VALLEY)
-    with pytest.raises(SiteNotEligible):
-        push_down(diagram, 1, (Fraction(9, 4), Fraction(11, 4)))
-    result = push_down(diagram, 1, (Fraction(2), Fraction(5, 2)))
-    assert result.band_count == 3
-
-
-def test_push_down_rejects_interval_spanning_occupied_columns():
-    # deleting a crossing under the pushed interval would strand feet
-    # between the connector's feet and change the boundary
-    diagram = parse_diagram(
-        "156,0; 156,119; 16,119; 16,160; 20,160; 20,0\n"
-        "14,0; 14,16; 123,16; 123,0"
-    )
-    with pytest.raises(SiteNotEligible):
-        push_down(diagram, 119, (Fraction(16), Fraction(60)))
-    clean = push_down(diagram, 119, (Fraction(16), Fraction(18)))
-    assert clean.band_count == 4
-    assert diagram_boundary_components(clean) == diagram_boundary_components(diagram)
-
-
-def test_push_down_rejects_explicit_intervals_off_the_site():
-    spanning = "156,0; 156,119; 16,119; 16,160; 20,160; 20,0\n14,0; 14,16; 123,16; 123,0"
-    for text, height, interval, message in (
-        # reaching past the x-line's left end
-        (VALLEY, 1, (0, Fraction(5, 2)), r"interval \[0,5/2\] is not inside"),
-        # pinned to the right junction, where the band descends to its foot
-        ("1,0; 1,5; 2,5; 2,2; 5,2; 5,0", 2, (4, 5), "descending junction"),
-        # cut at column 20, which the band's last y-line occupies
-        (spanning, 119, (16, 20), "cut column 20 is already occupied"),
-    ):
-        with pytest.raises(SiteNotEligible, match=message):
-            push_down(parse_diagram(text), height, interval)
-
-
-def test_push_down_rejects_descending_junction_cut():
-    # the snake's x-line at y=2 descends on the left; an interval pinned to
-    # that junction would fold the band onto its own column
-    snake = parse_diagram("1,0; 1,2; 4,2; 4,5; 5,5; 5,0")
-    with pytest.raises(SiteNotEligible):
-        push_down(snake, 2, (Fraction(1), Fraction(2)))
-    pushed = push_down(snake, 2, (Fraction(3), Fraction(4)))
-    assert pushed.band_count == 3
+def test_push_down_cuts_the_stub_next_to_an_ascending_end():
+    # the snake's x-line descends on the left, so the stub [5/2, 4] goes
+    snake = parse_diagram(SNAKE)
+    pushed = push_down(snake, 2)
+    assert pushed.bands == parse_diagram(
+        "1,0; 1,2; 5/2,2; 5/2,0\n4,0; 4,5; 5,5; 5,0"
+    ).bands
+    assert pushed.connectors == (Connector(Fraction(7, 4), Fraction(9, 2)),)
+    assert diagram_boundary_components(pushed) == diagram_boundary_components(snake)
 
 
 def test_valley_delta_preserved():
@@ -366,12 +334,17 @@ def test_flatten_flat_diagram_is_read_off(trefoil_code):
     flat = code_to_flat_diagram(trefoil_code)
     result = flatten_trace(flat)
     assert result.steps == ()
-    assert result.code == trefoil_code == read_off_code(flat)
+    assert result.code == trefoil_code
 
 
 def test_flatten_interleaved_pair():
     flat = code_to_flat_diagram(parse_code("1,2,1,2"))
     assert flatten(flat).word == (1, 2, 1, 2)
+
+
+def read_off_code(diagram: RectilinearDiagram):
+    """The private read-off on a diagram's own walk, whatever its shape."""
+    return pushdown._read_off_code(diagram, pushdown._walk(diagram).lines)
 
 
 def test_read_off_requires_flat():
@@ -418,11 +391,6 @@ def test_flatten_validates_each_diagram_once(monkeypatch):
     sorts = []
     real_feet = pushdown._feet
     monkeypatch.setattr(pushdown, "_feet", lambda d: sorts.append(d) or real_feet(d))
-    monkeypatch.setattr(
-        pushdown,
-        "diagram_boundary_components",
-        lambda d: pytest.fail("a push-down recounted the boundary from a new code"),
-    )
     pushes = 0
     for path in corpus_paths():
         diagram = parse_diagram(path.read_text())
@@ -443,14 +411,9 @@ def test_public_entry_points_walk_each_diagram_once(monkeypatch):
         walked.clear()
         call(valley)
         assert walked == [valley], call.__name__
-    for interval in (None, (Fraction(2), Fraction(5, 2))):
-        walked.clear()
-        push_down(valley, 1, interval)
-        assert walked == [valley]
-    flat = code_to_flat_diagram(parse_code("1,2,1,2"))
     walked.clear()
-    read_off_code(flat)
-    assert walked == [flat]
+    push_down(valley, 1)
+    assert walked == [valley]
 
 
 def reference_xlines(diagram: RectilinearDiagram) -> list:
@@ -524,7 +487,7 @@ def test_walk_matches_reference_walks(monkeypatch):
     rng = random.Random(20261018)
     diagrams = [parse_diagram(path.read_text()) for path in corpus_paths()]
     diagrams += [_random_diagram(rng) for _ in range(40)]
-    diagrams.append(push_down(parse_diagram(VALLEY), 1, (Fraction(2), Fraction(5, 2))))
+    diagrams.append(push_down(parse_diagram(VALLEY), 1))
     for diagram in diagrams:
         assert walked_lines_and_columns(diagram) == reference_walk(diagram)
         flatten_trace(diagram)
@@ -618,7 +581,7 @@ def test_incremental_walk_matches_whole_walk_after_every_step():
         except FlatBasketError:
             continue
         diagrams.append(diagram)
-    diagrams.append(push_down(parse_diagram(VALLEY), 1, (Fraction(2), Fraction(5, 2))))
+    diagrams.append(push_down(parse_diagram(VALLEY), 1))
     public = 0
     with whole_walk_oracle() as checked:
         pushes = sum(len(flatten_trace(diagram).steps) for diagram in diagrams)
@@ -647,7 +610,6 @@ def test_malformed_bands_raise_their_error_from_every_entry_point(text, message)
     for call in (
         validate_diagram,
         classify_xlines,
-        read_off_code,
         flatten_trace,
         diagram_seifert_matrix,
         lambda d: push_down(d, 7),
@@ -674,11 +636,10 @@ def test_public_surgery_and_read_off_validate_their_input():
     invalid = parse_diagram(VALLEY + "\n4,0; 4,6; 5,6; 5,0")
     with pytest.raises(DuplicateColumn):
         push_down(invalid, 1)
-    with pytest.raises(DuplicateColumn):
-        push_down(invalid, 1, (Fraction(2), Fraction(3)))
+    # a flatten of an all-flat diagram only reads it off, after validating it
     two_flat_arches_one_height = parse_diagram("1,0; 1,1; 2,1; 2,0\n3,0; 3,1; 4,1; 4,0")
     with pytest.raises(DuplicateHeight):
-        read_off_code(two_flat_arches_one_height)
+        flatten_trace(two_flat_arches_one_height)
 
 
 def test_flatten_grid_replays_through_public_push_down():
@@ -693,8 +654,8 @@ def test_flatten_grid_replays_through_public_push_down():
     rng = random.Random(20261018)
     for _ in range(40):
         pushes += len(replay_flatten(_random_diagram(rng)).steps)
-    # a diagram that already has connectors and fractional columns
-    pushed = push_down(parse_diagram(VALLEY), 1, (Fraction(2), Fraction(5, 2)))
+    # a diagram that already has connectors, with feet at 3/2 and 7/2
+    pushed = push_down(parse_diagram(VALLEY), 1)
     pushes += len(replay_flatten(pushed).steps)
     assert pushes > 150
 

@@ -24,8 +24,8 @@ from flatbasket.cli import _plain_parts
 from flatbasket.codes import (
     FlatBasketCode,
     boundary_components,
+    canonical_word,
     canonicalize,
-    is_canonical_word,
     surface_genus,
 )
 from flatbasket.invariants import (
@@ -33,7 +33,7 @@ from flatbasket.invariants import (
     arf_from_determinant,
     determinant_from_alexander,
 )
-from flatbasket.pushdown import code_to_flat_diagram, diagram_seifert_matrix
+from flatbasket.pushdown import diagram_seifert_matrix
 from flatbasket.errors import CapExceeded, StoreMismatch
 from flatbasket.search import (
     SearchQuery,
@@ -46,7 +46,7 @@ from flatbasket.search import (
     write_store,
 )
 from flatbasket.seifert import _orientation_key, _seifert_rows
-from conftest import all_codes
+from conftest import all_codes, code_to_flat_diagram
 
 
 def test_matching_counts():
@@ -83,7 +83,7 @@ def test_enumerate_codes_examples(trefoil_code):
 def test_enumerate_codes_are_canonical_with_exact_matching():
     for matching in enumerate_matchings(3):
         for code in enumerate_codes(matching):
-            assert is_canonical_word(code.word)
+            assert canonical_word(code.word) == code.word
             assert underlying(code).pairing == matching.pairing
 
 
@@ -106,7 +106,7 @@ def test_canonical_words_match_brute_force_filter():
             brute = sorted(
                 word
                 for perm in permutations(range(1, n + 1))
-                if is_canonical_word(word := tuple(perm[c] for c in matching.chord_at))
+                if canonical_word(word := tuple(perm[c] for c in matching.chord_at)) == word
             )
             assert search_module._canonical_words(matching) == brute, matching
 

@@ -30,7 +30,6 @@ def test_row_examples():
     assert (r.genus, r.fpbk_low, r.fpbk_high, r.bullet) == (1, 4, 4, False)
     r = records["7_2"]
     assert (r.fpbk_low, r.fpbk_high, r.bullet, r.footnote) == (6, 8, True, None)
-    assert r.claim_text == "6 - 8 •"
     r = records["9_24"]
     assert (r.fpbk_low, r.fpbk_high, r.footnote) == (8, 8, "*")
     r = records["9_29"]
