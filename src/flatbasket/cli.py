@@ -87,7 +87,9 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    matrix = seifert_matrix(parse_code(args.code))
+    code = parse_code(args.code)
+    _check_pencil_cap(code.n)
+    matrix = seifert_matrix(code)
     if args.symmetrized:
         rows = symmetrized(matrix)
     else:

@@ -22,20 +22,21 @@ New feet go at fresh columns, midway to the nearest occupied column or one
 unit beyond the outermost one; only the left-to-right order of feet matters
 for the resulting code.
 
-:func:`flatten_trace` walks two diagrams whole, the input and its grid
-copy.  A push-down walks nothing whole: it checks the two pieces and the
-connector it makes against the rest and updates the walk in place, so a
-step costs what the surgery changes.
+:func:`flatten_trace` walks one diagram whole, the input's copy on its
+integer grid.  A push-down walks nothing whole: it checks the two pieces
+and the connector it makes against the rest and updates the walk in place,
+so a step costs what the surgery changes.
 
-After the ``Fraction`` input's walk, flattening works on one integer grid:
-every coordinate v becomes v * S with S = D * 2**(3A), where D is the lcm of
-the input's denominators and A its number of ascending ends.  A flatten
-makes at most A push-downs (each removes an ascending end) and each takes at
-most three midpoints (the cut and the two connector feet), so every midpoint
-lands on the grid; each halving is still checked.  The surgery is the same
-code on either number type, Fractions with unit 1 or grid integers with unit
-S, and only the values a :class:`FlattenResult` reports go back to
-Fractions.
+On that grid every coordinate v becomes v * S with S = D * 2**(3A), where D
+is the lcm of the input's denominators and A its number of ascending ends:
+A = x-lines - front bands, since each interior y-line of a valid band joins
+two x-lines at different heights.  A flatten makes at most A push-downs
+(each removes an ascending end) and each takes at most three midpoints (the
+cut and the two connector feet), so every midpoint lands on the grid; each
+halving is still checked.  Scaling by S > 0 keeps every order and equality
+and 0, so the grid walk fails where a walk of the input would.  The surgery
+is the same code on either number type, Fractions with unit 1 or grid
+integers with unit S; only reported values go back to Fractions.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ import math
 import re
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -53,6 +55,7 @@ from .errors import (
     CapExceeded,
     DuplicateColumn,
     DuplicateHeight,
+    FlatBasketError,
     FootOrderViolation,
     InvariantViolation,
     MalformedDiagram,
@@ -155,9 +158,16 @@ class PushStep:
 
 @dataclass(frozen=True)
 class FlattenResult:
+    """``final`` is converted from the flatten grid when first read."""
+
     code: FlatBasketCode
-    final: RectilinearDiagram
-    steps: tuple[PushStep, ...] = field(default_factory=tuple)
+    steps: tuple[PushStep, ...]
+    _grid: RectilinearDiagram = field(repr=False)
+    _unit: int = field(repr=False)
+
+    @cached_property
+    def final(self) -> RectilinearDiagram:
+        return _mapped(self._grid, lambda v: Fraction(v, self._unit))
 
 
 # ---------------------------------------------------------------------------
@@ -544,20 +554,27 @@ def _push(
 # Largest input x-line count that ``flatten`` accepts.  A push-down still
 # costs in proportion to the cut band's length (its pieces are re-checked
 # whole) and to the foot count (the boundary count).  128 x-lines (16
-# staircase bands of 8, 8 of 16, or 1 of 128) take 0.02-0.06 s on a shared
-# 2-core Linux VM; one band of 256 takes 0.15-0.25 s, more than 128 took
-# (0.09-0.18 s) when every step walked the whole diagram.
+# staircase bands of 8, 8 of 16, or 1 of 128) take 0.016-0.033 s on a shared
+# 2-core Linux VM; one band of 256 takes 0.12-0.17 s, about what 128 took
+# (0.09-0.18 s) when every step walked the whole diagram.  The lcm of the
+# denominators may take 3 * FLATTEN_CAP bits, the room the cap gives midpoints.
 FLATTEN_CAP = 128
 
 
-def _grid_unit(diagram: RectilinearDiagram, ascending: int) -> int:
+def _grid_unit(diagram: RectilinearDiagram, ascending: int) -> int | None:
     """S = D * 2**(3A): D is the lcm of the coordinates' denominators and A
     the diagram's ``ascending`` end count, so at most A push-downs of three
-    midpoints each stay on the grid of multiples of 1/S."""
+    midpoints each stay on the grid of multiples of 1/S; None once D would
+    take more than 3 * FLATTEN_CAP bits."""
     denominators = {v.denominator for band in diagram.bands for p in band for v in p}
     for connector in diagram.connectors:
         denominators.update((connector.left.denominator, connector.right.denominator))
-    return math.lcm(*denominators) << 3 * ascending
+    lcm = 1
+    for q in denominators:
+        lcm = math.lcm(lcm, q)
+        if lcm.bit_length() > 3 * FLATTEN_CAP:
+            return None
+    return lcm << 3 * ascending
 
 
 def _mapped(diagram: RectilinearDiagram, f) -> RectilinearDiagram:
@@ -571,32 +588,30 @@ def _mapped(diagram: RectilinearDiagram, f) -> RectilinearDiagram:
 def flatten_trace(diagram: RectilinearDiagram) -> FlattenResult:
     """Push down eligible sites (lowest first) until every x-line is flat.
 
-    Two diagrams are walked whole by :func:`_walk`, which validates a
-    diagram and lists its x-lines and occupied columns: the input here, in
-    drawing coordinates, and its copy on the integer grid of
-    :func:`_grid_unit`.  Each push-down then updates that walk by local work
-    inside the surgery, so a flatten makes 2 walks whatever its number of
-    steps.  The ``FLATTEN_CAP`` check reads the input's walk, and the steps
-    and final diagram are reported in ``Fraction`` coordinates.
+    Both caps are checked before any grid is built (a valid band of 2L + 2
+    vertices has L x-lines).  :func:`_walk` validates the grid copy, and the
+    input only when that fails, to quote its coordinates; push-downs update
+    that one walk in place.
     """
-    walk = _walk(diagram)
-    if len(walk.lines) > FLATTEN_CAP:
+    xlines = sum((len(band) - 2) // 2 for band in diagram.bands)
+    ascending = max(xlines - len(diagram.bands), 0)
+    unit = _grid_unit(diagram, ascending) if xlines <= FLATTEN_CAP else None
+    if unit is None:
+        _walk(diagram)  # an invalid drawing gets its validation error first
         raise CapExceeded(
-            f"diagram with {len(walk.lines)} x-lines exceeds the flatten cap {FLATTEN_CAP}"
+            f"diagram with {xlines} x-lines exceeds the flatten cap {FLATTEN_CAP}"
+            if xlines > FLATTEN_CAP
+            else f"diagram denominators exceed the flatten cap of {3 * FLATTEN_CAP} bits"
         )
-    unit = _grid_unit(diagram, walk.ascending)
-    exact: dict[int, Fraction] = {}
-
-    def to_fraction(v: int) -> Fraction:
-        """Fraction(v, unit), built once per distinct grid value."""
-        f = exact.get(v)
-        if f is None:
-            f = exact[v] = Fraction(v, unit)
-        return f
-
-    steps: list[PushStep] = []
     current = _mapped(diagram, lambda v: v.numerator * (unit // v.denominator))
-    walk = _walk(current)
+    try:
+        walk = _walk(current)
+    except FlatBasketError:
+        _walk(diagram)  # fails at the same check, in drawing coordinates
+        raise InvariantViolation("the flatten grid rejects a valid drawing")
+    if walk.ascending != ascending:
+        raise InvariantViolation("ascending ends differ from x-lines minus bands")
+    steps: list[PushStep] = []
     euler = 1 - current.band_count
     boundary = walk.boundary()
     while True:
@@ -609,8 +624,8 @@ def flatten_trace(diagram: RectilinearDiagram) -> FlattenResult:
         current = _push(current, walk, line, u, w, boundary, unit)
         # _push has checked the Euler drop and that the boundary count is kept
         step = PushStep(
-            height=to_fraction(line.y),
-            interval=(to_fraction(u), to_fraction(w)),
+            height=Fraction(line.y, unit),
+            interval=(Fraction(u, unit), Fraction(w, unit)),
             euler_before=euler,
             euler_after=1 - current.band_count,
             boundary_before=boundary,
@@ -622,11 +637,7 @@ def flatten_trace(diagram: RectilinearDiagram) -> FlattenResult:
         if step.ascending_after >= step.ascending_before:
             raise InvariantViolation("push-down must remove an ascending end")
         euler = step.euler_after
-    return FlattenResult(
-        code=_read_off_code(current, walk.lines),
-        final=_mapped(current, to_fraction),
-        steps=tuple(steps),
-    )
+    return FlattenResult(_read_off_code(current, walk.lines), tuple(steps), current, unit)
 
 
 def flatten(diagram: RectilinearDiagram) -> FlatBasketCode:

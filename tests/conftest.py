@@ -148,9 +148,11 @@ def replay_flatten(diagram):
     ends, flanked by its connector's (the local foot pattern connector,
     left piece, right piece, connector), and the replay must end on the
     reported final diagram, which reads off the reported code with no
-    further push-down.  Every reported coordinate must be a ``Fraction``.
+    further push-down.  Every reported coordinate must be a ``Fraction``,
+    and the final diagram is converted only when it is first read.
     """
     result = flatten_trace(diagram)
+    assert "final" not in vars(result)
     current = diagram
     for step in result.steps:
         pushed = push_down(current, step.height)
@@ -160,6 +162,7 @@ def replay_flatten(diagram):
         current = pushed
     assert current.bands == result.final.bands
     assert current.connectors == result.final.connectors
+    assert result.final is result.final
     again = flatten_trace(current)
     assert again.steps == () and again.code == result.code
     values = [step.height for step in result.steps]

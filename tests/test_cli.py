@@ -297,6 +297,34 @@ def test_flatten_cap_is_fixed(tmp_path, capsys):
     )
 
 
+def _hostile_feet(bands: int, digits: int) -> str:
+    """One arch per band, at height 1, 2, ...; its feet have denominators
+    of ``digits`` + 1 digits, nearly coprime across feet, so their lcm has
+    about 2 * bands * ``digits`` digits."""
+    rows = []
+    for i in range(bands):
+        q, r = 10**digits + 4 * i + 1, 10**digits + 4 * i + 3
+        left, right = f"{2 * i * q + 1}/{q}", f"{(2 * i + 1) * r + 1}/{r}"
+        rows.append(f"{left},0; {left},{i + 1}; {right},{i + 1}; {right},0")
+    return "\n".join(rows) + "\n"
+
+
+def test_flatten_refuses_hostile_denominators(tmp_path, capsys):
+    # the lcm of the denominators is folded only up to 3 * FLATTEN_CAP bits
+    diagram = tmp_path / "hostile.txt"
+    for text, message in (
+        (_hostile_feet(32, 2000),
+         f"diagram denominators exceed the flatten cap of {3 * FLATTEN_CAP} bits"),
+        # an invalid drawing of that kind still gets its validation error
+        (_hostile_feet(32, 2000) + "1,0; 1,7; 3,7; 3,0\n", "two x-lines share height y=7"),
+    ):
+        diagram.write_text(text)
+        start = time.perf_counter()
+        status, out, err = run(capsys, "flatten", "--json", "--diagram", str(diagram))
+        assert time.perf_counter() - start < 1
+        assert (status, out, err) == (1, "", f"error: {message}\n")
+
+
 def _all_crossing(bands: int) -> str:
     """1..n,1..n: every chord pair interleaves; a knot for even n."""
     return ",".join(map(str, list(range(1, bands + 1)) * 2))
@@ -338,6 +366,7 @@ def test_pencil_cap_is_checked_before_any_seifert_matrix(monkeypatch, capsys, tm
     table = tmp_path / "over.tsv"
     table.write_text(f"3_1\t{knot}\t1\t4\n")
     for argv, bands in (
+        (("matrix", "--code", over), PENCIL_CAP + 1),
         (("alexander", "--code", over), PENCIL_CAP + 1),
         (("invariants", "--code", over), PENCIL_CAP + 1),
         (("bound", "--code", knot), PENCIL_CAP + 2),

@@ -146,6 +146,7 @@ def _lossy_divmod(a, b):
 def test_invariant_checks_survive_optimized_mode(monkeypatch):
     """Broken bookkeeping raises InvariantViolation, not a strippable assert."""
     valley = parse_diagram("1,0; 1,3; 2,3; 2,1; 3,1; 3,4; 4,4; 4,0\n")
+    arch = parse_diagram("1,0; 1,1; 2,1; 2,0\n")
     checks = [
         (codes, "boundary_components", lambda d: 2,
          lambda: codes.surface_stats(parse_code("1,2,1,2"))),
@@ -156,8 +157,12 @@ def test_invariant_checks_survive_optimized_mode(monkeypatch):
         (pushdown._Walk, "boundary", lambda walk: len(walk.feet),
          lambda: flatten_trace(valley)),
         (pushdown, "_ascending_count", lambda d: 2, lambda: flatten_trace(valley)),
+        # a walk whose ascending ends are not x-lines minus bands
+        (pushdown, "_ascending_count", lambda d: 1, lambda: flatten_trace(arch)),
         # a grid too coarse for the connector's midpoint foot at x = 3/2
         (pushdown, "_grid_unit", lambda d, ascending: 1, lambda: flatten_trace(valley)),
+        # a grid that fails a walk that the drawing passes
+        (pushdown, "_grid_unit", lambda d, ascending: 0, lambda: flatten_trace(valley)),
         (search_module, "fpbk_lower_bound",
          lambda delta, genus: SimpleNamespace(overall=99),
          lambda: search_module.search(SearchQuery(bands=4, knots_only=True))),

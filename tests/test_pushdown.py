@@ -8,6 +8,7 @@ import pytest
 
 from flatbasket import alexander, normalize_alexander, parse_code, pushdown, seifert_matrix
 from flatbasket.errors import (
+    CapExceeded,
     DuplicateColumn,
     DuplicateHeight,
     FlatBasketError,
@@ -385,7 +386,7 @@ def _record_walks(monkeypatch) -> list[RectilinearDiagram]:
 
 
 def test_flatten_validates_each_diagram_once(monkeypatch):
-    # one walk each for the input and its grid copy; a push-down walks
+    # one walk, of the grid copy and not of the input; a push-down walks
     # nothing whole and re-sorts no feet, and the read-off sorts them once
     walked = _record_walks(monkeypatch)
     sorts = []
@@ -397,11 +398,112 @@ def test_flatten_validates_each_diagram_once(monkeypatch):
         walked.clear()
         sorts.clear()
         result = flatten_trace(diagram)
-        assert len(walked) == 2, path.name
-        assert walked[0] is diagram and walked[1] is not diagram
+        assert len(walked) == 1 and walked[0] is not diagram, path.name
         assert len(sorts) == 1
         pushes += len(result.steps)
     assert pushes > 0
+
+
+def invalid_diagrams() -> list[RectilinearDiagram]:
+    """The invalid diagrams that the validation tests build, some with
+    fractional columns, and invalid staircases on a grid of halves."""
+    import random
+
+    arch = parse_diagram("1,0; 1,1; 2,1; 2,0")
+    diagrams = [
+        parse_diagram(text)
+        for text in (
+            "1,0; 1,1; 2,1; 2,0\n3,0; 3,1; 4,1; 4,0",
+            "1,0; 1,1; 2,1; 2,0\n2,0; 2,3; 4,3; 4,0",
+            "1,0; 1,2; 3/2,2; 3/2,0\n5,0; 5,3; 3/2,3; 3/2,4; 6,4; 6,0",
+            "1,1; 1,2; 2,2; 2,0",
+            "1,0; 1,2; 2,2; 2,0; 3,0; 3,1; 4,1; 4,0",
+            "1,0; 2,1; 3,0; 4,0",
+            "1,0; 1,1",
+            VALLEY + "\n4,0; 4,6; 5,6; 5,0",
+        )
+    ]
+    diagrams += touching_diagrams()
+    diagrams += [parse_diagram("5,0; 5,7; 6,7; 6,0\n" + text) for text, _ in MALFORMED_BANDS]
+    diagrams += [
+        RectilinearDiagram(arch.bands, (Connector(Fraction(1), Fraction(5)),)),
+        RectilinearDiagram(arch.bands, (Connector(Fraction(5), Fraction(3)),)),
+    ]
+    rng = random.Random(20261018)
+    grid = [Fraction(k, 2) for k in range(1, 9)]
+    while len(diagrams) < 100:
+        diagram = grid_staircases(rng, grid)
+        try:
+            validate_diagram(diagram)
+        except FlatBasketError:
+            diagrams.append(diagram)
+    return diagrams
+
+
+def test_flatten_raises_what_validation_raises(monkeypatch):
+    # the grid walk fails at the check where a walk of the drawing fails,
+    # and only then is the drawing walked, so the error quotes its
+    # coordinates
+    walked = _record_walks(monkeypatch)
+    for diagram in invalid_diagrams():
+        with pytest.raises(FlatBasketError) as expected:
+            validate_diagram(diagram)
+        walked.clear()
+        with pytest.raises(FlatBasketError) as raised:
+            flatten_trace(diagram)
+        assert type(raised.value) is type(expected.value)
+        assert str(raised.value) == str(expected.value)
+        assert len(walked) == 2 and walked[0] is not diagram and walked[1] is diagram
+
+
+def test_ascending_ends_are_x_lines_minus_bands():
+    # what flatten_trace sizes its grid by, against the walk's count
+    import random
+
+    from test_cli import _staircases
+
+    rng = random.Random(20261020)
+    diagrams = [parse_diagram(path.read_text()) for path in corpus_paths()]
+    diagrams += [_random_diagram(rng, 5, 5) for _ in range(200)]
+    cap = pushdown.FLATTEN_CAP
+    diagrams += [
+        parse_diagram(_staircases(bands, xlines))
+        for bands, xlines in ((cap // 8, 8), (8, cap // 8), (1, cap))
+    ]
+    for diagram in diagrams:
+        xlines = sum((len(band) - 2) // 2 for band in diagram.bands)
+        assert pushdown._walk(diagram).ascending == xlines - len(diagram.bands)
+
+
+def test_caps_are_checked_before_any_grid(monkeypatch):
+    from test_cli import _staircases
+
+    cap = pushdown.FLATTEN_CAP
+
+    def beside_valley(denominator: int) -> RectilinearDiagram:
+        return parse_diagram(f"{VALLEY}\n1/{denominator},0; 1/{denominator},5; 5,5; 5,0")
+
+    # a denominator of exactly 3 * cap bits is within the budget
+    assert len(flatten_trace(beside_valley(2 ** (3 * cap - 1))).steps) == 1
+
+    def refuse(*args):
+        raise AssertionError("a flatten grid was built over a cap")
+
+    monkeypatch.setattr(pushdown, "_mapped", refuse)
+    over = parse_diagram(_staircases(cap + 1, 1))
+    hostile = beside_valley(2 ** (3 * cap))
+    for diagram, error, message in (
+        (over, CapExceeded, f"diagram with {cap + 1} x-lines exceeds the flatten cap {cap}"),
+        (hostile, CapExceeded, f"diagram denominators exceed the flatten cap of {3 * cap} bits"),
+        # an invalid drawing over a cap gets its validation error first
+        (RectilinearDiagram(over.bands + over.bands[:1]), DuplicateColumn,
+         "two y-lines share column x=1"),
+        (RectilinearDiagram(hostile.bands + hostile.bands[:1]), DuplicateColumn,
+         "two y-lines share column x=1"),
+    ):
+        with pytest.raises(error) as raised:
+            flatten_trace(diagram)
+        assert type(raised.value) is error and str(raised.value) == message
 
 
 def test_public_entry_points_walk_each_diagram_once(monkeypatch):
