@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GenusContradiction, TrivialKnotInput
+from .errors import GenusContradiction, TrivialKnotInput, _shown
 from .invariants import AlexanderPolynomial
 
 __all__ = ["FpbkBound", "fpbk_lower_bound"]
@@ -49,7 +49,7 @@ def fpbk_lower_bound(
         )
     if genus is not None and 2 * genus < span:
         raise GenusContradiction(
-            f"2*genus = {2 * genus} is smaller than the polynomial span {span}"
+            f"2*genus = {_shown(2 * genus)} is smaller than the polynomial span {span}"
         )
     monic = abs(delta.leading) == 1
     degree_bound = span + (2 if monic else 4)

@@ -22,14 +22,14 @@ from .codes import canonicalize, parse_code, parse_matching, surface_stats
 from .errors import FlatBasketError, NotAKnot
 from .invariants import (
     _alexander_of_matrix,
-    _check_pencil_cap,
+    _capped_matrix,
     _checked_signature,
     alexander,
     arf_from_determinant,
     determinant_from_alexander,
     parse_polynomial,
 )
-from .seifert import format_rows, seifert_matrix, symmetrized
+from .seifert import format_rows, symmetrized
 
 __all__ = ["build_parser", "cli_dispatch", "main"]
 
@@ -87,9 +87,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    code = parse_code(args.code)
-    _check_pencil_cap(code.n)
-    matrix = seifert_matrix(code)
+    matrix = _capped_matrix(parse_code(args.code))
     if args.symmetrized:
         rows = symmetrized(matrix)
     else:
@@ -118,11 +116,10 @@ def _cmd_alexander(args) -> int:
 
 def _cmd_invariants(args) -> int:
     code = parse_code(args.code)
-    _check_pencil_cap(code.n)
+    matrix = _capped_matrix(code)
     stats = surface_stats(code)
-    matrix = seifert_matrix(code)
     delta = _alexander_of_matrix(code, matrix, "fraction_free", checked=True)
-    sigma = _checked_signature(matrix.rows, delta.raw, stats.boundary == 1)
+    sigma = _checked_signature(matrix.rows, delta.raw)
     payload = {
         "bands": stats.bands,
         "boundary": stats.boundary,

@@ -27,6 +27,7 @@ from .errors import (
     MalformedCode,
     NonContiguousLabels,
     _excerpt,
+    _shown,
 )
 
 __all__ = [
@@ -300,6 +301,6 @@ def relabel(code: FlatBasketCode, perm) -> FlatBasketCode:
     """
     mapping = tuple(perm)
     if sorted(mapping) != list(range(1, code.n + 1)):
-        raise InvalidPermutation(f"{mapping} is not a permutation of 1..{code.n}")
+        raise InvalidPermutation(f"{_shown(mapping)} is not a permutation of 1..{code.n}")
     word = tuple(mapping[x - 1] for x in code.word)
     return canonicalize(FlatBasketCode(word))

@@ -20,6 +20,13 @@ def _excerpt(text: str, width: int = 24) -> str:
     return f"{text[:width]!r}... ({len(text)} characters)"
 
 
+def _shown(value, width: int = 24) -> str:
+    """``str(value)``, or its :func:`_excerpt` when longer than ``width``
+    characters, for errors that quote a value of unbounded size."""
+    text = str(value)
+    return text if len(text) <= width else _excerpt(text, width)
+
+
 def _read_text(path: str | Path, error: type[FlatBasketError]) -> str:
     """UTF-8 text of the file at ``path``; an undecodable byte raises ``error``.
 

@@ -42,13 +42,14 @@ The signature sigma of S = V + V^T and det S come from one symmetric
 elimination, a third kernel that calls neither pencil kernel: unimodular
 2x2 steps while S has a principal block [[0, +-1], [+-1, c]], which divide
 nothing, then a fraction-free symmetric elimination (Sylvester's law of
-inertia) on the rest, with every division checked to be exact.  Sylvester's
-law ties the two values, sign det S = (-1)^((n - sigma)/2).  det S is the
+inertia) on the rest, with every division checked to be exact.  The kernel
+checks every sigma it returns against det S: by Sylvester's law, sign det S
+= (-1)^((n - sigma)/2), and whenever det S is odd, by Murasugi's
+congruence, |det S| = 1 mod 4 exactly when sigma = 0 mod 4.  det S is the
 pencil at t = -1, so the knot determinant |Delta(-1)| and the Arf invariant
 come from this kernel and never from a pencil.  Where Delta is computed
 too (the ``invariants`` and ``search`` commands), det S = Delta_raw(-1) is
-checked exactly.  For a knot, every caller also checks Murasugi's
-congruence: |det S| = 1 mod 4 exactly when sigma = 0 mod 4.
+checked exactly.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ import re
 from dataclasses import dataclass
 
 from .codes import FlatBasketCode, surface_stats
-from .errors import CapExceeded, InvariantViolation, MalformedCode, NotAKnot, _excerpt
+from .errors import CapExceeded, InvariantViolation, MalformedCode, NotAKnot, _excerpt, _shown
 from .seifert import SeifertMatrix, _symmetrized_rows, seifert_matrix
 
 __all__ = [
@@ -775,9 +776,13 @@ def pencil_determinant(
 PENCIL_CAP = 56
 
 
-def _check_pencil_cap(bands: int) -> None:
-    if bands > PENCIL_CAP:
-        raise CapExceeded(f"{bands} bands exceeds the pencil cap {PENCIL_CAP}")
+def _capped_matrix(code: FlatBasketCode) -> SeifertMatrix:
+    """The code's Seifert matrix, built only once the code is checked to
+    have at most ``PENCIL_CAP`` bands; a larger one raises
+    :class:`CapExceeded`."""
+    if code.n > PENCIL_CAP:
+        raise CapExceeded(f"{code.n} bands exceeds the pencil cap {PENCIL_CAP}")
+    return seifert_matrix(code)
 
 
 @dataclass(frozen=True)
@@ -787,13 +792,20 @@ class AlexanderPolynomial:
     ``normalized`` is raw times +-t^-k, chosen so the minimum degree is 0 and
     the top coefficient is positive; the zero polynomial stays zero.  Two
     Alexander polynomials agree up to units exactly when their normalized
-    forms are equal.
+    forms are equal.  ``span`` and ``leading`` are the normalized form's
+    degree and top coefficient, None for zero.
     """
 
     raw: IntPolynomial
     normalized: IntPolynomial
-    span: int | None
-    leading: int | None
+
+    @property
+    def span(self) -> int | None:
+        return self.normalized.degree
+
+    @property
+    def leading(self) -> int | None:
+        return self.normalized.leading or None
 
     def __str__(self) -> str:
         return str(self.normalized)
@@ -802,16 +814,11 @@ class AlexanderPolynomial:
 def normalize_alexander(poly: IntPolynomial) -> AlexanderPolynomial:
     """Divide out the largest power of t and make the top coefficient positive."""
     if poly.is_zero:
-        return AlexanderPolynomial(raw=poly, normalized=poly, span=None, leading=None)
+        return AlexanderPolynomial(raw=poly, normalized=poly)
     shifted = poly.shifted(-poly.min_degree)
     if shifted.leading < 0:
         shifted = -shifted
-    return AlexanderPolynomial(
-        raw=poly,
-        normalized=shifted,
-        span=shifted.degree,
-        leading=shifted.leading,
-    )
+    return AlexanderPolynomial(raw=poly, normalized=shifted)
 
 
 def alexander(
@@ -824,16 +831,15 @@ def alexander(
     A code of more than ``PENCIL_CAP`` bands raises :class:`CapExceeded`
     before its Seifert matrix is built.
     """
-    _check_pencil_cap(code.n)
-    return _alexander_of_matrix(code, seifert_matrix(code), method, checked)
+    return _alexander_of_matrix(code, _capped_matrix(code), method, checked)
 
 
 def _alexander_of_matrix(
     code: FlatBasketCode, matrix: SeifertMatrix, method: str, checked: bool
 ) -> AlexanderPolynomial:
     """:func:`alexander` from the code's Seifert matrix, for callers that
-    also need the matrix for the signature and have checked the pencil cap
-    before building it."""
+    also need the matrix for the signature and built it by
+    :func:`_capped_matrix`."""
     raw = pencil_determinant(matrix, method)
     if checked:
         other = "eval_interp" if method == "fraction_free" else "fraction_free"
@@ -852,21 +858,26 @@ def determinant_from_alexander(delta: AlexanderPolynomial) -> int:
 
 def knot_determinant(code: FlatBasketCode) -> int:
     """|Delta(-1)| for a knot code of at most ``PENCIL_CAP`` bands; the cap
-    is checked before any elimination."""
+    is checked before the Seifert matrix is built."""
     stats = surface_stats(code)
     if stats.boundary != 1:
-        raise NotAKnot(f"{code} bounds {stats.boundary} components")
-    _check_pencil_cap(code.n)
-    return _knot_determinant_of_rows(seifert_matrix(code).rows)
+        raise NotAKnot(f"{_shown(code)} bounds {stats.boundary} components")
+    return _knot_determinant_of_rows(_capped_matrix(code).rows)
 
 
 def _knot_determinant_of_rows(rows) -> int:
     """|det(V + V^T)| for the rows V of a knot's Seifert matrix: the pencil at
     t = -1, so |Delta(-1)| exactly, from the symmetric kernel
-    :func:`_signature_and_determinant_of_rows`, whose signature checks it by
-    Murasugi's congruence."""
-    sigma, det = _signature_and_determinant_of_rows(rows)
-    _check_knot_congruence(sigma, det)
+    :func:`_signature_and_determinant_of_rows`, which checks it against the
+    signature; a knot's is odd (:func:`_odd_determinant`)."""
+    return _odd_determinant(_signature_and_determinant_of_rows(rows)[1])
+
+
+def _odd_determinant(det: int) -> int:
+    """|det| of a knot, which is odd; an even one raises
+    :class:`InvariantViolation`, as it signals a bug upstream."""
+    if not det & 1:
+        raise InvariantViolation(f"knot determinant {det} is even")
     return abs(det)
 
 
@@ -878,46 +889,29 @@ def arf(code: FlatBasketCode) -> int:
 def arf_from_determinant(det: int) -> int:
     """Arf invariant of a knot from its determinant.
 
-    0 when the determinant is +-1 mod 8, 1 when it is +-3 mod 8; any even
-    residue is impossible for a knot and signals a bug upstream.
+    0 when the determinant is +-1 mod 8, 1 when it is +-3 mod 8; an even
+    one raises (:func:`_odd_determinant`).
     """
-    residue = det % 8
-    if residue in (1, 7):
-        return 0
-    if residue in (3, 5):
-        return 1
-    raise InvariantViolation(f"knot determinant {det} is even")
+    return 0 if _odd_determinant(det) % 8 in (1, 7) else 1
 
 
 def signature(code: FlatBasketCode) -> int:
     """Signature of S = V + V^T for the code's Seifert matrix V, for a code of
-    at most ``PENCIL_CAP`` bands; the cap is checked before any elimination."""
-    _check_pencil_cap(code.n)
-    return _signature_and_determinant_of_rows(seifert_matrix(code).rows)[0]
+    at most ``PENCIL_CAP`` bands; the cap is checked before the Seifert
+    matrix is built."""
+    return _signature_and_determinant_of_rows(_capped_matrix(code).rows)[0]
 
 
-def _check_knot_congruence(sigma: int, det: int) -> None:
-    """Murasugi's congruence for a knot: |det| = 1 mod 4 exactly when
-    sigma = 0 mod 4.  A break raises :class:`InvariantViolation`."""
-    if (abs(det) % 4 == 1) != (sigma % 4 == 0):
-        raise InvariantViolation(
-            f"knot signature {sigma} and determinant {det} break Murasugi's congruence"
-        )
-
-
-def _checked_signature(rows, raw: IntPolynomial, knot: bool) -> int:
+def _checked_signature(rows, raw: IntPolynomial) -> int:
     """sigma of S = V + V^T for the rows V, whose det S from the same
     elimination must be the raw pencil det(V - t V^T) at t = -1, sign
-    included, and for a knot must satisfy Murasugi's congruence with sigma.
-    A break raises :class:`InvariantViolation`."""
+    included.  A break raises :class:`InvariantViolation`."""
     sigma, det = _signature_and_determinant_of_rows(rows)
     at_minus_one = raw.evaluate(-1)
     if det != at_minus_one:
         raise InvariantViolation(
             f"det(V + V^T) = {det} but the pencil at t = -1 is {at_minus_one}"
         )
-    if knot:
-        _check_knot_congruence(sigma, det)
     return sigma
 
 
@@ -981,9 +975,11 @@ def _signature_and_determinant_of_rows(rows) -> tuple[int, int]:
     zero, as it is for the singular S of a link, and det S is then 0.
 
     By Sylvester's law sign det S = (-1)^q for q negative eigenvalues, and
-    n - sigma = 2q when det S != 0; a break raises
-    :class:`InvariantViolation`.  Neither pencil kernel is called, so this
-    is a third elimination, independent of both.
+    n - sigma = 2q when det S != 0.  An even symmetric integer matrix of odd
+    determinant has (-1)^(n/2) det = 1 mod 4, which with the sign rule is
+    Murasugi's congruence: |det S| = 1 mod 4 exactly when sigma = 0 mod 4.
+    A break of either raises :class:`InvariantViolation`.  Neither pencil
+    kernel is called, so this is a third elimination, independent of both.
     """
     a = _symmetrized_rows(rows)
     size = len(a)
@@ -1044,5 +1040,9 @@ def _signature_and_determinant_of_rows(rows) -> tuple[int, int]:
     if det and (size - total) % 4 != (0 if det > 0 else 2):
         raise InvariantViolation(
             f"det(V + V^T) = {det} has the wrong sign for signature {total} of {size} rows"
+        )
+    if det & 1 and (abs(det) % 4 == 1) != (total % 4 == 0):
+        raise InvariantViolation(
+            f"signature {total} and det(V + V^T) = {det} break Murasugi's congruence"
         )
     return total, det

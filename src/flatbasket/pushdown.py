@@ -62,6 +62,7 @@ from .errors import (
     SiteNotEligible,
     _excerpt,
     _read_text,
+    _shown,
 )
 
 __all__ = [
@@ -322,11 +323,11 @@ def _band_step(bi: int, band: tuple, heights: set, columns: set) -> list[_XLine]
         prev_vertical = vertical
         if vertical:
             if a[0] in columns:
-                raise DuplicateColumn(f"two y-lines share column x={a[0]}")
+                raise DuplicateColumn(f"two y-lines share column x={_shown(a[0])}")
             columns.add(a[0])
         else:
             if a[1] in heights:
-                raise DuplicateHeight(f"two x-lines share height y={a[1]}")
+                raise DuplicateHeight(f"two x-lines share height y={_shown(a[1])}")
             heights.add(a[1])
     if band[0][0] != band[1][0] or band[-1][0] != band[-2][0]:
         raise MalformedDiagram(f"band {bi} must start and end vertically")
@@ -355,7 +356,7 @@ def _connector_step(connector: Connector, columns: set) -> None:
     them."""
     for x in (connector.left, connector.right):
         if x in columns:
-            raise DuplicateColumn(f"connector foot collides with column x={x}")
+            raise DuplicateColumn(f"connector foot collides with column x={_shown(x)}")
         columns.add(x)
     if connector.left >= connector.right:
         raise FootOrderViolation("connector feet must be ordered left < right")
@@ -411,7 +412,7 @@ def _find_xline(lines: list[_XLine], height) -> _XLine:
     for line in lines:
         if line.y == height:
             return line
-    raise SiteNotEligible(f"no x-line at height {height}")
+    raise SiteNotEligible(f"no x-line at height {_shown(height)}")
 
 
 def _site_for(line: _XLine, occupied: list) -> tuple[Fraction, Fraction]:
@@ -433,9 +434,7 @@ def _site_for(line: _XLine, occupied: list) -> tuple[Fraction, Fraction]:
     if line.right_ascends:
         stop = occupied[hi - 1] if lo < hi else line.x_left
         return _half(stop + line.x_right), line.x_right
-    raise SiteNotEligible(
-        f"x-line at height {line.y} has no ascending adjacency"
-    )
+    raise SiteNotEligible(f"x-line at height {_shown(line.y)} has no ascending adjacency")
 
 
 def push_down(diagram: RectilinearDiagram, height) -> RectilinearDiagram:
@@ -483,8 +482,9 @@ def _push(
     ``walk`` is updated for the result in place, by local work: the two
     pieces and the connector go through :func:`_band_step` and
     :func:`_connector_step`, with the errors a whole walk would raise.  The
-    Euler characteristic and boundary count are then checked against the
-    input's.
+    Euler characteristic, boundary count and ascending-end count are then
+    checked against the input's: two more bands, the same boundary, fewer
+    ascending ends.
     """
     bi = line.band
     band = diagram.bands[bi]
@@ -512,6 +512,7 @@ def _push(
     )
     start = bisect_left(lines, bi, key=_band_of)
     end = bisect_left(lines, bi + 1, lo=start, key=_band_of)
+    ascending_before = walk.ascending
     walk.ascending -= _ascending_count(lines[start:end])
     heights.difference_update([v[1] for v in band[1:-1]])
     columns.difference_update([v[0] for v in band])
@@ -548,6 +549,8 @@ def _push(
         raise InvariantViolation("push-down must add exactly two bands")
     if walk.boundary() != boundary_before:
         raise InvariantViolation("push-down must preserve the boundary count")
+    if walk.ascending >= ascending_before:
+        raise InvariantViolation("push-down must remove an ascending end")
     return result
 
 
@@ -622,7 +625,8 @@ def flatten_trace(diagram: RectilinearDiagram) -> FlattenResult:
         u, w = _site_for(line, walk.sorted_columns)
         ascending = walk.ascending
         current = _push(current, walk, line, u, w, boundary, unit)
-        # _push has checked the Euler drop and that the boundary count is kept
+        # _push has checked the Euler drop, that the boundary count is kept
+        # and that an ascending end is gone
         step = PushStep(
             height=Fraction(line.y, unit),
             interval=(Fraction(u, unit), Fraction(w, unit)),
@@ -634,50 +638,37 @@ def flatten_trace(diagram: RectilinearDiagram) -> FlattenResult:
             ascending_after=walk.ascending,
         )
         steps.append(step)
-        if step.ascending_after >= step.ascending_before:
-            raise InvariantViolation("push-down must remove an ascending end")
         euler = step.euler_after
-    return FlattenResult(_read_off_code(current, walk.lines), tuple(steps), current, unit)
+    return FlattenResult(_read_off_code(current, walk), tuple(steps), current, unit)
 
 
 def flatten(diagram: RectilinearDiagram) -> FlatBasketCode:
     return flatten_trace(diagram).code
 
 
-def _feet(diagram: RectilinearDiagram) -> list[tuple[Fraction, int]]:
-    feet = []
-    for bi, band in enumerate(diagram.bands):
-        feet.append((band[0][0], bi))
-        feet.append((band[-1][0], bi))
-    for ci, connector in enumerate(diagram.connectors):
-        feet.append((connector.left, len(diagram.bands) + ci))
-        feet.append((connector.right, len(diagram.bands) + ci))
-    feet.sort()
-    return feet
-
-
-def _read_off_code(diagram: RectilinearDiagram, lines: list[_XLine]) -> FlatBasketCode:
-    """Basket code of an all-flat, validated diagram with these x-lines, in
-    band order; every band has at least one.
+def _read_off_code(diagram: RectilinearDiagram, walk: _Walk) -> FlatBasketCode:
+    """Basket code of an all-flat, validated diagram whose walk is ``walk``:
+    its x-lines come in band order, at least one per band, and its feet in
+    baseline order.
 
     Front bands are single arches; pages go to the lowest arch first, then
     to connectors in creation order behind all front bands.
     """
     arch_heights = []
-    for line in lines:
+    for line in walk.lines:
         if arch_heights and arch_heights[-1][1] == line.band:
             raise SiteNotEligible(
                 f"band {line.band} is not a single arch; flatten the diagram first"
             )
         arch_heights.append((line.y, line.band))
     arch_heights.sort()
-    label: dict[int, int] = {}
+    label = {}  # foot column -> page of its band or connector
     for page, (_, bi) in enumerate(arch_heights, start=1):
-        label[bi] = page
-    for ci in range(len(diagram.connectors)):
-        label[len(diagram.bands) + ci] = len(diagram.bands) + 1 + ci
-    word = tuple(label[owner] for _, owner in _feet(diagram))
-    return FlatBasketCode(word)
+        band = diagram.bands[bi]
+        label[band[0][0]] = label[band[-1][0]] = page
+    for page, connector in enumerate(diagram.connectors, start=len(diagram.bands) + 1):
+        label[connector.left] = label[connector.right] = page
+    return FlatBasketCode(tuple(label[foot] for foot in walk.feet))
 
 
 # ---------------------------------------------------------------------------

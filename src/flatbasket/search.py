@@ -15,8 +15,8 @@ orientation key: the 89,160 six-band knot codes have 23,202 keys.  The
 signature and det(V + V^T) come from one symmetric elimination, and
 det(V + V^T) is checked against Delta at t = -1.  ``census`` computes
 Delta only.  Both take at most ``CENSUS_CAP`` bands.  As a fresh process on a
-shared 2-core Linux VM, serial ``search -n 6 --knots-only`` takes 3.3-4.7 s
-(median 3.6 s) and ``census -n 6`` 1.3-2.3 s (median 1.5 s).
+shared 2-core Linux VM, serial ``search -n 6 --knots-only`` takes 2.3-2.5 s
+(median 2.4 s) and ``census -n 6`` 1.05-1.21 s (median 1.08 s), 7 runs each.
 
 Work is partitioned by matching across processes; the merged result is
 sorted by code word, so output is identical for any worker count.
@@ -219,8 +219,7 @@ def _records_for_matchings(
     of the key, so Delta (raw and normalized) and the signature are computed
     once, and a key whose Delta misses the target is rejected once.  The
     signature comes with det(V + V^T), which must equal the raw Delta at
-    t = -1 and, for a knot, satisfy Murasugi's congruence with the
-    signature.  Per code: the word, its key and its record.
+    t = -1.  Per code: the word, its key and its record.
     """
     out = []
     for matching in matchings:
@@ -233,7 +232,7 @@ def _records_for_matchings(
             delta, det, arf_val = _checked_delta(word, rows, b, h)
             if target_coeffs is not None and delta.normalized.coeffs != target_coeffs:
                 return None
-            return delta, det, arf_val, _checked_signature(rows, delta.raw, b == 1)
+            return delta, det, arf_val, _checked_signature(rows, delta.raw)
 
         words = _canonical_words(matching)
         if dedup_mirror:

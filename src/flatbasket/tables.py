@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .bounds import fpbk_lower_bound
 from .codes import FlatBasketCode, parse_code, surface_stats
-from .errors import FlatBasketError, MissingReference, ParseError, _excerpt, _read_text
+from .errors import FlatBasketError, MissingReference, ParseError, _excerpt, _read_text, _shown
 from .invariants import IntPolynomial, alexander, normalize_alexander, parse_polynomial
 
 __all__ = [
@@ -168,7 +168,7 @@ def load_references(path: str | Path | None = None) -> dict[str, IntPolynomial]:
             raise ParseError(f"row {_excerpt(name)} (line {lineno}): {exc}") from exc
         normalized = normalize_alexander(poly).normalized
         if normalized != poly:
-            raise ParseError(f"row {name!r}: reference is not in normalized form")
+            raise ParseError(f"row {_excerpt(name)}: reference is not in normalized form")
         out[name] = poly
     return out
 
@@ -204,7 +204,7 @@ def verify_table(
         references = load_references()
     missing = [r.name for r in records if r.name not in references]
     if missing:
-        raise MissingReference(f"no reference polynomial for {missing}")
+        raise MissingReference(f"no reference polynomial for {_shown(missing)}")
     return TableReport(
         rows=tuple(_verify_row(record, references[record.name]) for record in records)
     )

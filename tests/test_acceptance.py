@@ -9,7 +9,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import random
 import time
 
@@ -38,8 +37,6 @@ from flatbasket.seifert import SeifertMatrix
 from flatbasket.tables import load_references, load_table, verify_table
 from conftest import random_code
 
-JOBS = min(8, os.cpu_count() or 1)
-
 # stdout and store of ``search -n 6 --knots-only --json --store`` on a new store
 N6_STDOUT_SHA256 = "7c6a263982097a42ac6fd9b53d3ffe7770e013e0b92828f1fd8f51514a9223a6"
 N6_STORE_SHA256 = "09dcca7c3097dbefdb190283195963b39eb3f27b584652b8ca3c93f3586c371d"
@@ -53,7 +50,7 @@ def report(number: int, passed: bool, detail: str) -> None:
 @pytest.fixture(scope="session")
 def n6_run():
     start = time.time()
-    records = search(SearchQuery(bands=6, knots_only=True, jobs=JOBS))
+    records = search(SearchQuery(bands=6, knots_only=True, jobs=8))
     return records, time.time() - start
 
 
@@ -255,17 +252,13 @@ def test_criterion_9_parallel_determinism(n6_run, tmp_path):
     # the jobs=1 run is the CLI's, so its serializer, which dumps once per
     # orientation key, is checked line by line against record_to_json of
     # the jobs=8 records
-    fixture_records, _ = n6_run
+    parallel, _ = n6_run
     store = tmp_path / "n6.jsonl"
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         status = cli_dispatch(
             ["search", "-n", "6", "--knots-only", "--json", "--store", str(store)]
         )
-    parallel = (
-        fixture_records if JOBS == 8
-        else search(SearchQuery(bands=6, knots_only=True, jobs=8))
-    )
     serial_lines = out.getvalue().splitlines()
     store_lines = store.read_text().splitlines()
     entries = [record_to_json(r) for r in parallel]

@@ -576,7 +576,7 @@ def test_flatten_errors_quote_drawing_coordinates(tmp_path, capsys):
 
 
 def test_invariants_builds_one_seifert_matrix(monkeypatch, capsys):
-    from flatbasket import cli, invariants
+    from flatbasket import invariants
 
     calls = []
     real = invariants.seifert_matrix
@@ -585,7 +585,6 @@ def test_invariants_builds_one_seifert_matrix(monkeypatch, capsys):
         calls.append(code)
         return real(code)
 
-    monkeypatch.setattr(cli, "seifert_matrix", counted)
     monkeypatch.setattr(invariants, "seifert_matrix", counted)
     status, out, _ = run(capsys, "invariants", "--json", "--code", "1,2,3,4,1,2,3,4")
     assert status == 0

@@ -1,16 +1,19 @@
 """Error branches and less-travelled paths across the modules."""
 
 import json
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 from flatbasket import IntPolynomial, codes, invariants, parse_code, parse_matching, pushdown
 from flatbasket import search as search_module
+from flatbasket.bounds import fpbk_lower_bound
 from flatbasket.cli import cli_dispatch
 from flatbasket.codes import FlatBasketCode, UnderlyingDiagram
 from flatbasket.errors import (
     EmptyInput,
+    FlatBasketError,
     InvariantViolation,
     MalformedCode,
     MalformedDiagram,
@@ -23,7 +26,7 @@ from flatbasket.pushdown import (
     push_down,
 )
 from flatbasket.search import SearchQuery
-from flatbasket.tables import load_references, load_table
+from flatbasket.tables import load_references, load_table, verify_table
 from conftest import code_to_flat_diagram
 
 
@@ -106,6 +109,58 @@ def test_diagram_connector_validation():
         validate_diagram(
             RectilinearDiagram(base.bands, (Connector(Fraction(5), Fraction(3)),))
         )
+
+
+# two 4,300-digit parts, coprime as both are odd and two apart
+LONG = Fraction(10**4299 + 1, 10**4299 + 3)
+
+
+def _long_reference_name(tmp_path):
+    path = tmp_path / "r.tsv"
+    path.write_text("k" * 5000 + "\t0,1,-1,1\n")  # not normalized
+    load_references(path)
+
+
+def _validate(text):
+    pushdown.validate_diagram(parse_diagram(text))
+
+
+LONG_VALUE_ERRORS = {
+    "band_step_column": lambda tmp_path: _validate(
+        f"1,0; 1,2; {LONG},2; {LONG},0\n5,0; 5,3; {LONG},3; {LONG},4; 6,4; 6,0"
+    ),
+    "band_step_height": lambda tmp_path: _validate(
+        f"1,0; 1,{LONG}; 2,{LONG}; 2,0\n3,0; 3,{LONG}; 4,{LONG}; 4,0"
+    ),
+    "connector_step": lambda tmp_path: pushdown.validate_diagram(
+        pushdown.RectilinearDiagram(
+            (((1, 0), (1, 1), (LONG, 1), (LONG, 0)),), (pushdown.Connector(0, LONG),)
+        )
+    ),
+    "find_xline": lambda tmp_path: push_down(parse_diagram("1,0; 1,1; 2,1; 2,0"), LONG),
+    "site_for": lambda tmp_path: push_down(
+        parse_diagram(f"1,0; 1,{LONG}; 2,{LONG}; 2,0"), LONG
+    ),
+    "knot_determinant": lambda tmp_path: invariants.knot_determinant(
+        parse_code(",".join(f"{i},{i}" for i in range(1, 101)))
+    ),
+    "relabel": lambda tmp_path: codes.relabel(parse_code("1,2,1,2"), [1] * 1000),
+    "genus_contradiction": lambda tmp_path: fpbk_lower_bound(
+        invariants.alexander(parse_code("1,2,3,4,1,2,3,4")), genus=-(10**4299)
+    ),
+    "missing_reference": lambda tmp_path: verify_table(references={}),
+    "reference_name": _long_reference_name,
+}
+
+
+@pytest.mark.parametrize("site", sorted(LONG_VALUE_ERRORS))
+def test_long_values_are_cut_in_error_messages(site, tmp_path):
+    # a value over 24 characters is cut to an excerpt; the tests of the
+    # short messages (x=3/2, y=7) pin that shorter ones are quoted whole
+    with pytest.raises(FlatBasketError) as info:
+        LONG_VALUE_ERRORS[site](tmp_path)
+    message = f"error: {info.value}\n"
+    assert "characters)" in message and len(message.encode()) < 200, message[:300]
 
 
 def test_table_claim_parse_error(tmp_path):

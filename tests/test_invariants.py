@@ -925,6 +925,12 @@ def test_signature_takes_at_most_the_pencil_cap(monkeypatch):
     monkeypatch.setattr(invariants, "seifert_matrix", refuse)
     with pytest.raises(CapExceeded, match=f"57 bands exceeds the pencil cap {PENCIL_CAP}"):
         signature(random_code(random.Random(57), PENCIL_CAP + 1))
+    # every public invariant of the code: a knot, so knot_determinant and
+    # arf pass their boundary check and reach the cap
+    over = parse_code(",".join(map(str, list(range(1, PENCIL_CAP + 3)) * 2)))
+    for invariant in (alexander, knot_determinant, arf, signature):
+        with pytest.raises(CapExceeded, match=f"58 bands exceeds the pencil cap {PENCIL_CAP}"):
+            invariant(over)
 
 
 _REAL_STEP = invariants._unimodular_step
@@ -980,23 +986,57 @@ def test_pencil_and_murasugi_checks(monkeypatch, trefoil_code):
     raw = alexander(trefoil_code).raw
     rows = seifert_matrix(trefoil_code).rows
 
-    def checked(sigma, det, knot):
-        # the kernel reports (sigma, det) and the checks see only those
+    def checked(sigma, det):
+        # the kernel reports (sigma, det) and the check sees only those
         monkeypatch.setattr(
             invariants, "_signature_and_determinant_of_rows", lambda r: (sigma, det)
         )
-        return invariants._checked_signature(rows, raw, knot)
+        return invariants._checked_signature(rows, raw)
 
-    assert checked(2, -3, knot=True) == 2
+    assert checked(2, -3) == 2
     with pytest.raises(InvariantViolation, match="pencil at t = -1 is -3"):
-        checked(2, 3, knot=True)
-    with pytest.raises(InvariantViolation, match="break Murasugi's congruence"):
-        checked(0, -3, knot=True)
-    # a link's signature is not tied to its determinant this way
-    assert checked(0, -3, knot=False) == 0
+        checked(2, 3)
     monkeypatch.undo()
-    with pytest.raises(InvariantViolation, match="break Murasugi's congruence"):
+    # Murasugi's congruence is the kernel's own check (see
+    # test_kernel_checks_murasugi_on_every_signature); a knot's determinant
+    # must be odd, which the all-zero "knot" breaks
+    with pytest.raises(InvariantViolation, match="knot determinant 0 is even"):
         invariants._knot_determinant_of_rows(((0, 0, 0, 0),) * 4)
+
+
+def _step_with_odd_entry(a, i, j):
+    """A 2x2 step whose block comes out with its last diagonal entry 1 too
+    large: no longer even, which the pencil check alone would see."""
+    det = _REAL_STEP(a, i, j)
+    if a:
+        a[-1][-1] += 1
+    return det
+
+
+def test_kernel_checks_murasugi_on_every_signature(monkeypatch, trefoil_code):
+    # det -5 keeps Sylvester's sign rule for signature 2 of 4 rows, but
+    # |-5| = 1 mod 4 asks for a signature divisible by 4
+    monkeypatch.setattr(invariants, "_unimodular_step", _step_with_odd_entry)
+    with pytest.raises(
+        InvariantViolation,
+        match=r"signature 2 and det\(V \+ V\^T\) = -5 break Murasugi's congruence",
+    ):
+        signature(trefoil_code)
+
+
+def test_kernel_murasugi_check_is_silent_on_integer_matrices():
+    # S = V + V^T has an even diagonal for every integer V, so the kernel's
+    # congruence must hold for all of them, not only for Seifert matrices
+    rng = random.Random(26)
+    odd = 0
+    for _ in range(3_000):
+        n = rng.randint(1, 9)
+        v = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        sigma, det = invariants._signature_and_determinant_of_rows(v)
+        if det & 1:
+            odd += 1
+            assert (abs(det) % 4 == 1) == (sigma % 4 == 0), v
+    assert odd > 400
 
 
 # ---------------------------------------------------------------------------

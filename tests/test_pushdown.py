@@ -13,6 +13,7 @@ from flatbasket.errors import (
     DuplicateHeight,
     FlatBasketError,
     FootOrderViolation,
+    InvariantViolation,
     MalformedDiagram,
     SiteNotEligible,
 )
@@ -31,7 +32,7 @@ from flatbasket.pushdown import (
     validate_diagram,
 )
 from flatbasket.seifert import SeifertMatrix
-from conftest import code_to_flat_diagram, diagram_boundary_components
+from conftest import code_to_flat_diagram, diagram_boundary_components, diagram_feet
 
 VALLEY = "1,0; 1,3; 2,3; 2,1; 3,1; 3,4; 4,4; 4,0"
 # the x-line at y=2 descends on the left and ascends on the right
@@ -345,7 +346,7 @@ def test_flatten_interleaved_pair():
 
 def read_off_code(diagram: RectilinearDiagram):
     """The private read-off on a diagram's own walk, whatever its shape."""
-    return pushdown._read_off_code(diagram, pushdown._walk(diagram).lines)
+    return pushdown._read_off_code(diagram, pushdown._walk(diagram))
 
 
 def test_read_off_requires_flat():
@@ -387,19 +388,14 @@ def _record_walks(monkeypatch) -> list[RectilinearDiagram]:
 
 def test_flatten_validates_each_diagram_once(monkeypatch):
     # one walk, of the grid copy and not of the input; a push-down walks
-    # nothing whole and re-sorts no feet, and the read-off sorts them once
+    # nothing whole, and the read-off labels the walk's feet
     walked = _record_walks(monkeypatch)
-    sorts = []
-    real_feet = pushdown._feet
-    monkeypatch.setattr(pushdown, "_feet", lambda d: sorts.append(d) or real_feet(d))
     pushes = 0
     for path in corpus_paths():
         diagram = parse_diagram(path.read_text())
         walked.clear()
-        sorts.clear()
         result = flatten_trace(diagram)
         assert len(walked) == 1 and walked[0] is not diagram, path.name
-        assert len(sorts) == 1
         pushes += len(result.steps)
     assert pushes > 0
 
@@ -651,7 +647,7 @@ def whole_walk_oracle():
         assert walk.columns == whole.columns
         assert walk.sorted_columns == whole.sorted_columns == sorted(whole.columns)
         assert walk.ascending == whole.ascending
-        assert walk.feet == whole.feet == [x for x, _ in pushdown._feet(result)]
+        assert walk.feet == whole.feet == sorted(diagram_feet(result))
         assert walk.partner == whole.partner
         assert walk.boundary() == whole.boundary() == diagram_boundary_components(result)
         checked[0] += 1
@@ -742,6 +738,13 @@ def test_public_surgery_and_read_off_validate_their_input():
     two_flat_arches_one_height = parse_diagram("1,0; 1,1; 2,1; 2,0\n3,0; 3,1; 4,1; 4,0")
     with pytest.raises(DuplicateHeight):
         flatten_trace(two_flat_arches_one_height)
+
+
+def test_push_down_checks_that_an_ascending_end_goes(monkeypatch):
+    # the public surgery runs the check that flatten relies on
+    monkeypatch.setattr(pushdown, "_ascending_count", lambda lines: 0)
+    with pytest.raises(InvariantViolation, match="push-down must remove an ascending end"):
+        push_down(parse_diagram(VALLEY), 1)
 
 
 def test_flatten_grid_replays_through_public_push_down():
