@@ -13,18 +13,23 @@ class FlatBasketError(Exception):
     """Base class of all domain errors raised by this package."""
 
 
-def _excerpt(text: str, width: int = 24) -> str:
-    """``repr`` of text cut to ``width`` characters, so errors stay one short line."""
-    if len(text) <= width:
+def _excerpt(text: str) -> str:
+    """``repr`` of text cut to 24 characters, so errors stay one short line."""
+    if len(text) <= 24:
         return repr(text)
-    return f"{text[:width]!r}... ({len(text)} characters)"
+    return f"{text[:24]!r}... ({len(text)} characters)"
 
 
-def _shown(value, width: int = 24) -> str:
-    """``str(value)``, or its :func:`_excerpt` when longer than ``width``
-    characters, for errors that quote a value of unbounded size."""
+def _shown(value) -> str:
+    """``str(value)`` when at most 24 characters, for errors that quote a value
+    of unbounded size; a longer list or tuple shows its first two items by
+    this rule and its count, anything else its :func:`_excerpt`."""
     text = str(value)
-    return text if len(text) <= width else _excerpt(text, width)
+    if len(text) <= 24:
+        return text
+    if isinstance(value, (list, tuple)):
+        return f"{', '.join(map(_shown, value[:2]))}, ... ({len(value)} items)"
+    return _excerpt(text)
 
 
 def _read_text(path: str | Path, error: type[FlatBasketError]) -> str:

@@ -857,20 +857,13 @@ def determinant_from_alexander(delta: AlexanderPolynomial) -> int:
 
 
 def knot_determinant(code: FlatBasketCode) -> int:
-    """|Delta(-1)| for a knot code of at most ``PENCIL_CAP`` bands; the cap
-    is checked before the Seifert matrix is built."""
+    """|Delta(-1)| = |det(V + V^T)| for a knot code of at most ``PENCIL_CAP``
+    bands, the cap checked before V is built; the symmetric kernel checks det
+    against the signature, and a knot's is odd (:func:`_odd_determinant`)."""
     stats = surface_stats(code)
     if stats.boundary != 1:
         raise NotAKnot(f"{_shown(code)} bounds {stats.boundary} components")
-    return _knot_determinant_of_rows(_capped_matrix(code).rows)
-
-
-def _knot_determinant_of_rows(rows) -> int:
-    """|det(V + V^T)| for the rows V of a knot's Seifert matrix: the pencil at
-    t = -1, so |Delta(-1)| exactly, from the symmetric kernel
-    :func:`_signature_and_determinant_of_rows`, which checks it against the
-    signature; a knot's is odd (:func:`_odd_determinant`)."""
-    return _odd_determinant(_signature_and_determinant_of_rows(rows)[1])
+    return _odd_determinant(_signature_and_determinant_of_rows(_capped_matrix(code).rows)[1])
 
 
 def _odd_determinant(det: int) -> int:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from operator import itemgetter
 
+from . import invariants
 from .codes import (
     FlatBasketCode,
     UnderlyingDiagram,
@@ -31,7 +32,6 @@ from .codes import (
     surface_stats,
 )
 from .errors import CapExceeded, NotAKnot
-from .invariants import _knot_determinant_of_rows, arf, arf_from_determinant
 from .seifert import _per_orientation_key
 
 __all__ = ["PassClass", "OrbitReport", "pass_class", "labeling_orbit", "orbit_invariant_check"]
@@ -64,10 +64,10 @@ class OrbitReport:
 
 def pass_class(code: FlatBasketCode) -> PassClass:
     """Classify the boundary link of the code's basket up to pass moves; a
-    knot's family is its :func:`arf`, which walks the boundary once and takes
-    at most ``PENCIL_CAP`` bands."""
+    knot's family is its :func:`invariants.arf`, which walks the boundary
+    once and takes at most ``PENCIL_CAP`` bands."""
     try:
-        family = "II" if arf(code) else "I"
+        family = "II" if invariants.arf(code) else "I"
     except NotAKnot:
         stats = surface_stats(code)
         return PassClass(family=None, components=stats.boundary, certainty="partial")
@@ -100,7 +100,8 @@ def orbit_invariant_check(diagram: UnderlyingDiagram) -> OrbitReport:
     Seifert matrix is P^T M P for the chord-order matrix M of its orientation
     key (as in the search), and Arf - which reads only det(V + V^T) - is
     computed once per key, from one symmetric elimination
-    (:func:`invariants._knot_determinant_of_rows`).
+    (:func:`invariants._signature_and_determinant_of_rows`), whose det
+    :func:`invariants.arf_from_determinant` checks is odd.
     """
     if boundary_components(diagram) != 1:
         raise NotAKnot("orbit check needs a single boundary component")
@@ -110,7 +111,9 @@ def orbit_invariant_check(diagram: UnderlyingDiagram) -> OrbitReport:
     per_key = _per_orientation_key(
         first.values(),
         diagram.crossings,
-        lambda word, rows: arf_from_determinant(_knot_determinant_of_rows(rows)),
+        lambda word, rows: invariants.arf_from_determinant(
+            invariants._signature_and_determinant_of_rows(rows)[1]
+        ),
     )
     values = sorted({value for _, value in per_key})
     return OrbitReport(

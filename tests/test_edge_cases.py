@@ -14,9 +14,11 @@ from flatbasket.codes import FlatBasketCode, UnderlyingDiagram
 from flatbasket.errors import (
     EmptyInput,
     FlatBasketError,
+    InvalidPermutation,
     InvariantViolation,
     MalformedCode,
     MalformedDiagram,
+    MissingReference,
     ParseError,
 )
 from flatbasket.pushdown import (
@@ -145,6 +147,9 @@ LONG_VALUE_ERRORS = {
         parse_code(",".join(f"{i},{i}" for i in range(1, 101)))
     ),
     "relabel": lambda tmp_path: codes.relabel(parse_code("1,2,1,2"), [1] * 1000),
+    "relabel_long_entries": lambda tmp_path: codes.relabel(
+        parse_code("1,2,1,2"), [10**4299] * 3
+    ),
     "genus_contradiction": lambda tmp_path: fpbk_lower_bound(
         invariants.alexander(parse_code("1,2,3,4,1,2,3,4")), genus=-(10**4299)
     ),
@@ -155,12 +160,25 @@ LONG_VALUE_ERRORS = {
 
 @pytest.mark.parametrize("site", sorted(LONG_VALUE_ERRORS))
 def test_long_values_are_cut_in_error_messages(site, tmp_path):
-    # a value over 24 characters is cut to an excerpt; the tests of the
-    # short messages (x=3/2, y=7) pin that shorter ones are quoted whole
+    # a value over 24 characters is cut to an excerpt, and a list to its
+    # first two items and its count; the tests of the short messages
+    # (x=3/2, y=7) pin that shorter ones are quoted whole
     with pytest.raises(FlatBasketError) as info:
         LONG_VALUE_ERRORS[site](tmp_path)
     message = f"error: {info.value}\n"
-    assert "characters)" in message and len(message.encode()) < 200, message[:300]
+    assert "characters)" in message or "items)" in message, message[:300]
+    assert len(message.encode()) < 200, message[:300]
+
+
+def test_long_lists_keep_their_first_items_in_error_messages():
+    names = ("3_1", "4_1", "5_1", "5_2")
+    records = tuple(r for r in load_table() if r.name in names)
+    with pytest.raises(
+        MissingReference, match=r"^no reference polynomial for 3_1, 4_1, \.\.\. \(4 items\)$"
+    ):
+        verify_table(records, references={})
+    with pytest.raises(InvalidPermutation, match=r"^\(2, 2\) is not a permutation of 1\.\.2$"):
+        codes.relabel(parse_code("1,2,1,2"), [2, 2])
 
 
 def test_table_claim_parse_error(tmp_path):

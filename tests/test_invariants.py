@@ -1000,8 +1000,9 @@ def test_pencil_and_murasugi_checks(monkeypatch, trefoil_code):
     # Murasugi's congruence is the kernel's own check (see
     # test_kernel_checks_murasugi_on_every_signature); a knot's determinant
     # must be odd, which the all-zero "knot" breaks
+    _, det = invariants._signature_and_determinant_of_rows(((0, 0, 0, 0),) * 4)
     with pytest.raises(InvariantViolation, match="knot determinant 0 is even"):
-        invariants._knot_determinant_of_rows(((0, 0, 0, 0),) * 4)
+        invariants.arf_from_determinant(det)
 
 
 def _step_with_odd_entry(a, i, j):
