@@ -4,33 +4,38 @@ Everything here is computed over Z; no floating point anywhere.  The
 Alexander polynomial is det(V - t V^T) for the Seifert matrix V of the code,
 taken by two mutually checking exact algorithms:
 
-* ``fraction_free``: one-step fraction-free (Bareiss) elimination over Z[t]
-  on trimmed coefficient lists, independent of the integer determinant.
-  Each step pops its pivot row and column, so the rows hold exactly the
-  trailing block, and C-level scans find the pivot.  While the previous
-  pivot is a monomial t^m (t^0 = 1 at the start), the pivot is a +-t^m
-  when the block has one, else the +-t^k of least k, by the unit rule of
-  the integer determinant below.  Such a monomial step divides by t^m
-  with a slice: each new entry is (a_ij t^k - a_ik a_kj) / t^m, and the m
-  dropped low coefficients are checked to be zero.  Otherwise, and after
-  a pivot that is no monomial, the pivot is an entry of least length, then
-  of least |leading coefficient|, and the step packs the block's entries
-  as integers at t = 2^W (Kronecker substitution), with W from that
-  step's block, and computes each new entry with one integer product,
-  difference and ``divmod``.  A nonzero dropped coefficient, a remainder,
-  or a quotient whose digits do not prove the division exact over Z[t]
-  and whose fallback division fails, raises :class:`InvariantViolation`;
+* ``fraction_free``: elimination over Z[t] on trimmed coefficient lists,
+  independent of the integer determinant.  Each step pops its pivot row
+  and column, so the rows hold exactly the trailing block, and C-level
+  scans find the pivot.  While the block holds a monomial +-t^k, a unit of
+  Z[t, t^-1], the pivot is one of least k, and the step is Gaussian: only
+  the rows with a nonzero in the pivot column change, each multiplied by
+  t^k, updated, and divided by its common power of t, and each row keeps
+  the power of t it carries.  The first block with no monomial goes to
+  fraction-free (Bareiss) steps on an entry of least length, then of least
+  |leading coefficient|: from prev = 1 as it stands, or, when its rows
+  carry more than one power of t per row beyond the leading minor t^m, from
+  prev = t^m with every row brought to that power.  Each Bareiss step
+  packs the block's entries as integers at t = 2^W (Kronecker
+  substitution), with W from that step's block, and computes each new
+  entry with one integer product, difference and ``divmod``.  A remainder,
+  or a quotient whose digits do not prove the division exact over Z[t] and
+  whose fallback division fails, raises :class:`InvariantViolation`; so
+  does a division by a power of t that would drop a nonzero coefficient,
+  and a result of degree above n or one that breaks c_(n-k) = (-1)^n c_k
+  (det(V - t V^T) = (-t)^n det(V - t^-1 V^T) for any square V);
 * ``eval_interp``: one exact integer determinant at t = 2^B (Kronecker
   substitution).  Hadamard's inequality on |t| = 1 and Cauchy's estimate
   bound every coefficient by sqrt(H), with H read off the entries, so B
   bits per coefficient leave room for the n + 1 balanced base-2^B digits
-  c_0..c_n.  A digit left above them, or a break of c_(n-k) = (-1)^n c_k
-  (det(V - t V^T) = (-t)^n det(V - t^-1 V^T) for any square V), raises
-  :class:`InvariantViolation`.  The integer determinant is a fully
-  pivoted Bareiss elimination of its own: a +-1 pivot while the block has
-  one, else an entry of least absolute value; a step whose pivot equals
-  the previous one changes only the rows and columns it must, and every
-  division is a checked ``divmod``.
+  c_0..c_n.  A digit left above them, or a break of c_(n-k) = (-1)^n c_k,
+  raises :class:`InvariantViolation`.  The integer determinant is an
+  elimination of its own by the same rule, with +-1 and then the +-x^k of
+  least k (x = 2^B, a unit of Z[1/2]) as its Gaussian pivots, taken with
+  shifts, and Bareiss steps on an entry of least absolute value after
+  them; a step whose pivot equals the previous one changes only the rows
+  and columns it must, and every division is a checked ``divmod`` or a
+  shift that must drop only zero bits.
 
 :func:`alexander`, :func:`knot_determinant` (so :func:`arf` and
 ``passclass.pass_class``) and :func:`signature` take at most ``PENCIL_CAP``
@@ -56,6 +61,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
+from operator import itemgetter, or_
 
 from .codes import FlatBasketCode, surface_stats
 from .errors import CapExceeded, InvariantViolation, MalformedCode, NotAKnot, _excerpt, _shown
@@ -334,6 +341,12 @@ def parse_polynomial(text: str) -> IntPolynomial:
 # entry: :func:`_unit_position` on a copy of the block with those rows masked
 # made the kernel 1.27x slower at 4 bands, 1.21x at 6, 1.07x at 24 and 1.02x
 # at 56, and faster in 0, 0, 1 and 4 of 15 interleaved repetitions.
+# The unit steps of the Z[t] kernel strip the rows they change of their
+# common power of t only in blocks of more than this many rows: against the
+# Bareiss kernel it replaced, stripping after every unit step took 1.11x the
+# time on the 84 table codes (4-12 bands), 0.81x on seeded 12-band knots
+# and 0.84x on 24-band ones, never stripping 0.86x, 0.82x and 0.89x, and
+# this rule 0.88x, 0.79x and 0.84x.
 _SPARSE_UNIT_ROWS = 8
 
 
@@ -366,36 +379,103 @@ def _unit_position(rows: list[list], one, minus_one, zero) -> tuple[int, int] | 
     return p, row.index(one) if one in row else row.index(minus_one)
 
 
-def _det_bareiss_int(rows: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix (fully pivoted one-step Bareiss).
+def _strip_x(row: list[int], bits: int) -> int:
+    """Divide the integer row in place by its largest common power x^s of
+    x = 2^bits and return s; a zero row is left as it is, with s = 0."""
+    if any(map(((1 << bits) - 1).__and__, row)) or not any(row):
+        return 0
+    low = reduce(or_, row)
+    s = ((low & -low).bit_length() - 1) // bits
+    row[:] = [a >> (s * bits) for a in row]
+    return s
+
+
+def _shift_x(row: list[int], e: int, bits: int) -> list[int]:
+    """The integer row times x^e, x = 2^bits, for any integer e; for e < 0
+    the division must be exact, and a nonzero dropped bit raises
+    :class:`InvariantViolation`."""
+    if e >= 0:
+        return [a << (e * bits) for a in row] if e else row
+    low = (1 << (-e * bits)) - 1
+    if any(map(low.__and__, row)):
+        raise InvariantViolation("inexact integer Bareiss step")
+    return [a >> (-e * bits) for a in row]
+
+
+def _power_position(rows: list[list[int]], bits: int) -> tuple[int, int, int] | None:
+    """(p, q, k) for the +-x^k, x = 2^bits, of least k >= 1 in the integer
+    block, at the block position (p, q) that :func:`_unit_position` gives
+    for it, or None when the block holds none."""
+    unit = 1 << bits
+    k = 1
+    top = None
+    while True:
+        pos = _unit_position(rows, unit, -unit, 0)
+        if pos is not None:
+            return (*pos, k)
+        if top is None:
+            top = max(max(max(row), -min(row)) for row in rows)
+        unit <<= bits
+        k += 1
+        if unit > top:
+            return None
+
+
+def _det_bareiss_int(rows: list[list[int]], bits: int) -> int:
+    """Exact determinant of an integer matrix: Gaussian steps on the units
+    +-x^k of Z[1/2], x = 2^bits, while they last, then a fully pivoted
+    one-step Bareiss.
 
     ``rows`` is consumed: each step pops the pivot row from the list and the
     pivot column from every row, so the list always holds exactly the
     trailing block, and C-level scans (``in``, ``list.index``,
     ``list.count``) find the pivot.  Moving the pivot from block position
-    (p, q) to the front flips the sign when p + q is odd.  The pivot is a
-    +-1 whenever the block has one, found by :func:`_unit_position`.
-    Otherwise it is an entry of least absolute value.  A negative pivot has
-    its row negated, flipping the sign again.
-    Below the diagonal, V - 2^B V^T holds V's entries, all in {-1, 0, 1},
-    so about half the steps of a pencil take a unit pivot while the
-    previous pivot is 1, and those steps divide nothing.
+    (p, q) to the front flips the sign when p + q is odd, and a negative
+    pivot has its row negated, flipping it again.
 
-    The update of entry (i, j) is (a_ij * pivot - a_ik * a_kj) / prev, with
-    prev the previous pivot.  When pivot == prev it is a_ij - a_ik * a_kj /
-    prev, so rows with a_ik = 0 stay as they are and only the columns where
-    the pivot row is nonzero change.  Every division goes through
-    ``divmod``, and a remainder raises :class:`InvariantViolation`.  The
-    last 2x2 block is finished as (ad - bc) / prev, checked the same way.
+    Laurent steps: while the block holds a +-1 (:func:`_unit_position`),
+    else a +-x^k (the one of least k, :func:`_power_position`), the step is
+    Gaussian over Z[1/2].  Row i of the block is x^shifts[i] times row i of
+    the Schur complement S, and the pivots so far multiply to +-x^m, the
+    leading minor; e = m - sum(shifts), so det = +-x^e det(block).  Only
+    the rows with a_iq != 0 change.  A +-1 step changes in them only the
+    columns where the pivot row is nonzero, and strips nothing: its rows
+    seldom gain a factor x, and stripping them took 1.06x the time on
+    seeded 24-band knots and 1.5x on the 84 table codes.  A step on x^k
+    multiplies each such row by x^k with a shift, so a_ij x^k - a_iq a_kj
+    stays an integer, and in a block of more than ``_SPARSE_UNIT_ROWS``
+    rows divides it by its common power of x (:func:`_strip_x`); stripping
+    smaller blocks too took 1.05x the time on the table codes.  Below the
+    diagonal, V - x V^T holds V's entries, all in {-1, 0, 1}, so most steps
+    of a pencil take a +-1 or a +-x.
+
+    Bareiss steps: the first block with neither goes on as it stands from
+    prev = 1 while e >= -(rows left); else its rows are brought to x^m S,
+    the block of a Bareiss elimination whose previous pivot is the leading
+    minor, and it goes on from prev = x^m with e = 0.  Each row's own power
+    keeps the block small, but every minor of it carries the powers of its
+    rows.  On seeded knots the rule ran at most 1 % behind the faster of
+    the two in total at 12-40 bands, and ahead of both at 56: in 0.79 of
+    the time of the Bareiss kernel it replaced, against 0.93 rescaling
+    always and 1.10 never (in the Z[t] kernel 0.88, against 0.97 and 0.95).
+    The pivot is a +-1
+    whenever the block has one, else an entry of least absolute value, and
+    the update of entry (i, j) is (a_ij * pivot - a_ik * a_kj) / prev.
+    When pivot == prev it is a_ij - a_ik * a_kj / prev, so rows with a_ik =
+    0 stay as they are and only the columns where the pivot row is nonzero
+    change.  Every division goes through ``divmod``, and a remainder raises
+    :class:`InvariantViolation`.  The last 2x2 block is finished as (ad -
+    bc) / prev, checked the same way, times x^e; a division by a power of x
+    (:func:`_shift_x`) that would drop a nonzero bit raises
+    :class:`InvariantViolation`.
 
     The Z[t] kernel :func:`_det_bareiss_poly` takes its monomial pivots
-    +-t^k by the same rule, one exponent at a time.  The least Markowitz
-    cost (r_i - 1)(c_j - 1) among the units of a block of more than 10
-    rows, from column counts taken at every step, costs more than its
-    smaller fill saves in both:
-    this kernel ran 1.2x slower at 4 bands and 1.6x at 24, and the Z[t]
-    kernel 1.05-1.1x slower at 24 bands, and within 10 % either way at 36
-    and 48.
+    +-t^k by the same rule, in its own code.  The least Markowitz cost
+    (r_i - 1)(c_j - 1) among the units of a block of more than 10 rows, from
+    column counts taken at every step, costs more than its smaller fill
+    saves in both: this kernel ran 1.2x slower at 4 bands and 1.6x at 24,
+    and the Z[t] kernel 1.05-1.1x slower at 24 bands, and within 10 %
+    either way at 36 and 48.
     """
     n = len(rows)
     if n == 0:
@@ -403,18 +483,52 @@ def _det_bareiss_int(rows: list[list[int]]) -> int:
     if n == 1:
         return rows[0][0]
     sign = 1
+    shifts = [0] * n
+    e = 0
+    laurent = True
     prev = 1
     while len(rows) > 2:
         pos = _unit_position(rows, 1, -1, 0)
+        if pos is None and laurent:
+            found = _power_position(rows, bits)
+            if found is not None:
+                p, q, k = found
+                rk = rows.pop(p)
+                del shifts[p]
+                e += k
+                if rk.pop(q) < 0:
+                    rk = [-b for b in rk]
+                    sign = -sign
+                if (p + q) & 1:
+                    sign = -sign
+                shift = k * bits
+                strip = len(rows) >= _SPARSE_UNIT_ROWS
+                for i, ri in enumerate(rows):
+                    rik = ri.pop(q)
+                    if rik:
+                        ri = rows[i] = [(a << shift) - rik * b for a, b in zip(ri, rk)]
+                        grown = k - _strip_x(ri, bits) if strip else k
+                        shifts[i] += grown
+                        e -= grown
+                continue
+            laurent = False
+            if e < -len(rows):
+                m = e + sum(shifts)
+                for row, d in zip(rows, shifts):
+                    row[:] = _shift_x(row, m - d, bits)
+                prev = _shift_x([1], m, bits)[0]
+                e = 0
         if pos is not None:
             p, q = pos
             rk = rows[p]
+            if laurent:
+                del shifts[p]
         else:
             least = 0
             for i, row in enumerate(rows):
-                m = min(filter(None, map(abs, row)), default=0)
-                if m and (not least or m < least):
-                    p, least = i, m
+                low = min(filter(None, map(abs, row)), default=0)
+                if low and (not least or low < least):
+                    p, least = i, low
             if not least:
                 return 0
             rk = rows[p]
@@ -466,31 +580,44 @@ def _det_bareiss_int(rows: list[list[int]]) -> int:
     det, r = divmod(a * d - b * c, prev)
     if r:
         raise InvariantViolation("inexact integer Bareiss step")
+    if e:
+        det = _shift_x([det], e, bits)[0]
     return sign * det
 
 
 _ONE, _MINUS_ONE, _NO_ENTRY = [1], [-1], []
+_CONSTANT_TERM = itemgetter(0)
 
 
-def _pivot(rows: list[list[list[int]]], m: int | None) -> tuple[int, int] | None:
-    """Block position (p, q) of the next Z[t] pivot; None for a zero block.
+def _shift_t(entry: list[int], e: int) -> list[int]:
+    """The coefficient list times t^e, for any integer e; for e < 0 the
+    division must be exact, and a nonzero dropped coefficient raises
+    :class:`InvariantViolation`."""
+    if e >= 0:
+        return [0] * e + entry if e and entry else entry
+    if any(entry[:-e]):
+        raise InvariantViolation("inexact Z[t] Bareiss step")
+    return entry[-e:]
 
-    ``m`` is the exponent of the previous pivot t^m, or None when that is
-    not a monomial.  While it is one, the pivot is a +-t^m, else the +-t^k
-    of least k, each found by the unit rule of :func:`_unit_position`, with
-    +-t^k and ``[]`` as the unit and zero entries.  Otherwise, or without
-    any of these, an entry of least length, then of least |leading
-    coefficient|, the first in row-major order among equals.
+
+def _pivot(rows: list[list[list[int]]], laurent: bool) -> tuple[int, int] | None:
+    """Block position (p, q) of the next Z[t] pivot.
+
+    When ``laurent``, the +-t^k of least k, found by the unit rule of
+    :func:`_unit_position`, with +-t^k and ``[]`` as the unit and zero
+    entries, or None when the block holds no monomial.  Otherwise an entry
+    of least length, then of least |leading coefficient|, the first in
+    row-major order among equals, or None for a zero block.
     """
-    if m is not None:
-        pos = _unit_position(rows, [0] * m + _ONE, [0] * m + _MINUS_ONE, _NO_ENTRY)
+    if laurent:
+        pos = _unit_position(rows, _ONE, _MINUS_ONE, _NO_ENTRY)
         if pos is not None:
             return pos
-        for k in range(max(max(map(len, row)) for row in rows)):
-            if k != m:
-                pos = _unit_position(rows, [0] * k + _ONE, [0] * k + _MINUS_ONE, _NO_ENTRY)
-                if pos is not None:
-                    return pos
+        for k in range(1, max(max(map(len, row)) for row in rows)):
+            pos = _unit_position(rows, [0] * k + _ONE, [0] * k + _MINUS_ONE, _NO_ENTRY)
+            if pos is not None:
+                return pos
+        return None
     lengths = [min(map(len, filter(None, row)), default=0) for row in rows]
     shortest = min(filter(None, lengths), default=0)
     if not shortest:
@@ -506,42 +633,55 @@ def _pivot(rows: list[list[list[int]]], m: int | None) -> tuple[int, int] | None
     return best
 
 
-def _monomial_step(
-    rows: list[list[list[int]]], rk: list[list[int]], q: int, k: int, m: int
-) -> None:
-    """One Bareiss step over Z[t] with pivot t^k after prev t^m.
+def _strip_t(row: list[list[int]]) -> int:
+    """Divide the Z[t] row in place by its largest common power t^s of t and
+    return s; a zero row is left as it is, with s = 0."""
+    if any(map(_CONSTANT_TERM, filter(None, row))) or not any(row):
+        return 0
+    s = 1
+    while not any(map(itemgetter(s), filter(None, row))):
+        s += 1
+    row[:] = [e[s:] for e in row]
+    return s
 
-    Entry (i, j) becomes (a_ij t^k - a_iq a_kj) / t^m, a polynomial by
-    Sylvester's identity, so the division drops m low coefficients, and a
-    nonzero one raises :class:`InvariantViolation`.  When k = m, only the
-    rows with a_iq != 0 change, and in them only the columns where the
-    pivot row is nonzero; the unit step, k = m = 0, divides nothing.
-    Column q is popped here.
+
+def _laurent_step(
+    rows: list[list[list[int]]], rk: list[list[int]], q: int, k: int, shifts: list[int]
+) -> int:
+    """One Gaussian step over Z[t, t^-1] on the pivot t^k, a unit there.
+
+    Row i of the block is t^shifts[i] times row i of the Schur complement S
+    over Z[t, t^-1], and the step leaves S_ij - S_iq S_kj / S_kq.  Only the
+    rows with a_iq != 0 change: each is multiplied by t^k, so that
+    a_ij t^k - a_iq a_kj is a polynomial, updated with one
+    :func:`_poly_sub_mul` per nonzero of the pivot row, and then divided by
+    its common power t^s of t (:func:`_strip_t`), and its shift grows by
+    k - s.  A unit step, k = 0, multiplies nothing, and strips its rows only
+    when the block has more than ``_SPARSE_UNIT_ROWS`` rows (see there).
+    Column q is popped here.  Returns the sum of the shifts' growth.
     """
     cols = [j for j, b in enumerate(rk) if b]
-    if k == m == 0:
+    if not k and len(rows) < _SPARSE_UNIT_ROWS:
         for ri in rows:
             c = ri.pop(q)
             if c:
                 for j in cols:
                     ri[j] = _poly_sub_mul(ri[j], c, rk[j])
-        return
+        return 0
     pad = [0] * k
-    for ri in rows:
+    total = 0
+    for i, ri in enumerate(rows):
         c = ri.pop(q)
-        if k == m and not c:
+        if not c:
             continue
-        for j in cols if k == m else range(len(ri)):
-            a = ri[j]
-            if c and rk[j]:
-                a = _poly_sub_mul(pad + a, c, rk[j])
-            elif a:
-                a = pad + a
-            else:
-                continue
-            if any(a[:m]):
-                raise InvariantViolation("inexact Z[t] Bareiss step")
-            ri[j] = a[m:]
+        if k:
+            ri[:] = [pad + a if a else a for a in ri]
+        for j in cols:
+            ri[j] = _poly_sub_mul(ri[j], c, rk[j])
+        grown = k - _strip_t(ri)
+        shifts[i] += grown
+        total += grown
+    return total
 
 
 def _pack(coeffs: list[int], bits: int) -> int:
@@ -629,7 +769,9 @@ def _packed_step(
 
 
 def _det_bareiss_poly(rows: list[list[list[int]]]) -> list[int]:
-    """Exact determinant of a matrix over Z[t] (fully pivoted one-step Bareiss).
+    """Exact determinant of a matrix over Z[t]: Gaussian steps on the units
+    +-t^k of Z[t, t^-1] while they last, then a fully pivoted one-step
+    Bareiss.
 
     Entries and the result are trimmed coefficient lists.  ``rows`` is
     consumed: each step pops the pivot row from the list and the pivot
@@ -639,24 +781,42 @@ def _det_bareiss_poly(rows: list[list[list[int]]]) -> list[int]:
     p + q is odd, and a pivot with a negative leading coefficient has its
     row negated, flipping it again, so a monomial pivot is always t^k.
 
-    The update of entry (i, j) is (a_ij * pivot - a_iq * a_kj) / prev, with
-    prev the previous pivot.  Both are monomials whenever :func:`_pivot`
-    finds one after a prev t^m, which starts as ``[1]``: then the step is a
-    :func:`_monomial_step`, whose division by t^m is a checked slice, and
-    which changes only what it must when k = m; a unit step, k = m = 0,
-    divides nothing.  Every other step, and every step after a prev that is
-    no monomial, is a :func:`_packed_step`, whose every division is proven
-    exact over Z[t] or raises :class:`InvariantViolation`.
+    Laurent steps: while the block holds a +-t^k, the step is a
+    :func:`_laurent_step` on one of least k.  Row i of the block is
+    t^shifts[i] times row i of the Schur complement S over Z[t, t^-1], the
+    pivots so far multiply to +-t^m, the leading minor, and e = m -
+    sum(shifts), so det = +-t^e det(block).  The last 2x2 block is finished
+    as (ad - bc) t^e.
+
+    Bareiss steps: the first block with no monomial goes on as it stands
+    from prev = [1] while e >= -(rows left); else its rows are brought to
+    t^m S, and it goes on from prev = t^m with e = 0, by the rule of
+    :func:`_det_bareiss_int`, kept here in this kernel's own code.  The
+    update of entry (i, j) is (a_ij * pivot - a_iq * a_kj) / prev, by a
+    :func:`_packed_step`, whose every division is proven exact over Z[t] or
+    raises :class:`InvariantViolation`, and the result is multiplied by
+    t^e; a division by a power of t (:func:`_shift_t`) that would drop a
+    nonzero coefficient raises :class:`InvariantViolation`.
     """
-    if not rows:
-        return [1]
+    if len(rows) < 2:
+        return rows[0][0] if rows else [1]
     sign = 1
-    prev = _ONE
-    m = 0
-    while len(rows) > 1:
-        pos = _pivot(rows, m)
+    shifts = [0] * len(rows)
+    e = 0
+    prev = None  # None while the steps are Laurent steps
+    while len(rows) > 2 or len(rows) == 2 and prev:
+        pos = _pivot(rows, prev is None)
         if pos is None:
-            return []
+            if prev:
+                return []
+            prev = _ONE
+            if e < -len(rows):
+                m = e + sum(shifts)
+                for row, d in zip(rows, shifts):
+                    row[:] = [_shift_t(a, m - d) for a in row]
+                prev = _shift_t(_ONE, m)
+                e = 0
+            continue
         p, q = pos
         rk = rows.pop(p)
         pivot = rk.pop(q)
@@ -666,25 +826,49 @@ def _det_bareiss_poly(rows: list[list[list[int]]]) -> list[int]:
             pivot = [-c for c in pivot]
             rk = [[-c for c in b] for b in rk]
             sign = -sign
-        k = len(pivot) - 1  # the exponent of a pivot t^k, else None
-        if pivot[-1] != 1 or pivot.count(0) != k:
-            k = None
-        if k is None or m is None:
-            _packed_step(rows, rk, q, pivot, prev)
+        if prev is None:
+            k = len(pivot) - 1
+            del shifts[p]
+            e += k - _laurent_step(rows, rk, q, k, shifts)
         else:
-            _monomial_step(rows, rk, q, k, m)
-        prev, m = pivot, k
-    det = rows[0][0]
+            _packed_step(rows, rk, q, pivot, prev)
+            prev = pivot
+    if prev:
+        det = rows[0][0]
+    else:
+        (a, b), (c, d) = rows
+        det = _poly_sub_mul(_poly_mul(a, d), b, c) if b and c else _poly_mul(a, d)
+    if e:
+        det = _shift_t(det, e)
     return [-c for c in det] if sign < 0 else det
 
 
 def _pencil_det_fraction_free(rows: tuple[tuple[int, ...], ...]) -> IntPolynomial:
-    """det(V - t V^T) by Bareiss elimination over Z[t]."""
+    """det(V - t V^T) by elimination over Z[t] (:func:`_det_bareiss_poly`).
+
+    The result is checked as :func:`_pencil_det_eval_interp` checks its
+    own: a degree above n, or a break of c_(n-k) = (-1)^n c_k, raises
+    :class:`InvariantViolation`.
+    """
+    n = len(rows)
     pencil = [
         [[v, -w] if w else [v] if v else [] for v, w in zip(row, col)]
         for row, col in zip(rows, zip(*rows))
     ]
-    return IntPolynomial(tuple(_det_bareiss_poly(pencil)))
+    coeffs = _det_bareiss_poly(pencil)
+    if len(coeffs) > n + 1:
+        raise InvariantViolation("pencil determinant has degree above n")
+    _check_pencil_symmetry(coeffs + [0] * (n + 1 - len(coeffs)))
+    return IntPolynomial(tuple(coeffs))
+
+
+def _check_pencil_symmetry(coeffs: list[int]) -> None:
+    """Raise :class:`InvariantViolation` unless the n + 1 coefficients
+    c_0..c_n of a pencil det(V - t V^T) of n rows satisfy c_(n-k) = (-1)^n
+    c_k, as det(V - t V^T) = (-t)^n det(V - t^-1 V^T) for any square V."""
+    mirrored = coeffs[::-1] if len(coeffs) % 2 else [-c for c in reversed(coeffs)]
+    if mirrored != coeffs:
+        raise InvariantViolation("pencil coefficients break c_(n-k) = (-1)^n c_k")
 
 
 def _hadamard_square(rows: tuple[tuple[int, ...], ...]) -> int:
@@ -697,11 +881,12 @@ def _hadamard_square(rows: tuple[tuple[int, ...], ...]) -> int:
     sqrt(H).  H = 0 exactly when some row of M(t) is zero.
     """
     h = 1
-    for i, row in enumerate(rows):
+    for row, col in zip(rows, zip(*rows)):
         s = 0
-        for j, v in enumerate(row):
-            l1 = abs(v) + abs(rows[j][i])
-            s += l1 * l1
+        for v, w in zip(row, col):
+            if v or w:
+                l1 = abs(v) + abs(w)
+                s += l1 * l1
         h *= s
     return h
 
@@ -728,7 +913,7 @@ def _pencil_det_eval_interp(
     bits = (h.bit_length() + 1) // 2 + 1
     x = 1 << bits
     value = _det_bareiss_int(
-        [[rows[i][j] - x * rows[j][i] for j in range(n)] for i in range(n)]
+        [[rows[i][j] - x * rows[j][i] for j in range(n)] for i in range(n)], bits
     )
     mask = x - 1
     half = x >> 1
@@ -741,9 +926,7 @@ def _pencil_det_eval_interp(
         value = (value - digit) >> bits
     if value:
         raise InvariantViolation("pencil value has digits above degree n")
-    sign = -1 if n % 2 else 1
-    if any(coeffs[n - k] != sign * c for k, c in enumerate(coeffs)):
-        raise InvariantViolation("pencil coefficients break c_(n-k) = (-1)^n c_k")
+    _check_pencil_symmetry(coeffs)
     return IntPolynomial(tuple(coeffs))
 
 
@@ -769,10 +952,11 @@ def pencil_determinant(
 # Most bands :func:`alexander` takes: the largest multiple of 8 at which a
 # checked ``invariants`` on 40 seeded random knots (best of 3 per code)
 # stays within 0.21 s in the median and 0.37 s at most, what 48 bands took
-# with a dense integer Bareiss.  At 56 bands it takes 0.14 s (0.29 s at
-# most): 0.066 s in the Z[t] elimination and 0.069 s in the integer
-# determinant.  At 64 it takes 0.35 s (0.73 s), the Z[t] elimination
-# 0.13 s and the integer determinant 0.21 s, so that method holds the cap.
+# with a dense integer Bareiss.  At 56 bands it takes 0.10 s (0.24 s at
+# most): 0.048 s in the Z[t] elimination and 0.050 s in the integer
+# determinant.  At 64 it takes 0.27 s (0.61 s), the Z[t] elimination
+# 0.093 s and the integer determinant 0.16 s, so that method still holds
+# the cap.
 PENCIL_CAP = 56
 
 

@@ -230,28 +230,42 @@ def all_codes(n: int):
 
 # ---------------------------------------------------------------------------
 # fixtures
-def z_t_steps(monkeypatch) -> list[tuple[str, bool]]:
-    """Record each step of the Z[t] Bareiss of ``fraction_free`` as (kind,
-    divides): kind ``"same"`` for a pivot t^m after prev t^m, ``"up"`` or
-    ``"down"`` for a shift step, t^k after t^m with k > m or k < m, and
-    ``"packed"`` for any other step; divides is False exactly when prev is
-    [1]."""
+def z_t_steps(monkeypatch) -> list[tuple[str, object]]:
+    """Record the steps of the Z[t] elimination of ``fraction_free``: a
+    Laurent step on t^k as ``("unit", 0)`` for k = 0 and ``("shift", k)``
+    for k >= 1, a packed step as ``("packed", divides)``, divides being
+    False exactly when prev is [1], and each checked division of an entry
+    by t^d, d >= 1, as ``("drop", d)``: the division of ad - bc by a
+    negative final power of t, or of a row brought to the leading minor's
+    power at the switch to packed steps."""
     from flatbasket import invariants
 
     steps = []
-    monomial, packed = invariants._monomial_step, invariants._packed_step
+    laurent, packed, shift = invariants._laurent_step, invariants._packed_step, invariants._shift_t
 
-    def on_monomial(rows, rk, q, k, m):
-        steps.append(("same" if k == m else "up" if k > m else "down", m > 0))
-        monomial(rows, rk, q, k, m)
+    def on_laurent(rows, rk, q, k, shifts):
+        steps.append(("shift", k) if k else ("unit", 0))
+        return laurent(rows, rk, q, k, shifts)
 
     def on_packed(rows, rk, q, pivot, prev):
         steps.append(("packed", prev != [1]))
         packed(rows, rk, q, pivot, prev)
 
-    monkeypatch.setattr(invariants, "_monomial_step", on_monomial)
+    def on_shift(entry, e):
+        if e < 0:
+            steps.append(("drop", -e))
+        return shift(entry, e)
+
+    monkeypatch.setattr(invariants, "_laurent_step", on_laurent)
     monkeypatch.setattr(invariants, "_packed_step", on_packed)
+    monkeypatch.setattr(invariants, "_shift_t", on_shift)
     return steps
+
+
+def drops(steps) -> bool:
+    """Whether the recorded Z[t] elimination (:func:`z_t_steps`) divided an
+    entry by a power of t, so its dropped coefficients were checked."""
+    return any(kind == "drop" for kind, _ in steps)
 
 
 # ---------------------------------------------------------------------------

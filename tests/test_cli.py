@@ -439,17 +439,21 @@ def _perturb_once(monkeypatch, name, perturb, when):
 
 
 def test_seeded_12_band_knots_take_monomial_steps(monkeypatch, capsys):
-    # the fault tests below use two seeded 12-band knots: the first takes no
-    # packed step, the second one after a prev other than [1]
+    # the fault tests below use three seeded 12-band knots: the first two
+    # take Laurent steps only, and the third takes packed steps, from prev
+    # [1] and after it, and its result drops three low coefficients
     steps = z_t_steps(monkeypatch)
-    first, second = (_seeded_knot(random.Random(seed), 12) for seed in (12, 2))
+    first, second, third = (_seeded_knot(random.Random(seed), 12) for seed in (12, 2, 173))
     assert run(capsys, "invariants", "--json", "--code", first)[0] == 0
-    assert Counter(steps) == {("same", False): 7, ("up", False): 1, ("up", True): 3}
+    assert Counter(steps) == {("unit", 0): 9, ("shift", 1): 1}
     steps.clear()
     assert run(capsys, "invariants", "--json", "--code", second)[0] == 0
+    assert Counter(steps) == {("unit", 0): 8, ("shift", 1): 2}
+    steps.clear()
+    assert run(capsys, "invariants", "--json", "--code", third)[0] == 0
     assert Counter(steps) == {
-        ("same", False): 6, ("same", True): 1, ("up", False): 1, ("up", True): 2,
-        ("packed", True): 1,
+        ("unit", 0): 6, ("shift", 1): 1, ("shift", 2): 1,
+        ("packed", False): 1, ("packed", True): 2, ("drop", 3): 1,
     }
 
 
@@ -459,10 +463,10 @@ def _assert_one_z_t_error(capsys, code):
 
 
 def test_inexact_z_t_steps_exit_1_without_a_traceback(monkeypatch, capsys):
-    # a numerator one unit off on the packed step, divided by a prev other
+    # a numerator one unit off on a packed step, divided by a prev other
     # than 1: the checked divmod, then the fallback division, raises
     # InvariantViolation, so the command exits 1 with one error line
-    code = _seeded_knot(random.Random(2), 12)
+    code = _seeded_knot(random.Random(173), 12)
     done = _perturb_once(monkeypatch, "divmod", lambda a: a + 1, lambda a, b: b != 1)
     _assert_one_z_t_error(capsys, code)
     assert done
@@ -475,37 +479,62 @@ def test_inexact_z_t_steps_exit_1_without_a_traceback(monkeypatch, capsys):
     assert done
 
 
-def _during_monomial_steps(monkeypatch, which) -> list:
-    """A one-item list that holds (k, m) while a monomial step of the Z[t]
-    Bareiss, pivot t^k after prev t^m, with ``which(k, m)`` runs, and None
-    otherwise."""
+def _during_laurent_steps(monkeypatch, which) -> list:
+    """A one-item list that holds k while a Laurent step of the Z[t]
+    elimination on t^k with ``which(k)`` runs, and None otherwise."""
     active = [None]
-    real = invariants._monomial_step
+    real = invariants._laurent_step
 
-    def step(rows, rk, q, k, m):
-        active[0] = (k, m) if which(k, m) else None
+    def step(rows, rk, q, k, shifts):
+        active[0] = k if which(k) else None
         try:
-            real(rows, rk, q, k, m)
+            return real(rows, rk, q, k, shifts)
         finally:
             active[0] = None
 
-    monkeypatch.setattr(invariants, "_monomial_step", step)
+    monkeypatch.setattr(invariants, "_laurent_step", step)
     return active
 
 
-@pytest.mark.parametrize("kind, seed", [("shift", 12), ("same", 2)])
-def test_inexact_monomial_steps_exit_1_without_a_traceback(monkeypatch, capsys, kind, seed):
-    # pivot t^k after prev t^m with m >= 1, k != m or k = m: the lowest of
-    # the m numerator coefficients that the division by t^m drops one unit
-    # off, so the check of the dropped coefficients raises
-    active = _during_monomial_steps(
-        monkeypatch, lambda k, m: m >= 1 and (k == m) == (kind == "same")
+def test_miscounted_powers_of_t_exit_1_without_a_traceback(monkeypatch, capsys):
+    # a row strip after a step on t^k, k >= 1, that reports one power of t
+    # more than it takes out: fraction_free's own degree and symmetry checks
+    # raise, before the checked Delta compares the two methods
+    active = _during_laurent_steps(monkeypatch, lambda k: k >= 1)
+    done = []
+    real = invariants._strip_t
+
+    def strip(row):
+        s = real(row)
+        if active[0] and not done:
+            done.append(s)
+            return s + 1
+        return s
+
+    monkeypatch.setattr(invariants, "_strip_t", strip)
+    status, out, err = run(
+        capsys, "invariants", "--json", "--code", _seeded_knot(random.Random(12), 12)
     )
-    done = _perturb_once(
-        monkeypatch, "any", lambda low: [low[0] + 1] + low[1:], lambda low: active[0] and low
-    )
-    _assert_one_z_t_error(capsys, _seeded_knot(random.Random(seed), 12))
-    assert done
+    assert done and (status, out) == (1, "")
+    assert err == "error: pencil coefficients break c_(n-k) = (-1)^n c_k\n"
+
+
+def test_dropped_coefficients_exit_1_without_a_traceback(monkeypatch, capsys):
+    # the knot of seed 173 goes on to packed steps with e = -3 in det =
+    # +-t^e det(block), so its last block's determinant drops three low
+    # coefficients; with the lowest one unit off, their check raises
+    real = invariants._packed_step
+    done = []
+
+    def last_step_off(rows, rk, q, pivot, prev):
+        real(rows, rk, q, pivot, prev)
+        if len(rows) == 1:
+            done.append(rows[0][0][:3])
+            rows[0][0] = [rows[0][0][0] + 1] + rows[0][0][1:]
+
+    monkeypatch.setattr(invariants, "_packed_step", last_step_off)
+    _assert_one_z_t_error(capsys, _seeded_knot(random.Random(173), 12))
+    assert done == [[0, 0, 0]]
 
 
 class _OffByOne(int):
@@ -515,35 +544,35 @@ class _OffByOne(int):
     __rmul__ = __mul__
 
 
-def test_product_off_in_a_same_exponent_step_exits_1_without_a_traceback(monkeypatch, capsys):
-    # pivot = prev = t^m with m >= 1: the products of the lowest nonzero
-    # coefficient of a_iq one unit off land at or above t^m, so the step
-    # keeps them and the checked Delta catches the disagreement
-    active = _during_monomial_steps(monkeypatch, lambda k, m: k == m >= 1)
+def test_product_off_in_a_shift_step_exits_1_without_a_traceback(monkeypatch, capsys):
+    # a step on t^k with k >= 1: the products of the lowest nonzero
+    # coefficient of a_iq one unit off change the block, and
+    # fraction_free's own symmetry check catches it
+    active = _during_laurent_steps(monkeypatch, lambda k: k >= 1)
     done = []
     real = invariants._poly_sub_mul
 
     def faulty(a, c, b):
         if active[0] and not done:
             i = next(i for i, x in enumerate(c) if x)
-            done.append(i >= active[0][1])
+            done.append(i)
             c = c[:i] + [_OffByOne(c[i])] + c[i + 1:]
         return real(a, c, b)
 
     monkeypatch.setattr(invariants, "_poly_sub_mul", faulty)
     code = _seeded_knot(random.Random(2), 12)
     status, out, err = run(capsys, "invariants", "--json", "--code", code)
-    assert done == [True] and (status, out) == (1, "")
-    assert err.startswith("error: determinant methods disagree on ") and err.count("\n") == 1
+    assert done and (status, out) == (1, "")
+    assert err == "error: pencil coefficients break c_(n-k) = (-1)^n c_k\n"
 
 
 def test_faulty_unit_step_exits_1_without_a_traceback(monkeypatch, capsys):
-    # a unit step (pivot = prev = 1) divides nothing, and the block it
-    # leaves is a fresh start for Bareiss, so no later division can see a
-    # wrong entry there; with every unit-step update one unit off, the
-    # checked Delta catches it as a disagreement
+    # a unit step (pivot 1 while prev is 1) divides nothing, and the block
+    # it leaves is the Schur complement itself, so no later division can
+    # see a wrong entry there; with every unit-step update one unit off,
+    # fraction_free's own degree check catches it
     code = _seeded_knot(random.Random(12), 12)
-    active = _during_monomial_steps(monkeypatch, lambda k, m: k == m == 0)
+    active = _during_laurent_steps(monkeypatch, lambda k: k == 0)
     updates = []
     real = invariants._poly_sub_mul
 
@@ -556,7 +585,7 @@ def test_faulty_unit_step_exits_1_without_a_traceback(monkeypatch, capsys):
     monkeypatch.setattr(invariants, "_poly_sub_mul", faulty)
     status, out, err = run(capsys, "invariants", "--json", "--code", code)
     assert updates and (status, out) == (1, "")
-    assert err.startswith("error: determinant methods disagree on ") and err.count("\n") == 1
+    assert err == "error: pencil determinant has degree above n\n"
 
 
 def test_flatten_errors_quote_drawing_coordinates(tmp_path, capsys):

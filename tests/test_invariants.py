@@ -38,6 +38,7 @@ from conftest import (
     fraction_pencil_det,
     leibniz_det,
     leibniz_pencil_det,
+    drops,
     random_code,
     rotated,
     z_t_steps,
@@ -222,36 +223,40 @@ def test_methods_agree_on_seeded_24_band_knots():
 
 
 def test_fraction_free_fill_on_seeded_24_band_knots(monkeypatch):
-    # monomial pivots from the sparsest rows above _SPARSE_UNIT_ROWS rows:
-    # the blocks of the ten pencils hold 55,735 coefficients over all steps
-    # (56,117 with constant units only); the first row with a monomial at
-    # every size makes them hold 78,751; the count does not depend on how
-    # products and quotients are computed
+    # Laurent steps on monomial pivots from the sparsest rows above
+    # _SPARSE_UNIT_ROWS rows: the blocks of the ten pencils hold 48,112
+    # coefficients over all steps (55,735 with Bareiss steps on the same
+    # kind of pivots, which keep every common power of t); the first row
+    # with a monomial, and no strip after a unit step, at every size makes
+    # them hold 66,462; the count does not depend on how products and
+    # quotients are computed
     fill = []
     real = invariants._pivot
 
-    def measuring(rows, m):
+    def measuring(rows, laurent):
         fill.append(sum(len(e) for row in rows for e in row))
-        return real(rows, m)
+        return real(rows, laurent)
 
     monkeypatch.setattr(invariants, "_pivot", measuring)
     for code in _seeded_24_band_knots():
         pencil_determinant(seifert_matrix(code), "fraction_free")
-    assert sum(fill) <= 55_735, sum(fill)
+    assert sum(fill) <= 48_112, sum(fill)
 
 
-def _brute_force_pivot(rows, m):
-    """The pivot rule of ``invariants._pivot`` after a prev t^m (m None when
-    prev is no monomial, and then no monomial tier), by a scan of every
-    entry."""
+def _is_monomial(e) -> bool:
+    return bool(e) and e[-1] in (1, -1) and not any(e[:-1])
+
+
+def _brute_force_pivot(rows, laurent):
+    """The pivot rule of ``invariants._pivot`` (monomials only when
+    ``laurent``), by a scan of every entry."""
     entries = [(i, j, e) for i, row in enumerate(rows) for j, e in enumerate(row) if e]
-    if not entries:
+    monomials = [(i, j, e) for i, j, e in entries if _is_monomial(e)]
+    if not laurent:
+        return min((len(e), abs(e[-1]), (i, j)) for i, j, e in entries)[2] if entries else None
+    if not monomials:
         return None
-    monomials = [(i, j, e) for i, j, e in entries if e[-1] in (1, -1) and not any(e[:-1])]
-    if m is None or not monomials:
-        return min((len(e), abs(e[-1]), (i, j)) for i, j, e in entries)[2]
-    lengths = {len(e) for _, _, e in monomials}
-    length = m + 1 if m + 1 in lengths else min(lengths)
+    length = min(len(e) for _, _, e in monomials)
     units = [u for u in monomials if len(u[2]) == length]
     if len(rows) > invariants._SPARSE_UNIT_ROWS:
         nonzeros = [sum(1 for e in row if e) for row in rows]
@@ -267,13 +272,15 @@ def test_pivot_rule_at_every_step(monkeypatch):
     steps = []
     real = invariants._pivot
 
-    def checking(rows, m):
-        expected = _brute_force_pivot(rows, m)
-        got = real(rows, m)
-        assert got == expected, (len(rows), m, got, expected)
-        if got is not None:
+    def checking(rows, laurent):
+        expected = _brute_force_pivot(rows, laurent)
+        got = real(rows, laurent)
+        assert got == expected, (len(rows), laurent, got, expected)
+        if got is None:
+            steps.append((len(rows), laurent, 0, False, False))
+        else:
             e = rows[got[0]][got[1]]
-            steps.append((len(rows), m, len(e), got != _first_of(rows, e)))
+            steps.append((len(rows), laurent, len(e), _is_monomial(e), got != _first_of(rows, e)))
         return got
 
     def _first_of(rows, e):
@@ -292,49 +299,53 @@ def test_pivot_rule_at_every_step(monkeypatch):
         steps.clear()
         det = pencil_determinant(v, "fraction_free")
         assert det == pencil_determinant(v, "eval_interp")
-        assert det.is_zero or len(steps) == v.n - 1
+        # the last 2x2 block after Laurent steps is finished as ad - bc, and
+        # the switch to packed steps looks for a pivot once more
+        pivots = sum(length > 0 for _, _, length, _, _ in steps)
+        assert det.is_zero or v.n - 2 <= pivots <= v.n - 1
     steps.clear()
     for code in _seeded_24_band_knots():
         pencil_determinant(seifert_matrix(code), "fraction_free")
     sparse = invariants._SPARSE_UNIT_ROWS
-    assert any(n > sparse and moved for n, _, _, moved in steps)
-    # every tier is reached: +-t^m after t^m with m >= 1, a monomial of
-    # another exponent, and a packed pivot after a non-monomial prev
-    assert any(m and length == m + 1 for _, m, length, _ in steps)
-    assert any(m is not None and length != m + 1 for _, m, length, _ in steps)
-    assert any(m is None for _, m, _, _ in steps)
+    assert any(n > sparse and moved for n, _, _, _, moved in steps)
+    # every tier is reached: a +-1, a +-t^k with k >= 1 while no +-1 is
+    # left, a block with no monomial, and the pivots of packed steps
+    assert any(laurent and length == 1 and mono for _, laurent, length, mono, _ in steps)
+    assert any(laurent and length > 1 and mono for _, laurent, length, mono, _ in steps)
+    assert any(laurent and not length for _, laurent, length, _, _ in steps)
+    assert any(not laurent and length for _, laurent, length, _, _ in steps)
 
 
 def test_pivot_tiers_and_ties():
     # a unit beats a shorter-led constant; in a small block the first row
     # with a unit wins, and in it a [1] before a [-1]
     pencil = [[[2], [], []], [[], [-1], [1]], [[], [1], [1]]]
-    assert invariants._pivot(pencil, 0) == (1, 2)
-    # without monomials the shortest entries, then the least |leading
-    # coefficient|, the first among equals; after a non-monomial prev that
-    # is the whole rule, so a -1 ties with a 1
+    assert invariants._pivot(pencil, True) == (1, 2)
+    # without monomials the Laurent tier finds nothing; the other rule
+    # takes the shortest entries, then the least |leading coefficient|, the
+    # first among equals, so a -1 ties with a 1
     pencil = [[[1, 1], [], []], [[], [-5], [3]], [[], [7], []]]
-    assert invariants._pivot(pencil, 0) == (1, 2)
-    assert invariants._pivot(pencil, None) == (1, 2)
+    assert invariants._pivot(pencil, True) is None
+    assert invariants._pivot(pencil, False) == (1, 2)
     pencil = [[[-1], [1]], [[2], [3]]]
-    assert invariants._pivot(pencil, 0) == (0, 1)
-    assert invariants._pivot(pencil, None) == (0, 0)
-    assert invariants._pivot([[[], []], [[], []]], 0) is None
-    # after prev t^2: a +-t^2 first, even after a +-1 and a +-t
-    pencil = [[[1], [0, 1]], [[0, 0, -1], [2]]]
-    assert invariants._pivot(pencil, 2) == (1, 0)
+    assert invariants._pivot(pencil, True) == (0, 1)
+    assert invariants._pivot(pencil, False) == (0, 0)
+    assert invariants._pivot([[[], []], [[], []]], True) is None
+    assert invariants._pivot([[[], []], [[], []]], False) is None
+    # the +-t^k of least k: a +-1 before a +-t and a +-t^2
+    pencil = [[[0, 1], [1]], [[0, 0, -1], [2]]]
+    assert invariants._pivot(pencil, True) == (0, 1)
     # else the +-t^k of least k, before a shorter non-monomial entry
     pencil = [[[0, 0, 0, 1], [2]], [[0, -1], [0, 0, 1]]]
-    assert invariants._pivot(pencil, 1) == (1, 0)
-    assert invariants._pivot(pencil, 3) == (0, 0)
-    assert invariants._pivot(pencil, 0) == (1, 0)
-    assert invariants._pivot(pencil, None) == (0, 1)
+    assert invariants._pivot(pencil, True) == (1, 0)
+    assert invariants._pivot(pencil, False) == (0, 1)
     # +t^k before -t^k in the pivot's row; monomials with a zero low
     # coefficient only: t + t^2 is not one
     pencil = [[[0, -1], [0, 1]], [[0, 1, 1], [3]]]
-    assert invariants._pivot(pencil, 0) == (0, 1)
+    assert invariants._pivot(pencil, True) == (0, 1)
     pencil = [[[0, 1, 1], [3]], [[4], [0, 2]]]
-    assert invariants._pivot(pencil, 1) == (0, 1)
+    assert invariants._pivot(pencil, True) is None
+    assert invariants._pivot(pencil, False) == (0, 1)
 
 
 def test_pivot_takes_a_unit_of_the_sparsest_row():
@@ -345,15 +356,14 @@ def test_pivot_takes_a_unit_of_the_sparsest_row():
     block = [[[1] if i == j else [] for j in range(m)] for i in range(m)]
     for k in range(1, m):
         block[0][k] = block[k][0] = [2, 1]
-    assert invariants._pivot(block, 0) == (1, 1)
+    assert invariants._pivot(block, True) == (1, 1)
     small = [row[1:] for row in block[1:]]
     small[0][0] = [3]
     assert len(small) == invariants._SPARSE_UNIT_ROWS
-    assert invariants._pivot(small, 0) == (1, 1)
-    # the same for the monomials t^2 after prev t^2 and after prev t
+    assert invariants._pivot(small, True) == (1, 1)
+    # the same for the monomials t^2, the least power in the block
     shifted = [[[0, 0] + e if e else e for e in row] for row in block]
-    assert invariants._pivot(shifted, 2) == (1, 1)
-    assert invariants._pivot(shifted, 1) == (1, 1)
+    assert invariants._pivot(shifted, True) == (1, 1)
 
 
 def _integer_matrices(rng):
@@ -369,13 +379,56 @@ def _integer_matrices(rng):
             yield [[-1 if x == 1 else x for x in row] for row in rows]
 
 
-def test_integer_bareiss_matches_leibniz():
+# the empty matrix, 1x1 ones, and matrices with a zero row
+_EDGE_MATRICES = (
+    [], [[0]], [[1]], [[-3]], [[0, 0], [1, 2]], [[2, 1], [0, 0]],
+    [[1, 2, 0], [0, 0, 0], [3, 1, 1]], [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+)
+
+
+def _integer_steps(monkeypatch) -> list:
+    """Record the Laurent steps of ``_det_bareiss_int``: ``("power", k)``
+    for each +-x^k pivot with k >= 1, ``("none", 0)`` for a block with no
+    +-1 and no +-x^k left, and ``("drop", d)`` for each checked division by
+    x^d, d >= 1 (of ad - bc by a negative final power of x, or of a row
+    brought to the leading minor's power at the switch to Bareiss steps)."""
+    steps = []
+    power, shift = invariants._power_position, invariants._shift_x
+
+    def on_power(rows, bits):
+        found = power(rows, bits)
+        steps.append(("none", 0) if found is None else ("power", found[2]))
+        return found
+
+    def on_shift(row, e, bits):
+        if e < 0:
+            steps.append(("drop", -e))
+        return shift(row, e, bits)
+
+    monkeypatch.setattr(invariants, "_power_position", on_power)
+    monkeypatch.setattr(invariants, "_shift_x", on_shift)
+    return steps
+
+
+def test_integer_bareiss_matches_leibniz(monkeypatch):
+    # at x = 2 every +-2^k is a unit, at x = 4 every +-4^k; the paths seen:
+    # pivots +-x^k with k >= 1, a negative final exponent, a block with no
+    # +-x^k left (then Bareiss steps), and the edge matrices
+    steps = _integer_steps(monkeypatch)
+    seen = Counter()
     singular = 0
-    for rows in _integer_matrices(random.Random(19)):
-        expected = leibniz_det(rows)
-        assert invariants._det_bareiss_int([list(row) for row in rows]) == expected, rows
-        singular += not expected
-    assert singular >= 200
+    for bits in (1, 2):
+        for rows in (*_integer_matrices(random.Random(19)), *_EDGE_MATRICES):
+            expected = leibniz_det(rows)
+            steps.clear()
+            assert invariants._det_bareiss_int([list(row) for row in rows], bits) == expected, rows
+            singular += not expected
+            seen["power"] += any(kind == "power" for kind, _ in steps)
+            seen["deep"] += any(kind == "power" and k >= 2 for kind, k in steps)
+            seen["negative"] += any(kind == "drop" for kind, _ in steps)
+            seen["none"] += ("none", 0) in steps
+    assert singular >= 400
+    assert seen == {"power": 273, "deep": 127, "negative": 183, "none": 167}, seen
 
 
 def _count_calls(monkeypatch, name) -> list:
@@ -391,12 +444,13 @@ def _count_calls(monkeypatch, name) -> list:
     return calls
 
 
-def _monomial_step_matrices() -> list:
+def _laurent_step_matrices() -> list:
     """Seeded random integer matrices of 3-6 rows: the first ten whose Z[t]
-    Bareiss takes each kind of monomial step after a prev t^m with m >= 1,
-    pivot t^m, t^k with k > m and t^k with k < m."""
+    elimination takes each of a Laurent step on t^k with k >= 1, a final
+    exponent below zero, and packed steps, which start from prev [1] on a
+    block with no monomial."""
     rng = random.Random(23)
-    wanted = {"same": 10, "up": 10, "down": 10}
+    wanted = {"shift": 10, "negative": 10, "from_one": 10}
     out = []
     with pytest.MonkeyPatch.context() as mp:
         steps = z_t_steps(mp)
@@ -405,7 +459,12 @@ def _monomial_step_matrices() -> list:
             rows = [[rng.choice((0, 0, 0, 1, -1, 1, 2)) for _ in range(n)] for _ in range(n)]
             steps.clear()
             pencil_determinant(SeifertMatrix(tuple(map(tuple, rows))), "fraction_free")
-            kinds = {kind for kind, divides in steps if divides and wanted.get(kind)}
+            kinds = {
+                "shift": any(kind == "shift" for kind, _ in steps),
+                "negative": drops(steps),
+                "from_one": ("packed", False) in steps,
+            }
+            kinds = {kind for kind, hit in kinds.items() if hit and wanted[kind]}
             if kinds:
                 out.append(rows)
                 for kind in kinds:
@@ -415,12 +474,15 @@ def _monomial_step_matrices() -> list:
 
 @pytest.fixture(scope="module")
 def leibniz_pencils():
-    """Every code up to four bands, the ``_integer_matrices`` and the
-    ``_monomial_step_matrices`` as V, each with its Leibniz det(V - t V^T)."""
+    """Every code up to four bands, the ``_integer_matrices``, the
+    ``_laurent_step_matrices`` and the ``_EDGE_MATRICES`` as V, each with its
+    Leibniz det(V - t V^T)."""
     matrices = [seifert_matrix(code) for n in (1, 2, 3, 4) for code in all_codes(n)]
     matrices += [
         SeifertMatrix(tuple(map(tuple, rows)))
-        for rows in (*_integer_matrices(random.Random(19)), *_monomial_step_matrices())
+        for rows in (
+            *_integer_matrices(random.Random(19)), *_laurent_step_matrices(), *_EDGE_MATRICES
+        )
     ]
     return [(v, leibniz_pencil_det(v)) for v in matrices]
 
@@ -429,10 +491,12 @@ def leibniz_pencils():
     "way", ["shipped", "sparse_rows_everywhere", "fallback_division", "no_monomial_steps"]
 )
 def test_fraction_free_matches_leibniz_every_path(monkeypatch, leibniz_pencils, way):
-    # as shipped, monomial steps of every kind and packed steps; the other
-    # ways take every monomial from the sparsest row, send every packed
-    # quotient through the fallback division of the unpacked numerator,
-    # and make every monomial step a packed step on the same pivots
+    # as shipped, Laurent steps of every kind and packed steps; the other
+    # ways take every monomial from the sparsest row and strip the rows of
+    # every unit step, send every packed quotient through the fallback
+    # division of the unpacked numerator, and make every Laurent step a
+    # packed step on the same pivot from prev [1], which multiplies every
+    # row left by t^k
     if way == "sparse_rows_everywhere":
         monkeypatch.setattr(invariants, "_SPARSE_UNIT_ROWS", 0)
     if way == "fallback_division":
@@ -440,23 +504,34 @@ def test_fraction_free_matches_leibniz_every_path(monkeypatch, leibniz_pencils, 
     steps = z_t_steps(monkeypatch)
     if way == "no_monomial_steps":
 
-        def packed(rows, rk, q, k, m):
-            invariants._packed_step(rows, rk, q, [0] * k + [1], [0] * m + [1])
+        def packed(rows, rk, q, k, shifts):
+            invariants._packed_step(rows, rk, q, [0] * k + [1], [1])
+            shifts[:] = [d + k for d in shifts]
+            return k * len(rows)
 
-        monkeypatch.setattr(invariants, "_monomial_step", packed)
+        monkeypatch.setattr(invariants, "_laurent_step", packed)
     divisions = _count_calls(monkeypatch, "_poly_exact_div")
+    seen = Counter()
     for v, expected in leibniz_pencils:
+        steps.clear()
         assert pencil_determinant(v, "fraction_free").coeffs == expected, v
-    kinds = Counter(kind for kind, divides in steps if divides)
-    packed = sum(kind == "packed" for kind, _ in steps)
-    assert len(leibniz_pencils) == 2_617 + 848 + 29 and packed > 1_000
+        seen.update({kind for kind, _ in steps})
+        seen["negative"] += drops(steps)
+        seen["from_one"] += ("packed", False) in steps
+    assert len(leibniz_pencils) == 2_617 + 848 + 27 + len(_EDGE_MATRICES)
     assert (len(divisions) > 1_000) == (way == "fallback_division")
     if way == "no_monomial_steps":
-        assert packed == len(steps) > 7_000
-    elif way != "sparse_rows_everywhere":
-        # steps after a prev t^m with m >= 1: a pivot t^m, t^k with k > m
-        # and t^k with k < m
-        assert (kinds["same"], kinds["up"], kinds["down"]) == (13, 14, 10)
+        assert set(seen) <= {"packed", "negative", "from_one", "drop"} and seen["packed"] > 2_500
+    else:
+        # determinants that take a +-1 step, a step on t^k with k >= 1, a
+        # final exponent below zero, and packed steps from prev [1]
+        counts = {
+            "shipped": (2_560, 1_272, 89, 435),
+            "sparse_rows_everywhere": (2_560, 1_264, 94, 430),
+            "fallback_division": (2_560, 1_272, 89, 435),
+        }
+        kinds = ("unit", "shift", "negative", "from_one")
+        assert tuple(seen[kind] for kind in kinds) == counts[way], seen
 
 
 def _berkowitz_pencil_det(v) -> tuple[int, ...]:
@@ -478,44 +553,39 @@ def _seeded_knot(rng, n):
 
 
 def test_fraction_free_matches_berkowitz_on_seeded_knots(monkeypatch):
-    # the 8-band knot of seed 1221 takes one packed step after a prev other
-    # than [1]; sympy's Berkowitz grows slow beyond 8 bands, and
-    # ``conftest.fraction_pencil_det`` checks the larger knots
+    # the 8-band knot of seed 1252 takes a packed step from prev [1] and one
+    # after it, few 8-band knots take any; sympy's Berkowitz grows slow
+    # beyond 8 bands, and ``conftest.fraction_pencil_det`` checks the
+    # larger knots
     steps = z_t_steps(monkeypatch)
-    v = seifert_matrix(_seeded_knot(random.Random(1221), 8))
+    v = seifert_matrix(_seeded_knot(random.Random(1252), 8))
     assert pencil_determinant(v, "fraction_free").coeffs == _berkowitz_pencil_det(v)
-    assert steps.count(("packed", True)) == 1 and ("packed", False) not in steps
+    assert steps.count(("packed", False)) == steps.count(("packed", True)) == 1
 
 
 def test_fraction_free_matches_the_fraction_oracle_on_seeded_knots(monkeypatch):
-    # the knots of seed 1012 take monomial steps only, some after a
-    # division by t^m, m >= 1; those of seed 1221 take packed steps too,
-    # each after a prev other than [1]; those of seed 29 take packed steps
-    # after a prev that is no monomial
+    # per knot: packed steps from prev [1] and after it, Laurent steps on
+    # t^k with k >= 1, and whether an entry was divided by a power of t
+    # with its dropped coefficients checked; the knots of seed 1012 take
+    # Laurent steps only, those of seed 29 packed steps too, and the 12-band
+    # knot of seed 173 and the 16-band one of seed 8 end with a negative
+    # power of t
     steps = z_t_steps(monkeypatch)
-    after_non_monomial = []
-    packed_step = invariants._packed_step
-
-    def on_packed(rows, rk, q, pivot, prev):
-        after_non_monomial.append(prev[-1] != 1 or prev.count(0) != len(prev) - 1)
-        packed_step(rows, rk, q, pivot, prev)
-
-    monkeypatch.setattr(invariants, "_packed_step", on_packed)
-    for seed, sizes, packed_steps, non_monomial_prevs in (
-        (1012, (10, 12, 12), (0, 0, 0), (0, 0, 0)),
-        (1221, (8, 10, 10), (1, 1, 3), (0, 0, 2)),
-        (29, (16, 20, 24), (3, 5, 5), (2, 4, 4)),
+    for seed, sizes, expected in (
+        (1012, (10, 12, 12), ((0, 0, 0, False), (0, 0, 1, False), (0, 0, 2, False))),
+        (29, (16, 20, 24), ((1, 1, 1, False), (1, 4, 1, False), (1, 4, 3, False))),
+        (173, (12,), ((1, 2, 2, True),)),
+        (8, (16,), ((1, 1, 2, True),)),
     ):
         rng = random.Random(seed)
-        for n, packed, non_monomial in zip(sizes, packed_steps, non_monomial_prevs):
+        for n, want in zip(sizes, expected):
             code = _seeded_knot(rng, n)
             v = seifert_matrix(code)
             steps.clear()
-            after_non_monomial.clear()
             assert pencil_determinant(v, "fraction_free").coeffs == fraction_pencil_det(v), code
-            assert steps.count(("packed", True)) == packed, code
-            assert sum(after_non_monomial) == non_monomial, code
-            assert ("packed", False) not in steps and (packed or ("up", True) in steps), code
+            shifts = sum(kind == "shift" for kind, _ in steps)
+            got = (steps.count(("packed", False)), steps.count(("packed", True)), shifts)
+            assert got + (drops(steps),) == want, code
 
 
 def test_fraction_free_is_independent_of_the_integer_kernel(monkeypatch):
@@ -534,7 +604,8 @@ def test_fraction_free_is_independent_of_the_integer_kernel(monkeypatch):
 
 def test_integer_bareiss_checks_every_division():
     # one product off by one makes a later division inexact: it raises
-    # where the unchecked floor division returned 671, 561, ... silently
+    # where the unchecked floor division returned 671, 561, ... silently;
+    # at x = 8 the block holds no +-x^k, so every step is a Bareiss step
     class OffByOne(int):
         def __mul__(self, other):
             return int(self) * other + 1
@@ -542,19 +613,20 @@ def test_integer_bareiss_checks_every_division():
         __rmul__ = __mul__
 
     rows = [[2, 3, 5, 7], [3, 2, 0, 5], [5, 0, 2, 3], [7, 5, 3, 2]]
-    assert invariants._det_bareiss_int([list(row) for row in rows]) == 644
+    assert invariants._det_bareiss_int([list(row) for row in rows], 3) == 644
     for i in range(1, 4):
         for j in range(1, 4):
             faulty = [list(row) for row in rows]
             faulty[i][j] = OffByOne(faulty[i][j])
             with pytest.raises(InvariantViolation, match="inexact integer Bareiss"):
-                invariants._det_bareiss_int(faulty)
+                invariants._det_bareiss_int(faulty, 3)
 
 
 def test_integer_bareiss_products_on_seeded_24_band_knots(monkeypatch):
-    # unit pivots from the sparsest rows, and updates of only the columns
-    # where the pivot row is nonzero: 8,674 integer products for the ten
-    # pencils at t = 2^B; the first nonzero of each column took 51,913
+    # unit pivots from the sparsest rows, Laurent steps on +-x^k, and
+    # updates of only the columns where the pivot row is nonzero: 5,877
+    # integer products for the ten pencils at t = 2^B (8,674 with Bareiss
+    # steps on +-x^k); the first nonzero of each column took 51,913
     products = []
 
     class Counted(int):
@@ -573,6 +645,12 @@ def test_integer_bareiss_products_on_seeded_24_band_knots(monkeypatch):
         def __neg__(self):
             return Counted(-int(self))
 
+        def __lshift__(self, other):
+            return Counted(int(self) << other)
+
+        def __rshift__(self, other):
+            return Counted(int(self) >> other)
+
         def __floordiv__(self, other):
             return Counted(int(self) // int(other))
 
@@ -583,36 +661,91 @@ def test_integer_bareiss_products_on_seeded_24_band_knots(monkeypatch):
     real = invariants._det_bareiss_int
     monkeypatch.setattr(
         invariants, "_det_bareiss_int",
-        lambda rows: real([[Counted(a) for a in row] for row in rows]),
+        lambda rows, bits: real([[Counted(a) for a in row] for row in rows], bits),
     )
     for code in _seeded_24_band_knots():
         pencil_determinant(seifert_matrix(code), "eval_interp")
-    assert len(products) <= 10_000, len(products)
+    assert len(products) <= 5_877, len(products)
 
 
 def test_z_t_packed_steps_on_seeded_24_band_knots(monkeypatch):
-    # monomial pivots, and steps that divide by t^m with a slice: 34 packed
-    # steps for the ten pencils, each after a prev other than [1]; with
+    # Laurent steps on every monomial pivot: 34 packed steps for the ten
+    # pencils, as with Bareiss steps on the same kind of pivots, 8 of them
+    # from prev [1], the first step on a block with no monomial; with
     # constant units as the only monomial pivots and steps they took 92
     steps = z_t_steps(monkeypatch)
     for code in _seeded_24_band_knots():
         pencil_determinant(seifert_matrix(code), "fraction_free")
-    assert ("packed", False) not in steps
-    assert steps.count(("packed", True)) <= 34, steps.count(("packed", True))
+    assert steps.count(("packed", False)) <= 8, steps.count(("packed", False))
+    assert steps.count(("packed", True)) <= 26, steps.count(("packed", True))
 
 
-def test_shift_steps_check_every_dropped_coefficient():
-    # pivot t^0 after prev t^2: a row with a_iq = 0 is divided by t^2, the
-    # other by (a - c * b) / t^2; a nonzero dropped coefficient raises
-    rows = [[[], [0, 0, 3]], [[0, 0, 1], [0, 0, 0, 2]]]
-    invariants._monomial_step(rows, [[0, 0, 1]], 0, 0, 2)
-    assert rows == [[[3]], [[0, 2, -1]]]
-    rows = [[[], [0, 0, 3, 1]]]
-    invariants._monomial_step(rows, [[1]], 0, 3, 1)
-    assert rows == [[[0, 0, 0, 0, 3, 1]]]
-    for rows in ([[[], [0, 1, 3]]], [[[0, 0, 1], [1]]]):
+def test_shift_steps_check_every_dropped_coefficient(monkeypatch):
+    # a Laurent step on t^2: the row with a_iq = 0 stays, the other becomes
+    # (t^2 a - c * b) / t^s for its common power t^s, here s = 1, and its
+    # shift grows by k - s = 1, the growth the step returns
+    rows = [[[], [0, 0, 3]], [[0, 1], [0, 0, 0, 2]]]
+    shifts = [0, 0]
+    assert invariants._laurent_step(rows, [[4]], 0, 2, shifts) == 1
+    assert rows == [[[0, 0, 3]], [[-4, 0, 0, 0, 2]]] and shifts == [0, 1]
+    # a unit step in a small block strips nothing; a row made zero stays
+    rows = [[[1], [1]]]
+    shifts = [0]
+    assert invariants._laurent_step(rows, [[1]], 0, 0, shifts) == 0
+    assert rows == [[[]]] and shifts == [0]
+    # _shift_t multiplies by any power of t and checks what a division drops
+    assert invariants._shift_t([0, 0, 5], -2) == [5] and invariants._shift_t([5], 2) == [0, 0, 5]
+    for entry in ([1, 0, 5], [0, 1, 5]):
         with pytest.raises(InvariantViolation, match="inexact Z.t. Bareiss step"):
-            invariants._monomial_step(rows, [[0, 0, 1]], 0, 0, 2)
+            invariants._shift_t(entry, -2)
+    # this pencil ends with e = -2, so its last block's determinant, ad - bc,
+    # drops its coefficients of t^0 and t^1; with either one unit off, the
+    # check of the dropped coefficients raises
+    v = SeifertMatrix(((1, 1, 1, 1), (0, 1, 2, 1), (2, 0, 1, 1), (1, 2, 2, 1)))
+    steps = z_t_steps(monkeypatch)
+    assert pencil_determinant(v, "fraction_free").coeffs == leibniz_pencil_det(v)
+    assert ("drop", 2) in steps and ("packed", False) not in steps
+    real = invariants._poly_mul
+    for low in (0, 1):
+
+        def off(a, b, low=low):
+            out = real(a, b)
+            out[low] += 1
+            return out
+
+        monkeypatch.setattr(invariants, "_poly_mul", off)
+        with pytest.raises(InvariantViolation, match="inexact Z.t. Bareiss step"):
+            pencil_determinant(v, "fraction_free")
+
+
+@pytest.mark.parametrize("extra", [1, -1])
+def test_each_kernel_checks_its_final_exponent(monkeypatch, extra):
+    # a row strip that reports one power of t (of x = 2^B in the integer
+    # kernel) more or less than it takes out makes the final exponent wrong:
+    # the unchecked ``alexander`` and ``pencil_determinant`` raise, from
+    # fraction_free's own degree and symmetry checks, the dropped
+    # coefficients' check, or eval_interp's digit and symmetry checks
+    # the integer kernel strips rows only in blocks of more than
+    # _SPARSE_UNIT_ROWS rows, which the 12-band knot's power steps are not
+    codes = _seeded_24_band_knots()[:4]
+    for name, run, more in (
+        ("_strip_t", lambda code: alexander(code), [_seeded_knot(random.Random(173), 12)]),
+        ("_strip_x", lambda code: pencil_determinant(seifert_matrix(code), "eval_interp"), []),
+    ):
+        real = getattr(invariants, name)
+        calls = []
+
+        def miscounted(*args, real=real):
+            calls.append(1)
+            return real(*args) + extra
+
+        monkeypatch.setattr(invariants, name, miscounted)
+        for code in codes + more:
+            calls.clear()
+            with pytest.raises(InvariantViolation):
+                run(code)
+            assert calls, (name, code)
+        monkeypatch.undo()
 
 
 def _counting_int_dets(monkeypatch, offset=lambda: 0):
@@ -621,9 +754,9 @@ def _counting_int_dets(monkeypatch, offset=lambda: 0):
     calls = []
     real = invariants._det_bareiss_int
 
-    def counting(rows):
+    def counting(rows, bits):
         calls.append(len(rows))
-        return real(rows) + offset()
+        return real(rows, bits) + offset()
 
     monkeypatch.setattr(invariants, "_det_bareiss_int", counting)
     return calls
