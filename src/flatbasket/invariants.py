@@ -30,12 +30,11 @@ taken by two mutually checking exact algorithms:
   bits per coefficient leave room for the n + 1 balanced base-2^B digits
   c_0..c_n.  A digit left above them, or a break of c_(n-k) = (-1)^n c_k,
   raises :class:`InvariantViolation`.  The integer determinant is an
-  elimination of its own by the same rule, with +-1 and then the +-x^k of
-  least k (x = 2^B, a unit of Z[1/2]) as its Gaussian pivots, taken with
-  shifts, and Bareiss steps on an entry of least absolute value after
-  them; a step whose pivot equals the previous one changes only the rows
-  and columns it must, and every division is a checked ``divmod`` or a
-  shift that must drop only zero bits.
+  elimination of its own in two phases: Gaussian steps, taken with shifts,
+  on a +-1 and else on the +-x^k of least k (x = 2^B, a unit of Z[1/2])
+  while the block holds one, then Bareiss steps on an entry of least
+  absolute value.  Every division is a checked ``divmod`` or a shift that
+  must drop only zero bits.
 
 :func:`alexander`, :func:`knot_determinant` (so :func:`arf` and
 ``passclass.pass_class``) and :func:`signature` take at most ``PENCIL_CAP``
@@ -421,10 +420,26 @@ def _power_position(rows: list[list[int]], bits: int) -> tuple[int, int, int] | 
             return None
 
 
+def _least_position(rows: list[list[int]]) -> tuple[int, int] | None:
+    """Block position (p, q) of the next Bareiss pivot of the integer
+    kernel: in the first row holding an entry of least nonzero |value|, the
+    first such entry of positive value, else the first of negative value;
+    None for a zero block.  A +-1 is taken whenever the block holds one."""
+    least = 0
+    for i, row in enumerate(rows):
+        low = min(filter(None, map(abs, row)), default=0)
+        if low and (not least or low < least):
+            p, least = i, low
+    if not least:
+        return None
+    row = rows[p]
+    return p, row.index(least) if least in row else row.index(-least)
+
+
 def _det_bareiss_int(rows: list[list[int]], bits: int) -> int:
-    """Exact determinant of an integer matrix: Gaussian steps on the units
-    +-x^k of Z[1/2], x = 2^bits, while they last, then a fully pivoted
-    one-step Bareiss.
+    """Exact determinant of an integer matrix in two phases: Gaussian steps
+    on the units +-x^k of Z[1/2], x = 2^bits, while they last, then a fully
+    pivoted one-step Bareiss.
 
     ``rows`` is consumed: each step pops the pivot row from the list and the
     pivot column from every row, so the list always holds exactly the
@@ -433,41 +448,42 @@ def _det_bareiss_int(rows: list[list[int]], bits: int) -> int:
     (p, q) to the front flips the sign when p + q is odd, and a negative
     pivot has its row negated, flipping it again.
 
-    Laurent steps: while the block holds a +-1 (:func:`_unit_position`),
-    else a +-x^k (the one of least k, :func:`_power_position`), the step is
-    Gaussian over Z[1/2].  Row i of the block is x^shifts[i] times row i of
-    the Schur complement S, and the pivots so far multiply to +-x^m, the
-    leading minor; e = m - sum(shifts), so det = +-x^e det(block).  Only
-    the rows with a_iq != 0 change.  A +-1 step changes in them only the
-    columns where the pivot row is nonzero, and strips nothing: its rows
-    seldom gain a factor x, and stripping them took 1.06x the time on
-    seeded 24-band knots and 1.5x on the 84 table codes.  A step on x^k
-    multiplies each such row by x^k with a shift, so a_ij x^k - a_iq a_kj
-    stays an integer, and in a block of more than ``_SPARSE_UNIT_ROWS``
-    rows divides it by its common power of x (:func:`_strip_x`); stripping
-    smaller blocks too took 1.05x the time on the table codes.  Below the
-    diagonal, V - x V^T holds V's entries, all in {-1, 0, 1}, so most steps
-    of a pencil take a +-1 or a +-x.
+    Laurent phase (prev is None): the pivot is a +-1
+    (:func:`_unit_position`), else the +-x^k of least k
+    (:func:`_power_position`), and the step is Gaussian over Z[1/2].  Row i
+    of the block is x^shifts[i] times row i of the Schur complement S, and
+    the pivots so far multiply to +-x^m, the leading minor; e = m -
+    sum(shifts), so det = +-x^e det(block).  Only the rows with a_iq != 0
+    change.  A +-1 step changes in them only the columns where the pivot
+    row is nonzero, and strips nothing: its rows seldom gain a factor x,
+    and stripping them took 1.06x the time on seeded 24-band knots and 1.5x
+    on the 84 table codes.  A step on x^k multiplies each such row by x^k
+    with a shift, so a_ij x^k - a_iq a_kj stays an integer, and in a block
+    of more than ``_SPARSE_UNIT_ROWS`` rows divides it by its common power
+    of x (:func:`_strip_x`); stripping smaller blocks too took 1.05x the
+    time on the table codes.  Below the diagonal, V - x V^T holds V's
+    entries, all in {-1, 0, 1}, so most steps of a pencil take a +-1 or a
+    +-x.
 
-    Bareiss steps: the first block with neither goes on as it stands from
+    The switch: the first block with neither goes on as it stands from
     prev = 1 while e >= -(rows left); else its rows are brought to x^m S,
     the block of a Bareiss elimination whose previous pivot is the leading
     minor, and it goes on from prev = x^m with e = 0.  Each row's own power
     keeps the block small, but every minor of it carries the powers of its
     rows.  On seeded knots the rule ran at most 1 % behind the faster of
     the two in total at 12-40 bands, and ahead of both at 56: in 0.79 of
-    the time of the Bareiss kernel it replaced, against 0.93 rescaling
-    always and 1.10 never (in the Z[t] kernel 0.88, against 0.97 and 0.95).
-    The pivot is a +-1
-    whenever the block has one, else an entry of least absolute value, and
-    the update of entry (i, j) is (a_ij * pivot - a_ik * a_kj) / prev.
-    When pivot == prev it is a_ij - a_ik * a_kj / prev, so rows with a_ik =
-    0 stay as they are and only the columns where the pivot row is nonzero
-    change.  Every division goes through ``divmod``, and a remainder raises
-    :class:`InvariantViolation`.  The last 2x2 block is finished as (ad -
-    bc) / prev, checked the same way, times x^e; a division by a power of x
-    (:func:`_shift_x`) that would drop a nonzero bit raises
-    :class:`InvariantViolation`.
+    the time of Bareiss steps on every pivot but a +-1, against 0.93
+    rescaling always and 1.10 never (in the Z[t] kernel 0.88, against 0.97
+    and 0.95).
+
+    Bareiss phase: the pivot is an entry of least absolute value
+    (:func:`_least_position`), so a +-1 whenever the block holds one, and
+    every step updates entry (i, j) to (a_ij * pivot - a_iq * a_kj) /
+    prev, each division by a prev other than 1 a ``divmod`` whose
+    remainder raises :class:`InvariantViolation`.  The last 2x2 block is
+    finished as (ad - bc) / prev, checked the same way, times x^e; a
+    division by a power of x (:func:`_shift_x`) that would drop a nonzero
+    bit raises :class:`InvariantViolation`.
 
     The Z[t] kernel :func:`_det_bareiss_poly` takes its monomial pivots
     +-t^k by the same rule, in its own code.  The least Markowitz cost
@@ -478,29 +494,52 @@ def _det_bareiss_int(rows: list[list[int]], bits: int) -> int:
     either way at 36 and 48.
     """
     n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
+    if n < 2:
+        return rows[0][0] if rows else 1
     sign = 1
     shifts = [0] * n
     e = 0
-    laurent = True
-    prev = 1
+    prev = None  # None while the steps are Laurent steps
     while len(rows) > 2:
-        pos = _unit_position(rows, 1, -1, 0)
-        if pos is None and laurent:
-            found = _power_position(rows, bits)
-            if found is not None:
-                p, q, k = found
-                rk = rows.pop(p)
-                del shifts[p]
-                e += k
-                if rk.pop(q) < 0:
-                    rk = [-b for b in rk]
-                    sign = -sign
-                if (p + q) & 1:
-                    sign = -sign
+        k = 0
+        if prev is not None:
+            pos = _least_position(rows)
+            if pos is None:
+                return 0
+        else:
+            pos = _unit_position(rows, 1, -1, 0)
+            if pos is None:
+                found = _power_position(rows, bits)
+                if found is None:
+                    prev = 1
+                    if e < -len(rows):
+                        m = e + sum(shifts)
+                        for row, d in zip(rows, shifts):
+                            row[:] = _shift_x(row, m - d, bits)
+                        prev = _shift_x([1], m, bits)[0]
+                        e = 0
+                    continue
+                *pos, k = found
+        p, q = pos
+        rk = rows.pop(p)
+        pivot = rk.pop(q)
+        if (p + q) & 1:
+            sign = -sign
+        if pivot < 0:
+            pivot = -pivot
+            rk = [-b for b in rk]
+            sign = -sign
+        if prev is None:
+            del shifts[p]
+            e += k
+            if not k:
+                cols = [j for j, b in enumerate(rk) if b]
+                for ri in rows:
+                    rik = ri.pop(q)
+                    if rik:
+                        for j in cols:
+                            ri[j] -= rik * rk[j]
+            else:
                 shift = k * bits
                 strip = len(rows) >= _SPARSE_UNIT_ROWS
                 for i, ri in enumerate(rows):
@@ -510,61 +549,12 @@ def _det_bareiss_int(rows: list[list[int]], bits: int) -> int:
                         grown = k - _strip_x(ri, bits) if strip else k
                         shifts[i] += grown
                         e -= grown
-                continue
-            laurent = False
-            if e < -len(rows):
-                m = e + sum(shifts)
-                for row, d in zip(rows, shifts):
-                    row[:] = _shift_x(row, m - d, bits)
-                prev = _shift_x([1], m, bits)[0]
-                e = 0
-        if pos is not None:
-            p, q = pos
-            rk = rows[p]
-            if laurent:
-                del shifts[p]
-        else:
-            least = 0
-            for i, row in enumerate(rows):
-                low = min(filter(None, map(abs, row)), default=0)
-                if low and (not least or low < least):
-                    p, least = i, low
-            if not least:
-                return 0
-            rk = rows[p]
-            q = rk.index(least) if least in rk else rk.index(-least)
-        del rows[p]
-        pivot = rk.pop(q)
-        if (p + q) & 1:
-            sign = -sign
-        if pivot < 0:
-            pivot = -pivot
-            rk = [-b for b in rk]
-            sign = -sign
-        if pivot == prev:
-            cols = [j for j, b in enumerate(rk) if b]
-            for ri in rows:
-                rik = ri.pop(q)
-                if not rik:
-                    continue
-                if pivot == 1:
-                    for j in cols:
-                        ri[j] -= rik * rk[j]
-                    continue
-                for j in cols:
-                    d, r = divmod(rik * rk[j], prev)
-                    if r:
-                        raise InvariantViolation("inexact integer Bareiss step")
-                    ri[j] -= d
         else:
             for i, ri in enumerate(rows):
                 rik = ri.pop(q)
                 if rik:
-                    if pivot == 1:
-                        ri = [a - rik * b for a, b in zip(ri, rk)]
-                    else:
-                        ri = [a * pivot - rik * b for a, b in zip(ri, rk)]
-                elif pivot != 1:
+                    ri = [a * pivot - rik * b for a, b in zip(ri, rk)]
+                else:
                     ri = [a * pivot for a in ri]
                 if prev != 1:
                     out = []
@@ -575,9 +565,9 @@ def _det_bareiss_int(rows: list[list[int]], bits: int) -> int:
                         out.append(d)
                     ri = out
                 rows[i] = ri
-        prev = pivot
+            prev = pivot
     (a, b), (c, d) = rows
-    det, r = divmod(a * d - b * c, prev)
+    det, r = divmod(a * d - b * c, prev or 1)
     if r:
         raise InvariantViolation("inexact integer Bareiss step")
     if e:

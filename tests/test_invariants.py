@@ -387,13 +387,14 @@ _EDGE_MATRICES = (
 
 
 def _integer_steps(monkeypatch) -> list:
-    """Record the Laurent steps of ``_det_bareiss_int``: ``("power", k)``
-    for each +-x^k pivot with k >= 1, ``("none", 0)`` for a block with no
-    +-1 and no +-x^k left, and ``("drop", d)`` for each checked division by
-    x^d, d >= 1 (of ad - bc by a negative final power of x, or of a row
-    brought to the leading minor's power at the switch to Bareiss steps)."""
+    """Record the steps of ``_det_bareiss_int``: ``("power", k)`` for each
+    +-x^k pivot with k >= 1, ``("none", 0)`` for a block with no +-1 and no
+    +-x^k left, ``("drop", d)`` for each checked division by x^d, d >= 1
+    (of ad - bc by a negative final power of x, or of a row brought to the
+    leading minor's power at the switch to Bareiss steps), and
+    ``("bareiss", |pivot|)`` for each Bareiss step."""
     steps = []
-    power, shift = invariants._power_position, invariants._shift_x
+    power, shift, least = invariants._power_position, invariants._shift_x, invariants._least_position
 
     def on_power(rows, bits):
         found = power(rows, bits)
@@ -405,30 +406,46 @@ def _integer_steps(monkeypatch) -> list:
             steps.append(("drop", -e))
         return shift(row, e, bits)
 
+    def on_least(rows):
+        pos = least(rows)
+        if pos is not None:
+            p, q = pos
+            steps.append(("bareiss", abs(rows[p][q])))
+        return pos
+
     monkeypatch.setattr(invariants, "_power_position", on_power)
     monkeypatch.setattr(invariants, "_shift_x", on_shift)
+    monkeypatch.setattr(invariants, "_least_position", on_least)
     return steps
 
 
 def test_integer_bareiss_matches_leibniz(monkeypatch):
-    # at x = 2 every +-2^k is a unit, at x = 4 every +-4^k; the paths seen:
-    # pivots +-x^k with k >= 1, a negative final exponent, a block with no
-    # +-x^k left (then Bareiss steps), and the edge matrices
+    # at x = 2 every +-2^k is a unit, at x = 4 every +-4^k, at x = 8 few
+    # are, so Bareiss steps take most of the work; the paths seen: pivots
+    # +-x^k with k >= 1, a negative final exponent, a block with no +-x^k
+    # left (then Bareiss steps), a Bareiss pivot +-1, a Bareiss pivot equal
+    # to the previous one other than 1 (the first Bareiss pivot is never a
+    # power of x, so never equal to a prev x^m), and the edge matrices
     steps = _integer_steps(monkeypatch)
     seen = Counter()
     singular = 0
-    for bits in (1, 2):
+    for bits in (1, 2, 3):
         for rows in (*_integer_matrices(random.Random(19)), *_EDGE_MATRICES):
             expected = leibniz_det(rows)
             steps.clear()
             assert invariants._det_bareiss_int([list(row) for row in rows], bits) == expected, rows
             singular += not expected
+            pivots = [v for kind, v in steps if kind == "bareiss"]
             seen["power"] += any(kind == "power" for kind, _ in steps)
             seen["deep"] += any(kind == "power" and k >= 2 for kind, k in steps)
             seen["negative"] += any(kind == "drop" for kind, _ in steps)
             seen["none"] += ("none", 0) in steps
-    assert singular >= 400
-    assert seen == {"power": 273, "deep": 127, "negative": 183, "none": 167}, seen
+            seen["one"] += 1 in pivots
+            seen["same"] += any(a == b != 1 for a, b in zip(pivots, pivots[1:]))
+    assert singular >= 600
+    assert seen == {
+        "power": 344, "deep": 132, "negative": 238, "none": 322, "one": 6, "same": 7
+    }, seen
 
 
 def _count_calls(monkeypatch, name) -> list:
