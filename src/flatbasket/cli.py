@@ -21,6 +21,7 @@ from . import __version__
 from .codes import canonicalize, parse_code, parse_matching, surface_stats
 from .errors import FlatBasketError, NotAKnot
 from .invariants import (
+    _COEFF,
     _alexander_of_matrix,
     _capped_matrix,
     _checked_signature,
@@ -34,8 +35,19 @@ from .seifert import format_rows, symmetrized
 __all__ = ["build_parser", "cli_dispatch", "main"]
 
 
+def _int(text: str) -> int:
+    """An integer option: ASCII digits after an optional sign.  ``int``
+    alone also reads other scripts' digits, ``_`` and surrounding space."""
+    if _COEFF.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # longer than Python's int-conversion limit
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
@@ -339,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--symmetrized", action="store_true", help="print V + V^T"
             )
         if name == "bound":
-            p.add_argument("--genus", type=int, default=None, help="three genus")
+            p.add_argument("--genus", type=_int, default=None, help="three genus")
 
     p = add("orbit-check", _cmd_orbit_check, "Arf constancy over a labeling orbit, n <= 8")
     p.add_argument(
@@ -357,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dedup-mirror", action="store_true")
     p.add_argument(
         "--jobs", type=_positive_int, default=1,
-        help="worker processes, at most one per CPU; same output for any value",
+        help="worker processes, at most one per CPU; same output for any value; "
+        "more than one saves time only at n = 6",
     )
     p.add_argument("--store", help="append-only result store path")
 
@@ -365,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--bands", type=_positive_int, required=True)
     p.add_argument(
         "--jobs", type=_positive_int, default=1,
-        help="worker processes, at most one per CPU; same output for any value",
+        help="worker processes, at most one per CPU; same output for any value; "
+        "more than one saves time only at n = 6",
     )
 
     p = add("verify-table", _cmd_verify_table, "verify the bundled knot table")

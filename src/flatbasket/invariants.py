@@ -36,6 +36,15 @@ taken by two mutually checking exact algorithms:
   absolute value.  Every division is a checked ``divmod`` or a shift that
   must drop only zero bits.
 
+Which pencil each kernel receives: ``fraction_free`` reads the rows of a
+Seifert matrix V, the labeled V of a code.  ``eval_interp`` takes a builder
+of the pencil rows V - x V^T: :func:`pencil_determinant`, which every
+command that reads a code goes through, passes one over the rows of V
+(:func:`_dense_pencil`), and ``search`` and ``census`` pass the chord-order
+pencil of each orientation key (:func:`seifert._key_pencil`), whose V_c is
+congruent to the labeled V of every code with that key, so the raw Delta,
+sigma and det(V + V^T) are the same.
+
 :func:`alexander`, :func:`knot_determinant` (so :func:`arf` and
 ``passclass.pass_class``) and :func:`signature` take at most ``PENCIL_CAP``
 bands; a larger code raises :class:`CapExceeded`.  Every failed internal
@@ -53,14 +62,15 @@ congruence, |det S| = 1 mod 4 exactly when sigma = 0 mod 4.  det S is the
 pencil at t = -1, so the knot determinant |Delta(-1)| and the Arf invariant
 come from this kernel and never from a pencil.  Where Delta is computed
 too (the ``invariants`` and ``search`` commands), det S = Delta_raw(-1) is
-checked exactly.
+checked exactly.  It reads the rows of V: the labeled V of the code, or in
+``search`` and ``orbit-check`` the key's V_c, its pencil builder at x = 0.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from operator import itemgetter, or_
 
 from .codes import FlatBasketCode, surface_stats
@@ -881,30 +891,31 @@ def _hadamard_square(rows: tuple[tuple[int, ...], ...]) -> int:
     return h
 
 
-def _pencil_det_eval_interp(
-    rows: tuple[tuple[int, ...], ...], h: int | None = None
-) -> IntPolynomial:
-    """det(V - t V^T) from one integer determinant at t = 2^B.
+def _dense_pencil(rows: tuple[tuple[int, ...], ...], x: int) -> list[list[int]]:
+    """The rows of V - x V^T for the square integer matrix rows V."""
+    return [[v - x * w for v, w in zip(row, col)] for row, col in zip(rows, zip(*rows))]
+
+
+def _pencil_det_eval_interp(n: int, h: int, pencil) -> IntPolynomial:
+    """det(V - t V^T) from one integer determinant at t = 2^B, for the n x n
+    matrix V whose pencil rows V - x V^T ``pencil(x)`` builds, and H of
+    :func:`_hadamard_square` for them.
 
     Every coefficient c_k has |c_k| <= sqrt(H) < 2^(B - 1) for
-    B = ceil(bitlen(H) / 2) + 1 (see :func:`_hadamard_square`), so the
-    determinant at t = 2^B is sum_k c_k 2^(Bk) and its n + 1 balanced
-    base-2^B digits are c_0..c_n (Kronecker substitution).  Anything left
-    after them, or a break of c_(n-k) = (-1)^n c_k, which holds because
-    det(V - t V^T) = (-t)^n det(V - t^-1 V^T), raises
-    :class:`InvariantViolation`.  A caller that already knows H for these
-    rows passes it as ``h``; the search knows it once per matching.
+    B = ceil(bitlen(H) / 2) + 1, so the determinant at t = 2^B is
+    sum_k c_k 2^(Bk) and its n + 1 balanced base-2^B digits are c_0..c_n
+    (Kronecker substitution).  Anything left after them, or a break of
+    c_(n-k) = (-1)^n c_k, which holds because det(V - t V^T) = (-t)^n
+    det(V - t^-1 V^T), raises :class:`InvariantViolation`.  The search
+    knows H once per matching and passes each orientation key's pencil
+    (:func:`seifert._key_pencil`); :func:`pencil_determinant` passes
+    :func:`_dense_pencil` over the rows of its matrix.
     """
-    n = len(rows)
-    if h is None:
-        h = _hadamard_square(rows)
     if not h:
         return _ZERO
     bits = (h.bit_length() + 1) // 2 + 1
     x = 1 << bits
-    value = _det_bareiss_int(
-        [[rows[i][j] - x * rows[j][i] for j in range(n)] for i in range(n)], bits
-    )
+    value = _det_bareiss_int(pencil(x), bits)
     mask = x - 1
     half = x >> 1
     coeffs = []
@@ -931,7 +942,10 @@ def pencil_determinant(
     if method == "fraction_free":
         return _pencil_det_fraction_free(matrix.rows)
     if method == "eval_interp":
-        return _pencil_det_eval_interp(matrix.rows)
+        rows = matrix.rows
+        return _pencil_det_eval_interp(
+            len(rows), _hadamard_square(rows), partial(_dense_pencil, rows)
+        )
     raise ValueError(f"unknown determinant method {method!r}")
 
 

@@ -11,12 +11,16 @@ matching's interleaving chord pairs give each labeling's Seifert matrix
 through the one rule in :mod:`seifert`.  A labeling only orients each of
 those pairs, and Delta, the signature and det(V + V^T) depend on that
 orientation alone, so within a matching they are computed once per
-orientation key: the 89,160 six-band knot codes have 23,202 keys.  The
-signature and det(V + V^T) come from one symmetric elimination, and
-det(V + V^T) is checked against Delta at t = -1.  ``census`` computes
-Delta only.  Both take at most ``CENSUS_CAP`` bands.  As a fresh process on a
-shared 2-core Linux VM, serial ``search -n 6 --knots-only`` takes 2.3-2.5 s
-(median 2.4 s) and ``census -n 6`` 1.05-1.21 s (median 1.08 s), 7 runs each.
+orientation key: the 89,160 six-band knot codes have 23,202 keys.  Each
+key's chord-order pencil V_c - x V_c^T is built straight from the
+matching's crossing list (:func:`seifert._key_pencil`), never from labeled
+rows, and goes to the integer determinant; ``search`` also hands V_c, the
+pencil at x = 0, to the symmetric elimination that gives the signature and
+det(V + V^T), which is checked against Delta at t = -1.  ``census``
+computes Delta only.  Both take at most ``CENSUS_CAP`` bands.  As a fresh
+process on a shared 2-core Linux VM, serial ``search -n 6 --knots-only
+--json`` takes 2.4-3.3 s (median 2.6 s) and ``census -n 6 --json``
+1.04-1.43 s (median 1.15 s), 7 runs each.
 
 Work is partitioned by matching across processes; the merged result is
 sorted by code word, so output is identical for any worker count.
@@ -176,9 +180,10 @@ def _matching_hadamard(matching: UnderlyingDiagram) -> int:
     return prod(degree)
 
 
-def _checked_delta(word: tuple[int, ...], rows, b: int, h: int):
-    """Delta from the rows and their matching's H, and for a knot its
-    determinant and checked Arf residue.
+def _checked_delta(word: tuple[int, ...], n: int, pencil, b: int, h: int):
+    """Delta from the pencil builder of an orientation key of n rows and
+    its matching's H, and for a knot its determinant and checked Arf
+    residue.
 
     Realization consistency is checked too: the degree bound can never
     exceed the band count of a code realizing the polynomial.  Both checks
@@ -186,7 +191,7 @@ def _checked_delta(word: tuple[int, ...], rows, b: int, h: int):
     orientation key (see :func:`_records_for_matchings`) checks every code
     with that key.
     """
-    delta = normalize_alexander(_pencil_det_eval_interp(rows, h))
+    delta = normalize_alexander(_pencil_det_eval_interp(n, h, pencil))
     det = arf_val = None
     if b == 1:
         det = determinant_from_alexander(delta)
@@ -194,7 +199,7 @@ def _checked_delta(word: tuple[int, ...], rows, b: int, h: int):
         span = delta.span
         if span:
             bound = fpbk_lower_bound(delta, genus=span // 2)
-            if len(rows) < bound.overall:
+            if n < bound.overall:
                 raise InvariantViolation(
                     f"{FlatBasketCode(word)} is below its band bound {bound}"
                 )
@@ -206,8 +211,10 @@ def _records_for_matchings(
     knots_only: bool,
     target_coeffs: tuple[int, ...] | None,
     dedup_mirror: bool,
-) -> list[SearchRecord]:
-    """Records of every kept code of the matchings.
+) -> tuple[list[tuple], list[tuple[tuple[int, ...], int]]]:
+    """The kept codes of the matchings, as (values, codes): the distinct
+    tuples of a record's fields after its code, once each, and for each kept
+    code its word and the index of its tuple in ``values``.
 
     The matchings come from :func:`enumerate_matchings` with the same
     ``knots_only``, which has already walked the boundary of each knot
@@ -215,34 +222,44 @@ def _records_for_matchings(
 
     Each value is computed where it varies.  Per matching: the boundary
     count, genus, crossings and H (:func:`_matching_hadamard`).  Per
-    orientation key: the labeled V is P^T M P for the chord-order matrix M
-    of the key, so Delta (raw and normalized) and the signature are computed
-    once, and a key whose Delta misses the target is rejected once.  The
-    signature comes with det(V + V^T), which must equal the raw Delta at
-    t = -1.  Per code: the word, its key and its record.
+    orientation key: the labeled V is P^T V_c P for the chord-order matrix
+    V_c of the key, so Delta (raw and normalized) and the signature are
+    computed once, from the key's pencil (:func:`seifert._key_pencil`), and
+    a key whose Delta misses the target is rejected once.  The signature
+    comes with det(V_c + V_c^T), which must equal the raw Delta at t = -1.
+    Per code: the word and its key.  A worker sends the parent its values
+    once and a word and an index per code, which pickle many times faster
+    than the records, and :func:`search` builds the records.
     """
-    out = []
+    values = []
+    indices: dict[tuple, int] = {}
+    codes = []
     for matching in matchings:
         n = matching.n
         b = 1 if knots_only else _boundary_cycles(matching.pairing)
         genus = surface_genus(n, b)
         h = _matching_hadamard(matching)
 
-        def checked(word, rows):
-            delta, det, arf_val = _checked_delta(word, rows, b, h)
+        def checked(word, pencil):
+            delta, det, arf_val = _checked_delta(word, n, pencil, b, h)
             if target_coeffs is not None and delta.normalized.coeffs != target_coeffs:
                 return None
-            return delta, det, arf_val, _checked_signature(rows, delta.raw)
+            sigma = _checked_signature(pencil(0), delta.raw)
+            # the boundary count, raw Delta and sigma decide every field
+            index = indices.setdefault((b, delta.raw.coeffs, sigma), len(values))
+            if index == len(values):
+                values.append((b, genus, delta, det, arf_val, sigma))
+            return index
 
         words = _canonical_words(matching)
         if dedup_mirror:
             words = [w for w in words if canonical_word(_mirror_word(w, n)) >= w]
-        for word, values in _per_orientation_key(words, matching.crossings, checked):
-            if values is None:
-                continue
-            # values are the record's delta, determinant, arf and signature
-            out.append(SearchRecord(FlatBasketCode(word), b, genus, *values))
-    return out
+        codes += [
+            (word, index)
+            for word, index in _per_orientation_key(words, matching, checked)
+            if index is not None
+        ]
+    return values, codes
 
 
 def _census_for_matchings(matchings: list[UnderlyingDiagram]) -> dict[IntPolynomial, int]:
@@ -250,11 +267,12 @@ def _census_for_matchings(matchings: list[UnderlyingDiagram]) -> dict[IntPolynom
     key of each matching, no signature, no record."""
     out: dict[IntPolynomial, int] = {}
     for matching in matchings:
+        n = matching.n
         h = _matching_hadamard(matching)
         per_key = _per_orientation_key(
             _canonical_words(matching),
-            matching.crossings,
-            lambda word, rows: _checked_delta(word, rows, 1, h)[0].normalized,
+            matching,
+            lambda word, pencil: _checked_delta(word, n, pencil, 1, h)[0].normalized,
         )
         for _, poly in per_key:
             out[poly] = out.get(poly, 0) + 1
@@ -303,7 +321,11 @@ def search(query: SearchQuery) -> list[SearchRecord]:
         target,
         query.dedup_mirror,
     )
-    records = [record for chunk in chunks for record in chunk]
+    records = [
+        SearchRecord(FlatBasketCode(word), *values[index])
+        for values, codes in chunks
+        for word, index in codes
+    ]
     records.sort(key=lambda r: r.code.word)
     return records
 

@@ -359,7 +359,7 @@ def test_pencil_cap_is_checked_before_any_seifert_matrix(monkeypatch, capsys, tm
     def refuse(*args):
         raise AssertionError("a Seifert matrix was built above the cap")
 
-    monkeypatch.setattr(seifert, "_seifert_rows", refuse)
+    monkeypatch.setattr(seifert, "_key_pencil", refuse)
     monkeypatch.setattr(UnderlyingDiagram, "crossings", property(refuse))
     over = _all_crossing(PENCIL_CAP + 1)
     knot = _all_crossing(PENCIL_CAP + 2)

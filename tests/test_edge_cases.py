@@ -281,6 +281,24 @@ def test_cli_positive_int_flags(capsys):
     assert _run(capsys, "search", "-n", "4", "--jobs", "0")[0] == 2
 
 
+def test_cli_integer_options_read_ascii_digits_only(capsys):
+    # int() alone reads other scripts' digits and "_" too
+    for argv, option, text in (
+        (("census", "-n", "\u0664"), "-n/--bands", "\u0664"),
+        (("census", "-n", "0_4"), "-n/--bands", "0_4"),
+        (("census", "-n", " 4"), "-n/--bands", " 4"),
+        (("census", "-n", "4", "--jobs", "\uff12"), "--jobs", "\uff12"),
+        (("search", "-n", "\u00b2"), "-n/--bands", "\u00b2"),
+        (("bound", "--code", "1,2,3,4,1,2,3,4", "--genus", "\u0661"), "--genus", "\u0661"),
+        (("bound", "--code", "1,2,3,4,1,2,3,4", "--genus", "1_0"), "--genus", "1_0"),
+    ):
+        status, out, err = _run(capsys, *argv)
+        assert (status, out) == (2, ""), argv
+        assert err.endswith(f"error: argument {option}: invalid int value: {text!r}\n"), argv
+    status, out, _ = _run(capsys, "bound", "--code", "1,2,3,4,1,2,3,4", "--genus", "+1")
+    assert status == 0 and "genus bound 4" in out
+
+
 def test_cli_store_on_directory_is_domain_error(tmp_path, capsys):
     status, _, err = _run(
         capsys, "search", "-n", "2", "--store", str(tmp_path)

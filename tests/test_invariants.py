@@ -898,7 +898,7 @@ def test_even_knot_determinant_is_an_invariant_violation():
 def test_checked_alexander_raises_when_methods_disagree(monkeypatch, trefoil_code):
     # an eval_interp that answers 1 whatever the matrix
     one = IntPolynomial((1,))
-    monkeypatch.setattr(invariants, "_pencil_det_eval_interp", lambda rows: one)
+    monkeypatch.setattr(invariants, "_pencil_det_eval_interp", lambda n, h, pencil: one)
     assert str(alexander(trefoil_code)) == "t^2 - t + 1"
     with pytest.raises(InvariantViolation, match="determinant methods disagree on"):
         alexander(trefoil_code, checked=True)

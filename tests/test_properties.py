@@ -10,12 +10,13 @@ the one evaluation point 2^B of ``eval_interp`` large, and a zero row makes
 its Hadamard bound zero.  Flattening is compared with the independent
 boundary-trace oracle on generated diagrams, and validation with the
 reference crossing check on diagrams drawn from a small grid.  The parsers
-are fuzzed with text that mixes their syntax with digits they must refuse,
-and the CLI with input files of random bytes.
+and the CLI's integer options are fuzzed with text that mixes their syntax
+with digits they must refuse, and the CLI with input files of random bytes.
 """
 
 import contextlib
 import io
+import re
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -27,7 +28,7 @@ from fractions import Fraction
 
 from flatbasket import alexander, parse_code, parse_matching, parse_polynomial
 from flatbasket import pencil_determinant, pushdown, seifert_matrix
-from flatbasket.cli import cli_dispatch
+from flatbasket.cli import _shared_parser, cli_dispatch
 from flatbasket.codes import FlatBasketCode, boundary_components, underlying
 from flatbasket.errors import (
     EmptyInput,
@@ -285,6 +286,28 @@ def test_parsers_return_or_raise_domain_errors(text):
         except FlatBasketError:
             continue
         assert not foreign, (parse.__name__, text)
+
+
+@FUZZ
+@given(PARSER_TEXT)
+def test_cli_integer_options_refuse_foreign_digits(text):
+    # parsing only: a usage error (exit 2), or an ASCII integer
+    foreign = any(c == "_" or (c.isdigit() and not c.isascii()) for c in text)
+    parser = _shared_parser()
+    for argv in (
+        ["census", "-n", text],
+        ["search", "-n", "4", "--jobs", text],
+        ["bound", "--code", "1,2,1,2", "--genus", text],
+    ):
+        with contextlib.redirect_stderr(io.StringIO()):
+            try:
+                args = parser.parse_args(argv)
+            except SystemExit as exc:
+                assert exc.code == 2
+                continue
+        assert not foreign and re.fullmatch("[+-]?[0-9]+", text), argv
+        value = args.genus if argv[0] == "bound" else args.jobs if "--jobs" in argv else args.bands
+        assert value == int(text), argv
 
 
 def counter_rule(word: tuple) -> tuple[type, str] | None:

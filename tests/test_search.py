@@ -30,6 +30,8 @@ from flatbasket.codes import (
 )
 from flatbasket.invariants import (
     _hadamard_square,
+    _pencil_det_eval_interp,
+    _signature_and_determinant_of_rows,
     arf_from_determinant,
     determinant_from_alexander,
 )
@@ -45,8 +47,8 @@ from flatbasket.search import (
     search,
     write_store,
 )
-from flatbasket.seifert import _orientation_key, _seifert_rows
-from conftest import all_codes, code_to_flat_diagram
+from flatbasket.seifert import _per_orientation_key
+from conftest import all_codes, code_to_flat_diagram, leibniz_det
 
 
 def test_matching_counts():
@@ -117,9 +119,9 @@ def test_chord_table_seifert_rows_match_seifert_matrix():
     for n in range(1, 6):
         for matching in enumerate_matchings(n):
             for word in search_module._canonical_words(matching):
-                rows = _seifert_rows(word, matching.crossings)
-                oracle = diagram_seifert_matrix(code_to_flat_diagram(FlatBasketCode(word)))
-                assert tuple(map(tuple, rows)) == oracle, word
+                code = FlatBasketCode(word)
+                oracle = diagram_seifert_matrix(code_to_flat_diagram(code))
+                assert seifert_matrix(code).rows == oracle, word
                 checked += 1
     assert checked == 1 + 2 + 16 + 318 + 11352  # canonical codes per n
 
@@ -185,6 +187,41 @@ def test_equal_orientation_keys_give_equal_pencils_and_signatures():
     assert keys < codes
 
 
+def test_key_pencil_gives_the_labeled_invariants():
+    # the chord-order pencil that each orientation key gets against the
+    # labeled Seifert matrix of the key's first word: the same raw Delta
+    # (the Z[t] kernel on the labeled V), sigma and det(V + V^T); for n <= 4
+    # the labeled V is the one drawn on the flat diagram, and Leibniz agrees
+    # at x = 0, -1 and 2
+    keys = []
+
+    def compare(word, pencil):
+        n = len(word) // 2
+        code = FlatBasketCode(word)
+        v = seifert_matrix(code)
+        raw = _pencil_det_eval_interp(n, _hadamard_square(v.rows), pencil)
+        assert raw == pencil_determinant(v, "fraction_free"), word
+        assert _signature_and_determinant_of_rows(
+            pencil(0)
+        ) == _signature_and_determinant_of_rows(v.rows), word
+        if n <= 4:
+            assert v.rows == diagram_seifert_matrix(code_to_flat_diagram(code)), word
+            for x in (0, -1, 2):
+                labeled = [
+                    [v.rows[i][j] - x * v.rows[j][i] for j in range(n)] for i in range(n)
+                ]
+                det = leibniz_det(pencil(x))
+                assert det == leibniz_det(labeled) == raw.evaluate(x), (word, x)
+        keys.append(word)
+
+    for n in (2, 4, 6):
+        for matching in enumerate_matchings(n, knots_only=True):
+            words = search_module._canonical_words(matching)
+            for _ in _per_orientation_key(words, matching, compare):
+                pass
+    assert len(keys) == len(set(keys)) == 1 + 48 + 23202
+
+
 def _reference_records(n):
     """Per-code records, each built from its own Seifert matrix."""
     out = []
@@ -245,10 +282,10 @@ def test_pencils_and_signatures_run_once_per_orientation_key(monkeypatch, tmp_pa
     hadamards = tmp_path / "hadamards"
     real_pencil = search_module._pencil_det_eval_interp
 
-    def pencil(rows, h):
+    def pencil(n, h, build):
         # the matching's H is passed in, so the pencil never recomputes it
-        assert h is not None
-        return real_pencil(rows, h)
+        assert h == _hadamard_square(build(0))
+        return real_pencil(n, h, build)
 
     monkeypatch.setattr(search_module, "_pencil_det_eval_interp", counting(pencil, pencils))
     monkeypatch.setattr(
@@ -284,7 +321,12 @@ def test_pencils_and_signatures_run_once_per_orientation_key(monkeypatch, tmp_pa
 def test_matching_hadamard_bounds_every_orientation_key():
     # l1(M_ij) = |v_ij| + |v_ji| is 1 exactly on interleaving chord pairs, so
     # H is the product of the chords' interleaving degrees for every labeling
-    keys = 0
+    keys = []
+
+    def hadamard(word, pencil):
+        keys.append(word)
+        return _hadamard_square(pencil(0))
+
     for n in range(1, 7):
         for matching in enumerate_matchings(n):
             pairs = matching.pairs()
@@ -293,15 +335,13 @@ def test_matching_hadamard_bounds_every_orientation_key():
             ]
             h = search_module._matching_hadamard(matching)
             assert h == prod(degrees), matching
-            crossings = matching.crossings
-            seen = set()
-            for word in search_module._canonical_words(matching):
-                key = _orientation_key(word, crossings)
-                if key not in seen:
-                    seen.add(key)
-                    assert _hadamard_square(_seifert_rows(word, crossings)) == h, word
-            keys += len(seen)
-    assert keys == 96558
+            per_key = _per_orientation_key(
+                search_module._canonical_words(matching),
+                matching,
+                hadamard,
+            )
+            assert {value for _, value in per_key} <= {h}, matching
+    assert len(keys) == len(set(keys)) == 96558
 
 
 def test_census_small():
