@@ -35,8 +35,8 @@ def _shown(value) -> str:
 def _read_text(path: str | Path, error: type[FlatBasketError]) -> str:
     """UTF-8 text of the file at ``path``; an undecodable byte raises ``error``.
 
-    Line ends stay as stored, so a line of ``splitlines()`` starts at the byte
-    offset of the encoded text before it."""
+    Line ends stay as stored, so a line starts at the byte offset of the
+    encoded text before it."""
     try:
         return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:

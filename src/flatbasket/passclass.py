@@ -110,14 +110,12 @@ def orbit_invariant_check(diagram: UnderlyingDiagram) -> OrbitReport:
     first: dict[tuple[int, ...], tuple[int, ...]] = {}
     for word in _orbit_words(diagram):
         first.setdefault(canonical_word(word), word)
-    per_key = _per_orientation_key(
-        first.values(),
-        diagram,
-        lambda word, pencil: invariants.arf_from_determinant(
+    values = sorted({
+        invariants.arf_from_determinant(
             invariants._signature_and_determinant_of_rows(pencil(0))[1]
-        ),
-    )
-    values = sorted({value for _, value in per_key})
+        )
+        for pencil, _ in _per_orientation_key(first.values(), diagram)
+    })
     return OrbitReport(
         arf_values=tuple(values),
         orbit_size=len(first),

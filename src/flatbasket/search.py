@@ -10,17 +10,20 @@ matching, summing over matchings counts every canonical code once.  The
 matching's interleaving chord pairs give each labeling's Seifert matrix
 through the one rule in :mod:`seifert`.  A labeling only orients each of
 those pairs, and Delta, the signature and det(V + V^T) depend on that
-orientation alone, so within a matching they are computed once per
-orientation key: the 89,160 six-band knot codes have 23,202 keys.  Each
-key's chord-order pencil V_c - x V_c^T is built straight from the
-matching's crossing list (:func:`seifert._key_pencil`), never from labeled
-rows, and goes to the integer determinant; ``search`` also hands V_c, the
-pencil at x = 0, to the symmetric elimination that gives the signature and
-det(V + V^T), which is checked against Delta at t = -1.  ``census``
-computes Delta only.  Both take at most ``CENSUS_CAP`` bands.  As a fresh
-process on a shared 2-core Linux VM, serial ``search -n 6 --knots-only
---json`` takes 2.4-3.3 s (median 2.6 s) and ``census -n 6 --json``
-1.04-1.43 s (median 1.15 s), 7 runs each.
+orientation alone, so the words of a matching are grouped by orientation
+key (:func:`seifert._per_orientation_key`).  Per key, ``census`` and
+``search`` take the integer determinant of the key's chord-order pencil
+V_c - x V_c^T, with its digit and symmetry checks, and ``search`` also
+the symmetric elimination of V_c that gives the signature and
+det(V + V^T), checked against the raw Delta at t = -1.  What Delta
+decides, its normal form, the determinant, the Arf residue, the band-bound
+check and the target test, is derived once per distinct boundary count
+and raw Delta: the 89,160 six-band knot codes have 23,202 keys and 22 raw
+Delta.
+Both take at most ``CENSUS_CAP`` bands.  As a fresh process on a shared
+2-core Linux VM, serial ``census -n 6 --json`` takes 0.51-0.70 s (median
+0.60 s) and ``search -n 6 --knots-only --json`` 1.61-1.73 s (median
+1.66 s), 7 runs each.
 
 Work is partitioned by matching across processes; the merged result is
 sorted by code word, so output is identical for any worker count.
@@ -180,18 +183,18 @@ def _matching_hadamard(matching: UnderlyingDiagram) -> int:
     return prod(degree)
 
 
-def _checked_delta(word: tuple[int, ...], n: int, pencil, b: int, h: int):
-    """Delta from the pencil builder of an orientation key of n rows and
-    its matching's H, and for a knot its determinant and checked Arf
+def _delta_fields(word: tuple[int, ...], n: int, b: int, raw: IntPolynomial):
+    """Delta from the raw pencil determinant of a code of n bands and b
+    boundary components, and for a knot its determinant and checked Arf
     residue.
 
     Realization consistency is checked too: the degree bound can never
-    exceed the band count of a code realizing the polynomial.  Both checks
-    read only Delta and the band count, so running them once per
-    orientation key (see :func:`_records_for_matchings`) checks every code
-    with that key.
+    exceed the band count of a code realizing the polynomial.  Every value
+    and check here reads only b, n and the raw Delta, so the callers run it
+    once per distinct (b, raw Delta) of a call, and ``word`` is the first
+    code that reached it, which an error names.
     """
-    delta = normalize_alexander(_pencil_det_eval_interp(n, h, pencil))
+    delta = normalize_alexander(raw)
     det = arf_val = None
     if b == 1:
         det = determinant_from_alexander(delta)
@@ -220,63 +223,64 @@ def _records_for_matchings(
     ``knots_only``, which has already walked the boundary of each knot
     matching, so only an unfiltered run walks it here.
 
-    Each value is computed where it varies.  Per matching: the boundary
-    count, genus, crossings and H (:func:`_matching_hadamard`).  Per
-    orientation key: the labeled V is P^T V_c P for the chord-order matrix
-    V_c of the key, so Delta (raw and normalized) and the signature are
-    computed once, from the key's pencil (:func:`seifert._key_pencil`), and
-    a key whose Delta misses the target is rejected once.  The signature
-    comes with det(V_c + V_c^T), which must equal the raw Delta at t = -1.
-    Per code: the word and its key.  A worker sends the parent its values
-    once and a word and an index per code, which pickle many times faster
-    than the records, and :func:`search` builds the records.
+    Each value is computed where it varies (see the module docstring): per
+    matching the boundary count, genus and H (:func:`_matching_hadamard`);
+    per orientation key the raw Delta and the checked signature; per
+    distinct (boundary count, raw Delta) the fields of :func:`_delta_fields`
+    and the target test, so a key that misses the target gets no signature.
+    A worker sends the parent its values once and a word and an index per
+    code, which pickle many times faster than the records, and
+    :func:`search` builds the records.
     """
     values = []
     indices: dict[tuple, int] = {}
+    derived: dict[tuple, tuple | None] = {}
     codes = []
     for matching in matchings:
         n = matching.n
         b = 1 if knots_only else _boundary_cycles(matching.pairing)
         genus = surface_genus(n, b)
         h = _matching_hadamard(matching)
-
-        def checked(word, pencil):
-            delta, det, arf_val = _checked_delta(word, n, pencil, b, h)
-            if target_coeffs is not None and delta.normalized.coeffs != target_coeffs:
-                return None
-            sigma = _checked_signature(pencil(0), delta.raw)
-            # the boundary count, raw Delta and sigma decide every field
-            index = indices.setdefault((b, delta.raw.coeffs, sigma), len(values))
-            if index == len(values):
-                values.append((b, genus, delta, det, arf_val, sigma))
-            return index
-
         words = _canonical_words(matching)
         if dedup_mirror:
             words = [w for w in words if canonical_word(_mirror_word(w, n)) >= w]
-        codes += [
-            (word, index)
-            for word, index in _per_orientation_key(words, matching, checked)
-            if index is not None
-        ]
+        for pencil, group in _per_orientation_key(words, matching):
+            raw = _pencil_det_eval_interp(n, h, pencil)
+            key = (b, raw.coeffs)
+            if key not in derived:
+                delta, det, arf_val = _delta_fields(group[0], n, b, raw)
+                hit = target_coeffs is None or delta.normalized.coeffs == target_coeffs
+                derived[key] = (b, genus, delta, det, arf_val) if hit else None
+            fields = derived[key]
+            if fields is None:
+                continue
+            sigma = _checked_signature(pencil(0), raw)
+            # the boundary count, raw Delta and sigma decide every field
+            index = indices.setdefault(key + (sigma,), len(values))
+            if index == len(values):
+                values.append(fields + (sigma,))
+            codes += [(word, index) for word in group]
     return values, codes
 
 
-def _census_for_matchings(matchings: list[UnderlyingDiagram]) -> dict[IntPolynomial, int]:
-    """Histogram of normalized knot Delta: Delta only, once per orientation
-    key of each matching, no signature, no record."""
-    out: dict[IntPolynomial, int] = {}
+def _census_for_matchings(matchings: list[UnderlyingDiagram]) -> list[list]:
+    """[normalized Delta, count] for each distinct raw knot Delta of the
+    matchings, in the order first reached: the raw Delta once per
+    orientation key, codes counted on its coefficients, and each distinct
+    one checked and normalized once (:func:`_delta_fields`); no signature,
+    no record."""
+    tally: dict[tuple[int, ...], list] = {}
     for matching in matchings:
         n = matching.n
         h = _matching_hadamard(matching)
-        per_key = _per_orientation_key(
-            _canonical_words(matching),
-            matching,
-            lambda word, pencil: _checked_delta(word, n, pencil, 1, h)[0].normalized,
-        )
-        for _, poly in per_key:
-            out[poly] = out.get(poly, 0) + 1
-    return out
+        for pencil, group in _per_orientation_key(_canonical_words(matching), matching):
+            raw = _pencil_det_eval_interp(n, h, pencil)
+            entry = tally.get(raw.coeffs)
+            if entry is None:
+                delta = _delta_fields(group[0], n, 1, raw)[0]
+                entry = tally[raw.coeffs] = [delta.normalized, 0]
+            entry[1] += len(group)
+    return list(tally.values())
 
 
 def _chunks(items: list, count: int) -> list[list]:
@@ -342,8 +346,8 @@ def census(n: int, jobs: int = 1) -> dict[IntPolynomial, int]:
     matchings = list(enumerate_matchings(n, knots_only=True))
     out: dict[IntPolynomial, int] = {}
     for part in _map_matchings(_census_for_matchings, matchings, jobs):
-        for key, count in part.items():
-            out[key] = out.get(key, 0) + count
+        for poly, count in part:
+            out[poly] = out.get(poly, 0) + count
     return out
 
 
@@ -437,18 +441,24 @@ def _write_store(
 ) -> tuple[int, int]:
     """:func:`write_store` given the records' code strings.  Every record is
     checked before anything is written, and the new lines go out in one
-    write, so a mismatch leaves the store unchanged."""
+    write, so a mismatch leaves the store unchanged.
+
+    A line ends at a newline, less one carriage return before it, and every
+    distinct stored line of a recomputed code is compared."""
     path = Path(path)
-    existing: dict[str, str] = {}
+    # for each code, its distinct stored lines with the number of the first
+    existing: dict[str, dict[str, int]] = {}
     text, separator = _store_text(path)
-    for lineno, line in enumerate(text.splitlines(), 1):
+    stored = text.split("\n")
+    for lineno, line in enumerate(stored, 1):
+        line = line.removesuffix("\r")
         if not line.strip():
             continue
         try:
             entry = json.loads(line)
         except (ValueError, RecursionError) as exc:  # nesting too deep
             # the byte offset locates a torn tail in the file as stored
-            start = len("".join(text.splitlines(keepends=True)[:lineno - 1]).encode())
+            start = len("".join(f"{before}\n" for before in stored[:lineno - 1]).encode())
             raise StoreMismatch(
                 f"{path}:{lineno}: unreadable store line at byte {start}"
             ) from exc
@@ -456,15 +466,15 @@ def _write_store(
             raise StoreMismatch(
                 f"{path}:{lineno}: store line is not an object with a string code"
             )
-        existing[entry["code"]] = line
+        existing.setdefault(entry["code"], {}).setdefault(line, lineno)
     lines = _record_lines(records, codes, _store_parts)
-    new = []
+    new = [line for code, line in zip(codes, lines) if code not in existing]
     for code, line in zip(codes, lines):
-        old = existing.get(code)
-        if old is None:
-            new.append(line)
-        elif old != line:
-            raise StoreMismatch(f"store entry for {code} disagrees with recomputation")
+        for old, lineno in existing.get(code, {}).items():
+            if old != line:
+                raise StoreMismatch(
+                    f"{path}:{lineno}: store entry for {code} disagrees with recomputation"
+                )
     with path.open("a") as handle:
         if new:
             handle.write(separator + "\n".join(new) + "\n")

@@ -76,24 +76,24 @@ def _orientation_key(word: tuple[int, ...], crossings) -> tuple[bool, ...]:
     """The orientation a labeling gives each crossing chord pair: whether the
     chord whose first foot is earlier has the smaller label.  The rule above
     reads the labeling only through this key."""
-    return tuple(word[pa] < word[pb] for pa, pb in crossings)
+    return tuple([word[pa] < word[pb] for pa, pb in crossings])
 
 
-def _per_orientation_key(words, matching: UnderlyingDiagram, compute):
-    """Each labeled word of the matching with ``compute(word, pencil)``,
-    where ``pencil(x)`` gives the rows of V_c - x V_c^T for the chord-order
-    matrix V_c of the word's orientation key (:func:`_key_pencil`): one call
-    per key, made for the first word with that key, so ``compute`` must read
-    the labeling only through the key."""
+def _per_orientation_key(words, matching: UnderlyingDiagram) -> list[tuple]:
+    """The labeled words of the matching grouped by orientation key, one
+    (pencil, words) pair per key in the order the keys are first reached,
+    its words in their given order, where ``pencil(x)`` gives the rows of
+    V_c - x V_c^T for the chord-order matrix V_c of the key
+    (:func:`_key_pencil`).  Whatever reads a labeling only through its key
+    is computed once per pair and holds for each of its words."""
     crossings = matching.crossings
+    groups: dict[tuple[bool, ...], list] = {}
+    for word in words:
+        groups.setdefault(_orientation_key(word, crossings), []).append(word)
     chord_at = matching.chord_at
     edges = [(chord_at[pa], chord_at[pb]) for pa, pb in crossings]
-    values = {}
-    for word in words:
-        key = _orientation_key(word, crossings)
-        if key not in values:
-            values[key] = compute(word, partial(_key_pencil, matching.n, edges, key))
-        yield word, values[key]
+    n = matching.n
+    return [(partial(_key_pencil, n, edges, key), group) for key, group in groups.items()]
 
 
 def seifert_matrix(code: FlatBasketCode) -> SeifertMatrix:

@@ -670,6 +670,29 @@ def test_search_store_cut_mid_line_names_where_the_line_starts(tmp_path, capsys)
     assert len(whole) == 43 and store.read_bytes() == torn
 
 
+def test_search_store_splits_lines_at_newlines_only(tmp_path, capsys):
+    # a JSON string may hold U+2028, U+2029 and U+0085 unescaped, which
+    # str.splitlines() would also break at: such a line is one record, a
+    # CRLF store still verifies, and a torn line after both is located at
+    # the byte where it starts
+    store = tmp_path / "store.jsonl"
+    first = json.dumps({"code": "9,9", "note": "a\u2028b\u2029c\x85d"}, ensure_ascii=False)
+    store.write_bytes(f"{first}\n".encode())
+    status, _, err = run(capsys, "search", "-n", "2", "--store", str(store))
+    assert status == 0 and f"store {store}: 2 appended, 0 verified" in err, err
+    crlf = store.read_bytes().replace(b"\n", b"\r\n")
+    store.write_bytes(crlf)
+    status, _, err = run(capsys, "search", "-n", "2", "--store", str(store))
+    assert status == 0 and f"store {store}: 0 appended, 2 verified" in err, err
+    assert store.read_bytes() == crlf
+    torn = crlf + b'{"code":"1,2,1,2","b":1,"gen'
+    store.write_bytes(torn)
+    status, out, err = run(capsys, "search", "-n", "2", "--store", str(store))
+    assert (status, out) == (1, "")
+    assert err == f"error: {store}:4: unreadable store line at byte {len(crlf)}\n"
+    assert store.read_bytes() == torn
+
+
 def test_search_store_without_a_final_newline_takes_new_records(tmp_path, capsys):
     # the last line has parsed, so it is complete: the first new record
     # goes on a line of its own, and the next run reads every line back

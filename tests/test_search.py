@@ -3,7 +3,9 @@
 import concurrent.futures
 import json
 import os
+import re
 from concurrent.futures import Future
+from dataclasses import replace
 from itertools import permutations
 from math import prod
 
@@ -36,7 +38,7 @@ from flatbasket.invariants import (
     determinant_from_alexander,
 )
 from flatbasket.pushdown import diagram_seifert_matrix
-from flatbasket.errors import CapExceeded, StoreMismatch
+from flatbasket.errors import CapExceeded, InvariantViolation, StoreMismatch
 from flatbasket.search import (
     SearchQuery,
     SearchRecord,
@@ -217,8 +219,8 @@ def test_key_pencil_gives_the_labeled_invariants():
     for n in (2, 4, 6):
         for matching in enumerate_matchings(n, knots_only=True):
             words = search_module._canonical_words(matching)
-            for _ in _per_orientation_key(words, matching, compare):
-                pass
+            for pencil, group in _per_orientation_key(words, matching):
+                compare(group[0], pencil)
     assert len(keys) == len(set(keys)) == 1 + 48 + 23202
 
 
@@ -318,14 +320,83 @@ def test_pencils_and_signatures_run_once_per_orientation_key(monkeypatch, tmp_pa
         assert (calls(pencils), calls(signatures), calls(hadamards)) == (48, 4, 21)
 
 
+def test_what_delta_decides_is_derived_once_per_distinct_raw_delta(monkeypatch):
+    # the integer determinant runs once per orientation key and everything
+    # that Delta decides once per distinct (boundary count, raw Delta) of a
+    # serial run: 3 of each among the 48 four-band knot keys, 22 among the
+    # 23,202 six-band ones
+    raws = []
+    derived = []
+    real_pencil = search_module._pencil_det_eval_interp
+    real_fields = search_module._delta_fields
+
+    def pencil(n, h, build):
+        raw = real_pencil(n, h, build)
+        raws.append(raw.coeffs)
+        return raw
+
+    def fields(word, n, b, raw):
+        derived.append((b, raw.coeffs))
+        return real_fields(word, n, b, raw)
+
+    monkeypatch.setattr(search_module, "_pencil_det_eval_interp", pencil)
+    monkeypatch.setattr(search_module, "_delta_fields", fields)
+
+    def counts():
+        out = (len(raws), len(derived), len(set(derived)))
+        raws.clear()
+        derived.clear()
+        return out
+
+    assert len(census(4)) == 3 and counts() == (48, 3, 3)
+    assert len(search(SearchQuery(bands=4, knots_only=True))) == 66
+    assert counts() == (48, 3, 3)
+    assert len(census(6)) == 22 and counts() == (23202, 22, 22)
+    # with links the boundary count is part of what the derivation reads
+    records = search(SearchQuery(bands=4))
+    distinct = {(r.boundary, r.delta.raw.coeffs) for r in records}
+    keys, calls, pairs = counts()
+    assert calls == pairs == len(distinct) < keys
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_delta_checks_still_raise_in_census_and_search(monkeypatch, jobs):
+    # the band bound and the odd determinant are checked once per distinct
+    # Delta, which still reaches every code: a broken one raises in both
+    real_bound = search_module.fpbk_lower_bound
+    real_det = search_module.determinant_from_alexander
+
+    def run_both():
+        messages = []
+        for run in (
+            lambda: census(4, jobs=jobs),
+            lambda: search(SearchQuery(bands=4, knots_only=True, jobs=jobs)),
+        ):
+            with pytest.raises(InvariantViolation) as caught:
+                run()
+            messages.append(str(caught.value))
+        return messages
+
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            search_module,
+            "fpbk_lower_bound",
+            lambda delta, genus: replace(real_bound(delta, genus), overall=5),
+        )
+        for message in run_both():
+            assert "is below its band bound" in message
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            search_module, "determinant_from_alexander", lambda delta: 2 * real_det(delta)
+        )
+        for message in run_both():
+            assert "knot determinant" in message and "is even" in message
+
+
 def test_matching_hadamard_bounds_every_orientation_key():
     # l1(M_ij) = |v_ij| + |v_ji| is 1 exactly on interleaving chord pairs, so
     # H is the product of the chords' interleaving degrees for every labeling
     keys = []
-
-    def hadamard(word, pencil):
-        keys.append(word)
-        return _hadamard_square(pencil(0))
 
     for n in range(1, 7):
         for matching in enumerate_matchings(n):
@@ -335,12 +406,9 @@ def test_matching_hadamard_bounds_every_orientation_key():
             ]
             h = search_module._matching_hadamard(matching)
             assert h == prod(degrees), matching
-            per_key = _per_orientation_key(
-                search_module._canonical_words(matching),
-                matching,
-                hadamard,
-            )
-            assert {value for _, value in per_key} <= {h}, matching
+            per_key = _per_orientation_key(search_module._canonical_words(matching), matching)
+            keys += [group[0] for _, group in per_key]
+            assert {_hadamard_square(pencil(0)) for pencil, _ in per_key} <= {h}, matching
     assert len(keys) == len(set(keys)) == 96558
 
 
@@ -559,3 +627,29 @@ def test_store_verifies_every_line_and_a_mismatch_writes_nothing(tmp_path):
             ):
                 write_store(store, records)
             assert store.read_text() == text
+
+
+def test_store_compares_every_stored_line_of_a_code(tmp_path):
+    records = search(SearchQuery(bands=4, knots_only=True))
+    reference = [
+        json.dumps(record_to_json(r), sort_keys=True, separators=(",", ":"))
+        for r in records
+    ]
+    store = tmp_path / "records.jsonl"
+    # identical duplicates, as two concurrent writers may leave, verify
+    store.write_text("\n".join(reference + reference) + "\n")
+    assert write_store(store, records) == (0, 66)
+    entry = json.loads(reference[5])
+    entry["signature"] += 2
+    wrong = json.dumps(entry, sort_keys=True, separators=(",", ":"))
+    # a wrong line is found before a right one for its code and after it
+    for lines, lineno in (
+        (reference[:5] + [wrong] + reference[5:], 6),
+        (reference + [wrong], 67),
+    ):
+        text = "\n".join(lines) + "\n"
+        store.write_text(text)
+        message = f"{store}:{lineno}: store entry for {entry['code']} disagrees"
+        with pytest.raises(StoreMismatch, match=re.escape(message)):
+            write_store(store, records)
+        assert store.read_text() == text
